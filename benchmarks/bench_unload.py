@@ -1,0 +1,99 @@
+"""Size ladder for unloading, timed with pytest-benchmark.
+
+Two series at about 50, 100, 200 and 400 points: `unload` on the chain
+weighted (1, ..., 1, n), and `enumerate_singularities` on make_dr(r) (2r + 1
+points), whose time is almost all unloading.  Kept outside `tests/` so the
+test suite does not pay for it.  From the root of a checkout:
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_unload.py \\
+        --benchmark-json=change.json
+
+Run it once more against the source tree of the parent commit, then
+
+    PYTHONPATH=src python benchmarks/bench_unload.py parent.json change.json > BENCH_N.json
+
+merges the two runs: median time per size on each side, the speed-up, and
+the growth exponent of each side (the least-squares slope of log time
+against log points).
+"""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from conftest import make_dr  # noqa: E402
+
+from sandwiched import WeightedCluster, chain_skeleton, enumerate_singularities, unload  # noqa: E402
+
+SIZES = (50, 100, 200, 400)
+
+
+@pytest.mark.parametrize("points", SIZES)
+def test_chain_unload(benchmark, points):
+    K = WeightedCluster(chain_skeleton(points), (1,) * (points - 1) + (points,))
+    benchmark.extra_info["points"] = points
+    result = benchmark(unload, K)
+    benchmark.extra_info["steps"] = len(result.steps)
+
+
+@pytest.mark.parametrize("points", SIZES)
+def test_enumerate_make_dr(benchmark, points):
+    K = make_dr(points // 2)
+    benchmark.extra_info["points"] = len(K.skeleton)
+    reports = benchmark(enumerate_singularities, K)
+    assert [(r.mult, r.emdim) for r in reports] == [(points // 2 + 1, points // 2 + 2)]
+
+
+def growth_exponent(points, seconds):
+    xs = [math.log(n) for n in points]
+    ys = [math.log(t) for t in seconds]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def merge(parent: dict, change: dict) -> dict:
+    def medians(run):
+        out, steps = {}, {}
+        for bench in run["benchmarks"]:
+            series = bench["name"].split("[")[0].removeprefix("test_")
+            points = bench["extra_info"]["points"]
+            out.setdefault(series, {})[points] = bench["stats"]["median"]
+            if "steps" in bench["extra_info"]:
+                steps.setdefault(series, {})[points] = bench["extra_info"]["steps"]
+        return out, steps
+
+    (before, old_steps), (after, new_steps) = medians(parent), medians(change)
+    if old_steps != new_steps:
+        raise SystemExit(f"unload step counts differ: {old_steps} vs {new_steps}")
+    merged = {}
+    for series, old in before.items():
+        points = sorted(old)
+        new = after[series]
+        merged[series] = {
+            "points": points,
+            **({"steps": [new_steps[series][n] for n in points]} if series in new_steps else {}),
+            "parent_median_ms": [round(old[n] * 1e3, 2) for n in points],
+            "change_median_ms": [round(new[n] * 1e3, 2) for n in points],
+            "speedup": [round(old[n] / new[n], 1) for n in points],
+            "parent_growth_exponent": round(growth_exponent(points, [old[n] for n in points]), 2),
+            "change_growth_exponent": round(growth_exponent(points, [new[n] for n in points]), 2),
+        }
+    info = change["machine_info"]
+    return {
+        "benchmark": "benchmarks/bench_unload.py",
+        "machine": {
+            "cpu": info.get("cpu", {}).get("brand_raw"),
+            "python": info.get("python_version"),
+        },
+        "series": merged,
+    }
+
+
+if __name__ == "__main__":
+    with open(sys.argv[1]) as a, open(sys.argv[2]) as b:
+        print(json.dumps(merge(json.load(a), json.load(b)), indent=2))

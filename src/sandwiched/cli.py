@@ -2,8 +2,9 @@
 
 Subcommands: validate, unload, analyze, singularities, cartier, synthesize,
 export, selftest.  Exit codes: 0 success (smooth / consistent / all passed),
-1 input or validation error, 2 a singularity was found (for scripting),
-3 an internal cross-check failed (a bug, please report the input).
+1 input or validation error (also an unreadable or non-UTF-8 file), 2 a
+singularity was found (for scripting), 3 an internal cross-check failed or a
+safety cap was exceeded (a bug, please report the input).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .analyzer import (
 )
 from .cartier import CartierRequest, build
 from .cluster import validate
-from .errors import ClusterError, InternalCheckError, ParseError
+from .errors import CapExceededError, ClusterError, InternalCheckError, ParseError
 from .oracle import selftest
 from .synthesis import parse_graph_spec, synthesize
 from .weighted import unload
@@ -45,8 +46,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ClusterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT
     except InternalCheckError as exc:
         print(f"internal cross-check failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except CapExceededError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 
@@ -115,9 +123,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ClusterError(
+            f"{path}: not valid UTF-8 (byte {exc.start}: {exc.reason})"
+        ) from None
+
+
 def _load(path: str, name: Optional[str]):
-    with open(path, "r", encoding="utf-8") as handle:
-        clusters = dsl.parse(handle.read())
+    clusters = dsl.parse(_read(path))
     if not clusters:
         raise ClusterError(f"{path}: no clusters defined")
     if name is None:
@@ -147,8 +164,7 @@ def _json(payload) -> str:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        clusters = dsl.parse(handle.read())
+    clusters = dsl.parse(_read(args.file))
     if args.name is not None:
         if args.name not in clusters:
             raise ClusterError(f"{args.file}: no cluster named {args.name!r}")
@@ -270,8 +286,7 @@ def _cmd_cartier(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    with open(args.graphfile, "r", encoding="utf-8") as handle:
-        spec = parse_graph_spec(handle.read())
+    spec = parse_graph_spec(_read(args.graphfile))
     cluster, boundary = synthesize(spec)
     report = analyze(cluster, boundary)
     text = dsl.serialize("synthesized", cluster)

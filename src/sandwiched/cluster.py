@@ -421,8 +421,12 @@ class DualGraph:
             adj[v].append(u)
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
+    @cached_property
+    def _weight_of(self) -> dict:
+        return dict(zip(self.vertices, self.weights))
+
     def weight(self, p: int) -> int:
-        return self.weights[self.vertices.index(p)]
+        return self._weight_of[p]
 
     def degree(self, p: int) -> int:
         return len(self.adjacency[p])
@@ -463,7 +467,7 @@ class DualGraph:
         keep_set = set(keep)
         vertices = tuple(v for v in self.vertices if v in keep_set)
         edges = tuple((u, v) for u, v in self.edges if u in keep_set and v in keep_set)
-        weights = tuple(self.weights[self.vertices.index(v)] for v in vertices)
+        weights = tuple(self._weight_of[v] for v in vertices)
         return DualGraph(vertices, edges, weights)
 
 

@@ -13,13 +13,15 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional
+from typing import Callable, Optional
 
 from .analyzer import FreeOn, Satellite, analyze, enumerate_singularities
 from .cluster import ClusterSkeleton, dual_graph, validate
-from .errors import OracleInstanceTooLarge
+from .errors import CapExceededError, OracleInstanceTooLarge
 from .synthesis import MinimalGraphSpec
 from .weighted import (
+    UnloadResult,
+    UnloadStep,
     WeightedCluster,
     dicritical_set,
     drop_zero_points,
@@ -193,6 +195,43 @@ def brute_unload(cluster: WeightedCluster, max_states: int = 2_000_000) -> Weigh
     ), "no pointwise-minimal consistent dominating cluster in the box"
     nu = tuple(best[p] - sum(best[q] for q in sk.proximities[p]) for p in sk.points)
     return WeightedCluster(sk, nu)
+
+
+def reference_unload(
+    cluster: WeightedCluster,
+    *,
+    pick: Optional[Callable[[list[int]], int]] = None,
+    cap: Optional[int] = None,
+) -> UnloadResult:
+    """`weighted.unload` as a plain loop that rescans every excess after every
+    step (O(n) per step); the worklist version must match it step for step."""
+    sk = cluster.skeleton
+    sk.require_valid()
+    n_points = len(sk)
+    nu = list(cluster.nu)
+    prox_to = sk.proximate_to
+    if cap is None:
+        cap = 10 * max(1, sum(abs(m) for m in cluster.nu)) * n_points * n_points
+    steps: list[UnloadStep] = []
+    while True:
+        negative = [
+            p for p in sk.points if nu[p] - sum(nu[q] for q in prox_to[p]) < 0
+        ]
+        if not negative:
+            break
+        p = negative[0] if pick is None else pick(negative)
+        rho_p = nu[p] - sum(nu[q] for q in prox_to[p])
+        r_p = len(prox_to[p])
+        inc = (-rho_p + r_p) // (r_p + 1)
+        nu[p] += inc
+        for u in prox_to[p]:
+            nu[u] -= inc
+        steps.append(UnloadStep(p, inc, inc == 1 and rho_p == -1))
+        if len(steps) > cap:
+            raise CapExceededError(
+                f"unloading exceeded the {cap}-step safety cap", trace=tuple(steps)
+            )
+    return UnloadResult(WeightedCluster(sk, tuple(nu)), tuple(steps))
 
 
 # -- Selftest ---------------------------------------------------------------------

@@ -20,6 +20,8 @@ analyzer before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
 from .analyzer import FreeOn, analyze
 from .cluster import SkeletonBuilder
 from .errors import ClusterError, InternalCheckError, ParseError
@@ -34,11 +36,24 @@ class MinimalGraphSpec:
     edges: tuple[tuple[str, str], ...]
     weights: tuple[int, ...]
 
+    @cached_property
+    def _weight_of(self) -> dict:
+        return dict(zip(self.vertices, self.weights))
+
+    @cached_property
+    def _degree_of(self) -> dict:
+        degree: dict = {}
+        for u, v in self.edges:
+            degree[u] = degree.get(u, 0) + 1
+            if v != u:
+                degree[v] = degree.get(v, 0) + 1
+        return degree
+
     def weight(self, name: str) -> int:
-        return self.weights[self.vertices.index(name)]
+        return self._weight_of[name]
 
     def degree(self, name: str) -> int:
-        return sum(1 for u, v in self.edges if name in (u, v))
+        return self._degree_of.get(name, 0)
 
     def require_valid(self) -> "MinimalGraphSpec":
         if not self.vertices:

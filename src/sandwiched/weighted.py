@@ -12,6 +12,8 @@ the same ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 from .cluster import ClusterSkeleton, restrict
@@ -134,30 +136,61 @@ def unload(
     leaving all other values unchanged, and the multiplicities are recomputed
     (equivalently nu_p grows by n and nu drops by n at each point proximate
     to p).  The default strategy unloads the lowest-index negative point; the
-    result is independent of that choice.  The cap is a bug trap only:
-    termination is guaranteed.
+    result is independent of that choice.  `pick`, when given, receives the
+    ascending list of all negative points and returns the one to unload.  The
+    cap is a bug trap only: termination is guaranteed.
+
+    The excesses are computed once.  A step at p changes them only at p, at
+    its proximity targets, at the points proximate to p and at their targets,
+    and only those are updated, so a step costs O(r_p + log n): a heap yields
+    the lowest-index negative point.  With `pick`, each step also sorts the
+    negative points to build the list it passes.
     """
     sk = cluster.skeleton
     sk.require_valid()
     n_points = len(sk)
     nu = list(cluster.nu)
+    prox = sk.proximities
     prox_to = sk.proximate_to
     if cap is None:
         cap = 10 * max(1, sum(abs(m) for m in cluster.nu)) * n_points * n_points
+    rho = [nu[p] - sum(nu[q] for q in prox_to[p]) for p in sk.points]
+    negative = {p for p in sk.points if rho[p] < 0}
+    # min-heap over the negative points with lazy deletion: an entry whose
+    # point has since left `negative` is skipped when popped
+    queue = sorted(negative)
     steps: list[UnloadStep] = []
-    while True:
-        negative = [
-            p for p in sk.points if nu[p] - sum(nu[q] for q in prox_to[p]) < 0
-        ]
-        if not negative:
-            break
-        p = negative[0] if pick is None else pick(negative)
-        rho_p = nu[p] - sum(nu[q] for q in prox_to[p])
+    while negative:
+        if pick is None:
+            p = heappop(queue)
+            if p not in negative:
+                continue
+        else:
+            p = pick(sorted(negative))
+        rho_p = rho[p]
         r_p = len(prox_to[p])
         inc = (-rho_p + r_p) // (r_p + 1)
         nu[p] += inc
+        rho[p] += inc * (r_p + 1)
+        negative.discard(p)
+        # rho_x = nu_x - sum of nu over the points proximate to x.  Raising
+        # nu_p and lowering nu_u for each u proximate to p moves rho only at
+        # p, at the targets of p, at each u and at the targets t != p of each
+        # u.  Such a u is a satellite proximate to p and t, so t is a target
+        # of p or proximate to p (satellite inheritance): the second loop
+        # visits every changed point after its last change.
         for u in prox_to[p]:
             nu[u] -= inc
+            for t in prox[u]:
+                if t != p:
+                    rho[t] += inc
+        for x in chain(prox[p], prox_to[p]):
+            rho[x] -= inc
+            if rho[x] >= 0:
+                negative.discard(x)
+            elif x not in negative:
+                negative.add(x)
+                heappush(queue, x)
         steps.append(UnloadStep(p, inc, inc == 1 and rho_p == -1))
         if len(steps) > cap:
             raise CapExceededError(

@@ -7,12 +7,15 @@ Core claims:
     - unload is the identity on consistent input
     - cartier emits the expected cluster and a passing certificate
     - outputs are byte-identical across runs and re-parse
+    - missing or undecodable files and a safety-cap overrun end in a one-line
+      message and an exit code, never a traceback
 """
 
 import json
 
 import pytest
 
+from sandwiched import cli, unload
 from sandwiched.cli import main
 
 D1 = "cluster d1 { O ; p1 -> O ; q1 -> p1 }\nweights d1 { O=1 p1=1 q1=1 }\n"
@@ -201,3 +204,36 @@ def test_singularities_dot_output(d1_file, capsys):
     code, out, _ = run(capsys, "singularities", d1_file, "--format", "dot")
     assert code == 2
     assert 'graph "dual_d1_c0"' in out
+
+
+def test_missing_file_is_an_input_error(tmp_path, capsys):
+    path = str(tmp_path / "absent.cluster")
+    for argv in (["validate", path], ["unload", path], ["synthesize", path]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def test_undecodable_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cluster"
+    path.write_bytes("cluster d { O }\nweights d { O=1 }  # caf\u00e9\n".encode("latin-1"))
+    for command in ("validate", "analyze", "synthesize"):
+        argv = [command, str(path)] + (["--at", "c0"] if command == "analyze" else [])
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"error: {path}: not valid UTF-8") and err.count("\n") == 1
+
+
+def test_unload_cap_overrun_exits_3(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "i.cluster"
+    path.write_text(
+        "cluster i { O ; p1 -> O ; q1 -> p1 ; w -> p1, O }\n"
+        "weights i { O=1 p1=1 q1=1 w=1 }\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(cli, "unload", lambda cluster: unload(cluster, cap=1))
+    code, out, err = run(capsys, "unload", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: unloading exceeded the 1-step safety cap\n"

@@ -1,0 +1,165 @@
+"""Worklist unloading against the rescanning reference loop.
+
+Core claims:
+    - `unload` gives the same cluster and the same step trace as
+      `oracle.reference_unload` on seeded generator instances (including the
+      raw weightings the generator unloads), on the codimension-one
+      extensions of the make_dr family and on chains weighted (1, ..., 1, n)
+    - under a small cap both raise CapExceededError with the same partial trace
+    - a `pick` callback receives the same ascending lists of negative points
+    - whatever the pick order, unloading ends on the same cluster, and that
+      cluster has no negative excess
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sandwiched import (
+    CapExceededError,
+    ClusterSkeleton,
+    FreeOn,
+    Satellite,
+    WeightedCluster,
+    chain_skeleton,
+    dual_graph,
+    excesses,
+    unload,
+)
+from sandwiched import oracle
+from sandwiched.analyzer import extend, zero_excess_components
+from sandwiched.oracle import GeneratorConfig, reference_unload
+
+from conftest import make_dr
+
+
+def assert_same_unload(K, **kwargs):
+    got = unload(K, **kwargs)
+    want = reference_unload(K, **kwargs)
+    assert got.cluster == want.cluster
+    assert got.steps == want.steps
+    return got
+
+
+def test_matches_reference_on_generator_instances(monkeypatch):
+    raw = []
+    real = oracle.unload
+
+    def capture(cluster, **kwargs):
+        raw.append(cluster)
+        return real(cluster, **kwargs)
+
+    monkeypatch.setattr(oracle, "unload", capture)
+    rng = random.Random(20261017)
+    config = GeneratorConfig(max_points=10, max_multiplicity=5, satellite_probability=0.4)
+    noisy = []
+    for _ in range(3000):
+        K = oracle._random_cluster(rng, config)
+        noisy.append(
+            WeightedCluster(K.skeleton, tuple(m + rng.randint(-3, 1) for m in K.nu))
+        )
+    monkeypatch.undo()
+    assert len(raw) > 1000
+    nontame = 0
+    for K in raw + noisy:
+        result = assert_same_unload(K)
+        nontame += any(not s.tame for s in result.steps)
+    assert nontame > 100  # the non-tame branch is exercised, not just tame steps
+
+
+def test_matches_reference_on_make_dr_extensions():
+    for r in range(1, 31):
+        K = make_dr(r)
+        # the extensions enumerate_singularities unloads, plus every boundary
+        # point while the reference loop is still cheap
+        spots = [FreeOn(component[0]) for component in zero_excess_components(K)]
+        if r <= 6:
+            spots += [FreeOn(p) for p in K.skeleton.points]
+            spots += [Satellite(u, v) for u, v in dual_graph(K.skeleton).edges]
+        for w in spots:
+            assert_same_unload(extend(K, w))
+
+
+def test_matches_reference_on_weighted_chains():
+    for n in range(1, 61):
+        K = WeightedCluster(chain_skeleton(n), (1,) * (n - 1) + (n,))
+        result = assert_same_unload(K)
+        assert all(r >= 0 for r in excesses(result.cluster))
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 5, 17])
+def test_cap_overrun_has_the_reference_partial_trace(cap):
+    instances = [
+        WeightedCluster(chain_skeleton(12), (1,) * 11 + (12,)),
+        extend(make_dr(6), FreeOn(0)),
+    ]
+    for K in instances:
+        with pytest.raises(CapExceededError) as got:
+            unload(K, cap=cap)
+        with pytest.raises(CapExceededError) as want:
+            reference_unload(K, cap=cap)
+        assert str(got.value) == str(want.value)
+        assert got.value.trace == want.value.trace
+        assert len(got.value.trace) == cap + 1
+
+
+def recorded_pick_unload(fn, K, seed):
+    choose = random.Random(seed)
+    lists = []
+
+    def pick(negative):
+        lists.append(list(negative))
+        return choose.choice(negative)
+
+    return fn(K, pick=pick), lists
+
+
+def test_pick_receives_the_reference_negative_lists():
+    rng = random.Random(5)
+    for seed in range(300):
+        sk = oracle.random_skeleton(rng, 10, 0.4)
+        K = WeightedCluster(sk, tuple(rng.randint(-3, 5) for _ in sk.points))
+        got, lists = recorded_pick_unload(unload, K, seed)
+        assert (got, lists) == recorded_pick_unload(reference_unload, K, seed)
+        assert all(lst and lst == sorted(lst) for lst in lists)
+
+
+@st.composite
+def weighted_clusters(draw):
+    """A valid skeleton of up to 9 points and arbitrary small weights."""
+    n = draw(st.integers(1, 9))
+    parents = [None]
+    prox = [frozenset()]
+    occupied = set()
+    for p in range(1, n):
+        parent = draw(st.integers(0, p - 1))
+        targets = frozenset({parent})
+        free_pairs = sorted(
+            q for q in prox[parent] if frozenset({parent, q}) not in occupied
+        )
+        if free_pairs and draw(st.booleans()):
+            targets = frozenset({parent, draw(st.sampled_from(free_pairs))})
+            occupied.add(targets)
+        parents.append(parent)
+        prox.append(targets)
+    skeleton = ClusterSkeleton(
+        tuple(parents), tuple(prox), tuple(f"p{p}" for p in range(n))
+    ).require_valid()
+    nu = draw(st.tuples(*(st.integers(-4, 6) for _ in range(n))))
+    return WeightedCluster(skeleton, nu)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(K=weighted_clusters(), choices=st.lists(st.integers(0, 10**6), min_size=1, max_size=30))
+def test_result_is_independent_of_pick_order(K, choices):
+    calls = itertools.count()
+
+    def pick(negative):
+        return negative[choices[next(calls) % len(choices)] % len(negative)]
+
+    result = unload(K)
+    assert unload(K, pick=pick).cluster == result.cluster
+    assert all(r >= 0 for r in excesses(result.cluster))
