@@ -10,8 +10,12 @@ The construction starts from the weighted sum of the simple clusters of the
 components through Q, attaches a free point over the minimal contracted
 point, and then grows satellite chains on each dicritical component toward
 its contracted neighbour until all the relevant excesses are used up,
-unloading and discarding zero points along the way.  Point identity across
-the evolving cluster is carried by tags.
+unloading and discarding zero points along the way.  Each stage of the
+construction is a weighted cluster whose points keep one admissible order:
+the points of the base cluster present, in base order, then the added
+points in creation order.  A stage drops points or appends one at the end,
+and a base point that comes back is re-attached among the base points, so
+no stage re-sorts, and every tag names the same point throughout.
 
 A result is never trusted on construction: `verify` re-checks it from
 scratch (value identities, localization of the dicritical points, vanishing
@@ -26,7 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .analyzer import SingularityReport, contracted_neighbor
-from .cluster import ClusterSkeleton, dual_graph
+from .cluster import ClusterSkeleton, dual_graph, extend_point, restrict
 from .errors import CapExceededError, ClusterError, InternalCheckError
 from .weighted import (
     WeightedCluster,
@@ -92,78 +96,6 @@ class CartierResult:
     certificate: CartierCertificate
 
 
-class _Evolving:
-    """Mutable cluster state for the builder, keyed by tags.
-
-    The skeleton is rebuilt after each mutation: surviving base points first
-    (original order), then surviving added points in creation order, so the
-    order stays admissible throughout.
-    """
-
-    def __init__(self, base_skeleton: ClusterSkeleton):
-        self.base = base_skeleton
-        self.present_base: list[int] = []
-        self.added: list[AddedPoint] = []
-        self.nu: dict = {}
-        self.used_tags: set = set(base_skeleton.tags)
-
-    def tags(self) -> list[str]:
-        return [self.base.tags[p] for p in self.present_base] + [a.tag for a in self.added]
-
-    def skeleton(self) -> ClusterSkeleton:
-        order = self.tags()
-        index = {tag: i for i, tag in enumerate(order)}
-        parents: list[Optional[int]] = []
-        prox: list[frozenset[int]] = []
-        for p in self.present_base:
-            par = self.base.parents[p]
-            parents.append(None if par is None else index[self.base.tags[par]])
-            prox.append(frozenset(index[self.base.tags[q]] for q in self.base.proximities[p]))
-        for a in self.added:
-            parents.append(index[a.targets[0]])
-            prox.append(frozenset(index[t] for t in a.targets))
-        skeleton = ClusterSkeleton(tuple(parents), tuple(prox), tuple(order))
-        return skeleton.require_valid()
-
-    def cluster(self) -> WeightedCluster:
-        return WeightedCluster(self.skeleton(), tuple(self.nu[t] for t in self.tags()))
-
-    def has(self, tag: str) -> bool:
-        return tag in self.nu
-
-    def ensure_base_present(self, point: int):
-        """Re-attach a base point (with its predecessors) at multiplicity 0."""
-        for q in sorted(self.base.predecessors(point)):
-            tag = self.base.tags[q]
-            if tag not in self.nu:
-                self.present_base.append(q)
-                self.nu[tag] = 0
-        self.present_base.sort()
-
-    def add_point(self, targets: tuple[str, ...], tag: str):
-        # the parent (kept first) is the later target; current order is historical
-        order = {t: i for i, t in enumerate(self.tags())}
-        self.added.append(
-            AddedPoint(tag, tuple(sorted(targets, key=order.__getitem__, reverse=True)))
-        )
-        self.nu[tag] = 1
-
-    def set_from(self, cluster: WeightedCluster):
-        """Absorb multiplicities (and drops) from a cluster on current tags."""
-        survivors = set(cluster.skeleton.tags)
-        self.present_base = [
-            p for p in self.present_base if self.base.tags[p] in survivors
-        ]
-        self.added = [a for a in self.added if a.tag in survivors]
-        self.nu = {tag: m for tag, m in zip(cluster.skeleton.tags, cluster.nu)}
-
-    def excess_at(self, tag: str) -> int:
-        if tag not in self.nu:
-            return 0
-        cluster = self.cluster()
-        return excesses(cluster)[cluster.skeleton.index_of(tag)]
-
-
 def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierResult:
     """Run the construction; the returned certificate is verified independently.
 
@@ -188,22 +120,24 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
 
     cap = 4 * sum(alpha.values()) * len(sk) * len(sk)
     micro = 0
+    used_tags = set(sk.tags)
 
-    state = _Evolving(sk)
     combined = [0] * len(sk)
     for p in dicriticals:
         for q, m in enumerate(simple_multiplicities(sk, p)):
             combined[q] += alpha[p] * m
-    for q in sk.points:
-        if combined[q] > 0:
-            state.present_base.append(q)
-            state.nu[sk.tags[q]] = combined[q]
-    trace = [state.cluster()]
+    start, kept = restrict(sk, (q for q in sk.points if combined[q] > 0))
+    cluster = WeightedCluster(start, tuple(combined[q] for q in kept))
+    trace = [cluster]
 
-    def settle(label: str):
+    def add_point(cluster: WeightedCluster, targets) -> WeightedCluster:
+        """Append a fresh point of multiplicity 1; its parent is the later target."""
+        skeleton = extend_point(cluster.skeleton, targets, _fresh_tag(used_tags))
+        return WeightedCluster(skeleton, cluster.nu + (1,))
+
+    def settle(cluster: WeightedCluster, label: str) -> WeightedCluster:
         """Unload if needed, forbid unloading at original dicriticals, drop zeros."""
         nonlocal micro
-        cluster = state.cluster()
         if not is_consistent(cluster):
             result = unload(cluster)
             micro += len(result.steps)
@@ -214,86 +148,120 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
                     )
             cluster = result.cluster
         cluster = drop_zero_points(cluster).cluster
-        state.set_from(cluster)
         if micro > cap:
             raise CapExceededError(
                 f"builder exceeded the {cap}-step safety cap", trace=tuple(trace)
             )
+        return cluster
 
-    def check_interior_excess(label: str):
+    def stage_excesses(cluster: WeightedCluster):
+        """The excess vector, and the excess at each prescribed dicritical
+        present in the cluster (an absent one has excess 0)."""
+        rho = excesses(cluster)
+        index = cluster.skeleton.tag_index
+        at = {p: rho[index[sk.tags[p]]] for p in dicriticals if sk.tags[p] in index}
+        return rho, at
+
+    def check_interior_excess(label: str, cluster: WeightedCluster, rho, at):
         """Between any two prescribed dicriticals some interior chain point
         keeps positive excess; this is what makes the growth loop sound."""
-        cluster = state.cluster()
         cur = cluster.skeleton
-        rho = excesses(cluster)
         cur_graph = dual_graph(cur)
-        present = [p for p in dicriticals if state.has(sk.tags[p])]
-        for i, pi in enumerate(present):
-            for pj in present[i + 1 :]:
-                a = cur.index_of(sk.tags[pi])
-                b = cur.index_of(sk.tags[pj])
-                interior = cur_graph.open_chain(a, b)
-                if not any(rho[u] > 0 for u in interior):
+        present = [cur.tag_index[sk.tags[p]] for p in at]
+        for i, a in enumerate(present):
+            for b in present[i + 1 :]:
+                if not any(rho[u] > 0 for u in cur_graph.open_chain(a, b)):
                     raise InternalCheckError(
                         f"{label}: no positive excess between "
-                        f"{sk.tags[pi]} and {sk.tags[pj]}"
+                        f"{cur.tags[a]} and {cur.tags[b]}"
                     )
 
     # first stage: one free point over the seed, unload, discard zeros
-    state.ensure_base_present(seed_point)
-    w0 = _fresh_tag(state)
-    state.add_point((sk.tags[seed_point],), w0)
+    cluster = _reattach(cluster, sk, (seed_point,))
+    cluster = add_point(cluster, (cluster.skeleton.index_of(sk.tags[seed_point]),))
     micro += 1
-    settle("first stage")
-    trace.append(state.cluster())
+    cluster = settle(cluster, "first stage")
+    trace.append(cluster)
+    rho, at = stage_excesses(cluster)
     for p in dicriticals:
-        got = state.excess_at(sk.tags[p])
+        got = at.get(p, 0)
         if got != alpha[p] - 1:
             raise InternalCheckError(
                 f"first stage: excess {got} at {sk.tags[p]}, expected {alpha[p] - 1}"
             )
-    check_interior_excess("first stage")
+    check_interior_excess("first stage", cluster, rho, at)
 
     # growth loop: satellite chains on each dicritical toward its neighbour
     while True:
-        pending = [p for p in dicriticals if state.excess_at(sk.tags[p]) > 0]
+        pending = [p for p in dicriticals if at.get(p, 0) > 0]
         if not pending:
             break
-        total_before = sum(state.excess_at(sk.tags[p]) for p in dicriticals)
+        total_before = sum(at.values())
         p_r = pending[0]
-        p_tag = sk.tags[p_r]
-        state.ensure_base_present(neighbor[p_r])
-        partner = sk.tags[neighbor[p_r]]
-        cur = state.skeleton()
-        pair_map = {
-            frozenset(cur.tags[t] for t in pair): cur.tags[s]
-            for pair, s in cur.satellite_pairs.items()
-        }
-        while frozenset((p_tag, partner)) in pair_map:
-            partner = pair_map[frozenset((p_tag, partner))]
-        state.add_point((partner, p_tag), _fresh_tag(state))
+        cluster = _reattach(cluster, sk, (neighbor[p_r],))
+        cur = cluster.skeleton
+        p_index = cur.index_of(sk.tags[p_r])
+        partner = cur.index_of(sk.tags[neighbor[p_r]])
+        while frozenset((p_index, partner)) in cur.satellite_pairs:
+            partner = cur.satellite_pairs[frozenset((p_index, partner))]
+        cluster = add_point(cluster, (partner, p_index))
         micro += 1
-        settle("growth loop")
-        trace.append(state.cluster())
-        total_after = sum(state.excess_at(sk.tags[p]) for p in dicriticals)
-        if total_after >= total_before:
+        cluster = settle(cluster, "growth loop")
+        trace.append(cluster)
+        rho, at = stage_excesses(cluster)
+        if sum(at.values()) >= total_before:
             raise InternalCheckError("growth loop: total prescribed excess did not drop")
-        check_interior_excess("growth loop")
+        check_interior_excess("growth loop", cluster, rho, at)
 
     # finalize: every base point comes back, at multiplicity zero if absent
-    for p in sk.points:
-        state.ensure_base_present(p)
-    final = state.cluster()
+    final = _reattach(cluster, sk, sk.points)
     trace.append(final)
     certificate = verify(base, report, alpha, final)
-    return CartierResult(final, tuple(state.added), tuple(trace), certificate)
+    # the points past the base ones were added, in creation order
+    fsk = final.skeleton
+    added = tuple(
+        AddedPoint(
+            fsk.tags[p], tuple(fsk.tags[q] for q in sorted(fsk.proximities[p], reverse=True))
+        )
+        for p in fsk.points[len(sk) :]
+    )
+    return CartierResult(final, added, tuple(trace), certificate)
 
 
-def _fresh_tag(state: _Evolving) -> str:
+def _reattach(
+    cluster: WeightedCluster, base: ClusterSkeleton, points
+) -> WeightedCluster:
+    """Re-attach base `points` and their predecessors at multiplicity 0.
+
+    The skeleton is rebuilt only when one of them is missing: the base points
+    present, in base order, then the added points in their current order.
+    """
+    cur = cluster.skeleton
+    needed = set().union(*(base.predecessors(p) for p in points))
+    if all(base.tags[q] in cur.tag_index for q in needed):
+        return cluster
+    needed.update(base.tag_index[t] for t in cur.tags if t in base.tag_index)
+    order = [base.tags[q] for q in sorted(needed)]
+    order += [t for t in cur.tags if t not in base.tag_index]
+    index = {tag: i for i, tag in enumerate(order)}
+    parents: list[Optional[int]] = []
+    prox: list[frozenset[int]] = []
+    for tag in order:
+        src = cur if tag in cur.tag_index else base
+        p = src.tag_index[tag]
+        par = src.parents[p]
+        parents.append(None if par is None else index[src.tags[par]])
+        prox.append(frozenset(index[src.tags[q]] for q in src.proximities[p]))
+    skeleton = ClusterSkeleton(tuple(parents), tuple(prox), tuple(order)).require_valid()
+    nu = tuple(cluster.nu[cur.tag_index[t]] if t in cur.tag_index else 0 for t in order)
+    return WeightedCluster(skeleton, nu)
+
+
+def _fresh_tag(used_tags: set) -> str:
     i = 0
-    while f"w{i}" in state.used_tags:
+    while f"w{i}" in used_tags:
         i += 1
-    state.used_tags.add(f"w{i}")
+    used_tags.add(f"w{i}")
     return f"w{i}"
 
 

@@ -86,18 +86,30 @@ class MinimalGraphSpec:
 def _connected(vertices, edges) -> bool:
     if not vertices:
         return False
+    order, _ = _bfs(_adjacency(vertices, edges), vertices[0])
+    return len(order) == len(vertices)
+
+
+def _adjacency(vertices, edges) -> dict:
     adjacency = {v: [] for v in vertices}
     for u, v in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        for nxt in adjacency[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(vertices)
+    return adjacency
+
+
+def _bfs(adjacency, root, key=None) -> tuple[list, dict]:
+    """Breadth-first order from `root` and the parent of each vertex reached
+    (None for the root); neighbours are visited sorted by `key` when given."""
+    parent = {root: None}
+    order = [root]
+    for v in order:
+        neighbours = adjacency[v] if key is None else sorted(adjacency[v], key=key)
+        for nxt in neighbours:
+            if nxt not in parent:
+                parent[nxt] = v
+                order.append(nxt)
+    return order, parent
 
 
 def count_contracted_branches(spec: MinimalGraphSpec) -> int:
@@ -113,23 +125,13 @@ def synthesize(spec: MinimalGraphSpec) -> tuple[WeightedCluster, FreeOn]:
     spec.require_valid()
     root = next(v for v in spec.vertices if spec.weight(v) > spec.degree(v))
 
-    children: dict = {v: [] for v in spec.vertices}
-    parent_vertex: dict = {root: None}
-    order = [root]
-    queue = [root]
-    adjacency = {v: [] for v in spec.vertices}
-    for u, v in spec.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
     vertex_rank = {v: i for i, v in enumerate(spec.vertices)}
-    while queue:
-        v = queue.pop(0)
-        for nxt in sorted(adjacency[v], key=vertex_rank.__getitem__):
-            if nxt not in parent_vertex:
-                parent_vertex[nxt] = v
-                children[v].append(nxt)
-                order.append(nxt)
-                queue.append(nxt)
+    order, parent_vertex = _bfs(
+        _adjacency(spec.vertices, spec.edges), root, vertex_rank.__getitem__
+    )
+    children: dict = {v: [] for v in spec.vertices}
+    for v in order[1:]:
+        children[parent_vertex[v]].append(v)
 
     builder = SkeletonBuilder()
     used = set(spec.vertices)
@@ -207,44 +209,36 @@ def weighted_trees_isomorphic(
         return False
     if sorted(weights_a.values()) != sorted(weights_b.values()):
         return False
-    codes_a = {_rooted_code(c, vertices_a, edges_a, weights_a) for c in _centres(vertices_a, edges_a)}
-    codes_b = {_rooted_code(c, vertices_b, edges_b, weights_b) for c in _centres(vertices_b, edges_b)}
-    return bool(codes_a & codes_b)
+    codes_a = _centre_codes(vertices_a, edges_a, weights_a)
+    return bool(codes_a & _centre_codes(vertices_b, edges_b, weights_b))
 
 
-def _centres(vertices, edges):
-    if len(vertices) <= 2:
-        return list(vertices)
-    adjacency = {v: set() for v in vertices}
-    for u, v in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    remaining = set(vertices)
-    leaves = [v for v in remaining if len(adjacency[v]) <= 1]
-    while len(remaining) > 2:
-        next_leaves = []
-        for leaf in leaves:
-            remaining.discard(leaf)
-            for nb in adjacency[leaf]:
-                adjacency[nb].discard(leaf)
-                if len(adjacency[nb]) == 1 and nb in remaining:
-                    next_leaves.append(nb)
-            adjacency[leaf].clear()
-        leaves = next_leaves
-    return sorted(remaining)
+def _centre_codes(vertices, edges, weights) -> set:
+    """Canonical codes of the tree rooted at each of its one or two centres
+    (the middle of a longest path); empty when the graph is not a tree."""
+    if not vertices or len(edges) != len(vertices) - 1:
+        return set()
+    adjacency = _adjacency(vertices, edges)
+    order, _ = _bfs(adjacency, vertices[0])
+    if len(order) != len(vertices):
+        return set()
+    order, parent = _bfs(adjacency, order[-1])
+    path = [order[-1]]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    centres = path[(len(path) - 1) // 2 : len(path) // 2 + 1]
+    return {_rooted_code(adjacency, c, weights) for c in centres}
 
 
-def _rooted_code(root, vertices, edges, weights) -> str:
-    adjacency = {v: [] for v in vertices}
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-
-    def code(v, parent) -> str:
-        subcodes = sorted(code(c, v) for c in adjacency[v] if c != parent)
-        return f"{weights[v]}({''.join(subcodes)})"
-
-    return code(root, None)
+def _rooted_code(adjacency, root, weights) -> str:
+    """`weight(child codes, sorted)` for the tree rooted at `root`, built
+    leaves first over the reversed breadth-first order (no recursion)."""
+    order, parent = _bfs(adjacency, root)
+    codes: dict = {}
+    for v in reversed(order):
+        subcodes = sorted(codes.pop(c) for c in adjacency[v] if c != parent[v])
+        codes[v] = f"{weights[v]}({''.join(subcodes)})"
+    return codes[root]
 
 
 # -- Graph file format -------------------------------------------------------------

@@ -213,22 +213,17 @@ class DropResult:
 def drop_zero_points(cluster: WeightedCluster) -> DropResult:
     """Remove zero-multiplicity points that nothing remaining is proximate to.
 
-    Removal iterates until it stalls.  Zero points that stay structurally
-    required (some remaining point is proximate to them) are reported as
-    blocked, never silently dropped; on consistent clusters none are.
+    One backward pass decides every point: the points proximate to p come
+    after p, so their fate is final when the pass reaches p.  Zero points
+    that stay structurally required (some remaining point is proximate to
+    them) are reported as blocked, never silently dropped; on consistent
+    clusters none are.
     """
     sk = cluster.skeleton
-    alive = set(sk.points)
-    while True:
-        removable = [
-            p
-            for p in alive
-            if cluster.nu[p] == 0
-            and not any(q in alive for q in sk.proximate_to[p])
-        ]
-        if not removable:
-            break
-        alive.difference_update(removable)
+    alive: set[int] = set()
+    for p in reversed(sk.points):
+        if cluster.nu[p] != 0 or any(q in alive for q in sk.proximate_to[p]):
+            alive.add(p)
     blocked = tuple(sorted(p for p in alive if cluster.nu[p] == 0))
     if not alive:
         # the origin alone carries weight 0: keep it so the cluster stays a cluster

@@ -7,8 +7,13 @@ Core claims:
     - requests are validated (domain and positivity of the prescription)
     - the seed-point override changes the start but never the certificate
     - mixed prescriptions over several components build and certify
+    - the builder's whole output (cluster, added points, trace, certificate)
+      on the first 300 acceptance requests and the worked example matches a
+      recorded digest byte for byte
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -105,3 +110,54 @@ def test_random_requests_always_certify():
             result = build(CartierRequest(K, report, alpha))
             assert result.certificate.passed, result.certificate.failures
             built += 1
+
+
+def _encode_cluster(cluster):
+    sk = cluster.skeleton
+    return [
+        list(sk.tags),
+        list(sk.parents),
+        [sorted(prox) for prox in sk.proximities],
+        list(cluster.nu),
+    ]
+
+
+def _encode_result(result):
+    c = result.certificate
+    return [
+        _encode_cluster(result.cluster),
+        [[a.tag, list(a.targets)] for a in result.added],
+        [_encode_cluster(t) for t in result.trace],
+        [
+            c.consistent,
+            c.value_condition,
+            c.localization,
+            c.off_excess_zero,
+            [list(r) for r in c.readout],
+            c.readout_matches,
+            list(c.failures),
+        ],
+    ]
+
+
+# sha256 over the builder's outputs, recorded from the tag-keyed builder that
+# preceded the cluster-state one; any change to a cluster, an added point's
+# tag or targets, a trace entry or the certificate changes it
+GOLDEN_DIGEST = "1de9c8714a8cd4b04c5b93f113a2ca99a7073ff0a003adfa9ace0078bf491ad1"
+
+
+def test_golden_digest_of_builds(corpus, d1, d1_report):
+    h = hashlib.sha256()
+
+    def feed(result):
+        h.update(json.dumps(_encode_result(result), separators=(",", ":")).encode())
+        h.update(b"\n")
+
+    for alpha in (1, 2, 3):
+        feed(build(CartierRequest(d1, d1_report, {2: alpha})))
+    feed(build(CartierRequest(d1, d1_report, {2: 2}), seed_point=1))
+    rng = random.Random(616)  # the criterion-6 request sequence
+    for instance in corpus[:300]:
+        alpha = {p: rng.randint(1, 5) for p in instance.report.Kplus_Q}
+        feed(build(CartierRequest(instance.cluster, instance.report, alpha)))
+    assert h.hexdigest() == GOLDEN_DIGEST

@@ -156,6 +156,17 @@ def test_synthesize(tmp_path, capsys):
     assert len(payload["Kplus_Q"]) == 3
 
 
+def test_synthesize_long_path(tmp_path, capsys):
+    n = 2100
+    graph = tmp_path / "path.graph"
+    lines = [f"weight v{i}=2" for i in range(n)] + [f"v{i} v{i + 1}" for i in range(n - 1)]
+    graph.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "synthesize", str(graph))
+    assert code == 0, err
+    payload = json.loads(out.split("\n", 2)[2])
+    assert len(payload["T_Q"]) == n
+
+
 def test_export_views(d1_file, capsys):
     code, out, _ = run(capsys, "export", d1_file, "--view", "enriques")
     assert code == 0 and "graph \"enriques_d1\"" in out

@@ -9,6 +9,8 @@ Core claims:
       reports a minimal singularity
     - graph specs reject non-trees, low weights, and weight < degree
     - the edge-list file format round-trips
+    - tree isomorphism and synthesis handle paths far deeper than the
+      interpreter's recursion limit
 """
 
 import random
@@ -102,6 +104,19 @@ def test_tree_isomorphism_helper():
     c = (("p", "q", "r"), (("r", "q"), ("q", "p")), {"p": 3, "q": 2, "r": 2})
     assert weighted_trees_isomorphic(*a, *b)
     assert not weighted_trees_isomorphic(*a, *c)
+
+
+def test_tree_isomorphism_on_a_long_path():
+    n = 5000
+    names = [f"v{i}" for i in range(n)]
+    edges = tuple(zip(names, names[1:]))
+    weights = dict.fromkeys(names, 2)
+    weights["v0"] = 3
+    flipped = tuple((v, u) for u, v in reversed(edges))
+    assert weighted_trees_isomorphic(names, edges, weights, names[::-1], flipped, weights)
+    moved = dict.fromkeys(names, 2)
+    moved["v1"] = 3
+    assert not weighted_trees_isomorphic(names, edges, weights, names, edges, moved)
 
 
 def test_random_specs_round_trip():

@@ -243,6 +243,49 @@ def test_drop_zero_points_reports_blocked_parent():
     assert result.blocked == (0,)
 
 
+def test_drop_zero_points_long_zero_tail():
+    # a zero tail is decided in one pass, not one layer of zeros per rescan
+    K = WeightedCluster(chain_skeleton(2000), (1,) + (0,) * 1999)
+    result = drop_zero_points(K)
+    assert result.cluster.nu == (1,)
+    assert result.kept == (0,)
+    assert result.dropped == tuple(range(1, 2000))
+    assert result.blocked == ()
+
+
+def _drop_by_rescanning(cluster):
+    """Reference: remove the removable zero points layer by layer until stall."""
+    sk = cluster.skeleton
+    alive = set(sk.points)
+    while True:
+        removable = [
+            p
+            for p in alive
+            if cluster.nu[p] == 0 and not any(q in alive for q in sk.proximate_to[p])
+        ]
+        if not removable:
+            return alive
+        alive.difference_update(removable)
+
+
+def test_drop_zero_points_matches_rescanning_reference():
+    rng = random.Random(2024)
+    config = GeneratorConfig(max_points=12, satellite_probability=0.4)
+    with_blocked = 0
+    for _ in range(2000):
+        skeleton = _random_cluster(rng, config).skeleton
+        nu = tuple(rng.choice((0, 0, 0, 1, 2, -1)) for _ in skeleton.points)
+        K = WeightedCluster(skeleton, nu)
+        alive = _drop_by_rescanning(K)
+        result = drop_zero_points(K)
+        assert result.blocked == tuple(sorted(p for p in alive if K.nu[p] == 0))
+        alive = alive or {0}  # an all-zero cluster keeps its origin
+        assert result.kept == tuple(sorted(alive))
+        assert result.dropped == tuple(p for p in skeleton.points if p not in alive)
+        with_blocked += bool(result.blocked)
+    assert with_blocked > 100
+
+
 # -- simple clusters ------------------------------------------------------------------
 
 
