@@ -14,7 +14,8 @@ Run it once more against the source tree of the parent commit, then
 
 merges the two runs: median time per size on each side, the speed-up, and
 the growth exponent of each side (the least-squares slope of log time
-against log points).
+against log points).  It merges runs of any file in `benchmarks/`; a
+benchmark that records `calls` in its extra info is reported per call.
 """
 
 import json
@@ -56,36 +57,44 @@ def growth_exponent(points, seconds):
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
+COUNTS = ("steps", "calls")
+
+
 def merge(parent: dict, change: dict) -> dict:
+    """Median time per size on each side (per call when a benchmark records
+    `calls`), the speed-up and each side's growth exponent, per series."""
+
     def medians(run):
-        out, steps = {}, {}
+        out, counts = {}, {}
         for bench in run["benchmarks"]:
             series = bench["name"].split("[")[0].removeprefix("test_")
-            points = bench["extra_info"]["points"]
-            out.setdefault(series, {})[points] = bench["stats"]["median"]
-            if "steps" in bench["extra_info"]:
-                steps.setdefault(series, {})[points] = bench["extra_info"]["steps"]
-        return out, steps
+            info = bench["extra_info"]
+            points = info["points"]
+            out.setdefault(series, {})[points] = bench["stats"]["median"] / info.get("calls", 1)
+            for key in COUNTS:
+                if key in info:
+                    counts.setdefault(series, {}).setdefault(key, {})[points] = info[key]
+        return out, counts
 
-    (before, old_steps), (after, new_steps) = medians(parent), medians(change)
-    if old_steps != new_steps:
-        raise SystemExit(f"unload step counts differ: {old_steps} vs {new_steps}")
+    (before, old_counts), (after, new_counts) = medians(parent), medians(change)
+    if old_counts != new_counts:
+        raise SystemExit(f"step or call counts differ: {old_counts} vs {new_counts}")
     merged = {}
     for series, old in before.items():
         points = sorted(old)
         new = after[series]
         merged[series] = {
             "points": points,
-            **({"steps": [new_steps[series][n] for n in points]} if series in new_steps else {}),
-            "parent_median_ms": [round(old[n] * 1e3, 2) for n in points],
-            "change_median_ms": [round(new[n] * 1e3, 2) for n in points],
-            "speedup": [round(old[n] / new[n], 1) for n in points],
+            **{key: [c[n] for n in points] for key, c in new_counts.get(series, {}).items()},
+            "parent_median_ms": [float(f"{old[n] * 1e3:.4g}") for n in points],
+            "change_median_ms": [float(f"{new[n] * 1e3:.4g}") for n in points],
+            "speedup": [round(old[n] / new[n], 2) for n in points],
             "parent_growth_exponent": round(growth_exponent(points, [old[n] for n in points]), 2),
             "change_growth_exponent": round(growth_exponent(points, [new[n] for n in points]), 2),
         }
     info = change["machine_info"]
     return {
-        "benchmark": "benchmarks/bench_unload.py",
+        "benchmark": sorted({b["fullname"].split("::")[0] for b in change["benchmarks"]}),
         "machine": {
             "cpu": info.get("cpu", {}).get("brand_raw"),
             "python": info.get("python_version"),

@@ -81,14 +81,17 @@ def _check(condition: bool, message: str):
         raise InternalCheckError(message)
 
 
-def _require_base_cluster(cluster: WeightedCluster):
+def _require_base_cluster(cluster: WeightedCluster) -> tuple[int, ...]:
+    """Check the cluster can be analyzed; return its excess vector."""
     cluster.skeleton.require_valid()
     if any(m <= 0 for m in cluster.nu):
         raise ClusterError(
             "analysis needs a base-point cluster: all multiplicities positive"
         )
-    if not is_consistent(cluster):
+    rho = excesses(cluster)
+    if any(r < 0 for r in rho):
         raise ClusterError("analysis needs a consistent cluster")
+    return rho
 
 
 def extend(
@@ -96,11 +99,19 @@ def extend(
 ) -> WeightedCluster:
     """The codimension-one cluster K_w: K plus the point w with multiplicity 1."""
     _require_base_cluster(cluster)
+    return _extend(cluster, w, tag, None)
+
+
+def _extend(
+    cluster: WeightedCluster, w: BoundaryPoint, tag: Optional[str], graph: Optional[DualGraph]
+) -> WeightedCluster:
+    """`extend` on a checked base cluster; `graph`, if given, is its dual graph."""
     sk = cluster.skeleton
     if isinstance(w, FreeOn):
         targets = (w.point,)
     elif isinstance(w, Satellite):
-        graph = dual_graph(sk)
+        if graph is None:
+            graph = dual_graph(sk)
         if not graph.are_adjacent(w.p, w.q):
             raise ClusterError(
                 f"{sk.tags[w.p]} and {sk.tags[w.q]} are not adjacent: their "
@@ -115,11 +126,24 @@ def extend(
 
 def analyze(cluster: WeightedCluster, w: BoundaryPoint) -> SingularityReport:
     """Full report for the point of the blow-up determined by w."""
-    k_w = extend(cluster, w)
+    return _analyze(cluster, w, _require_base_cluster(cluster), None)
+
+
+def _analyze(
+    cluster: WeightedCluster,
+    w: BoundaryPoint,
+    rho_before: tuple[int, ...],
+    graph: Optional[DualGraph],
+) -> SingularityReport:
+    """`analyze` on a checked base cluster with excesses `rho_before`; the dual
+    graph is built at most once, unless `graph` already is it."""
+    sk = cluster.skeleton
+    if graph is None and isinstance(w, Satellite):
+        graph = dual_graph(sk)
+    k_w = _extend(cluster, w, None, graph)
     if is_consistent(k_w):
         return SingularityReport(w=w, smooth=True)
 
-    sk = cluster.skeleton
     n = len(sk)
     result = unload(k_w)
     unloaded = result.cluster
@@ -134,9 +158,9 @@ def analyze(cluster: WeightedCluster, w: BoundaryPoint) -> SingularityReport:
     touched_in_k = frozenset(s.point for s in result.steps if s.point < n)
     _check(frozenset(t_q) == touched_in_k, "value-increase set differs from unloading trace")
 
-    minimal_points = [p for p in t_q if not any(q in t_q for q in sk.ancestor_sets[p])]
-    _check(len(minimal_points) == 1, "contracted set has no unique minimal point")
-    o_q = minimal_points[0]
+    # t_q ascends and predecessors come first: a unique minimal point must be t_q[0]
+    o_q = t_q[0]
+    _check(all(sk.geq(p, o_q) for p in t_q), "contracted set has no unique minimal point")
 
     eps = tuple(nu_after[p] - cluster.nu[p] for p in sk.points)
     _check(eps[o_q] == 1, "multiplicity at the minimal contracted point did not grow by 1")
@@ -145,7 +169,6 @@ def analyze(cluster: WeightedCluster, w: BoundaryPoint) -> SingularityReport:
         "a multiplicity moved by more than one",
     )
 
-    rho_before = excesses(cluster)
     k_plus = frozenset(p for p in sk.points if rho_before[p] > 0)
     _check(not (k_plus & set(t_q)), "a dicritical point was unloaded")
 
@@ -158,7 +181,8 @@ def analyze(cluster: WeightedCluster, w: BoundaryPoint) -> SingularityReport:
         (b1_q if hits == 1 else b2_q).append(p)
     _check(set(b2_q) <= t_set, "a contracted-satellite point lies outside the contracted set")
 
-    graph = dual_graph(sk)
+    if graph is None:
+        graph = dual_graph(sk)
     kplus_q = tuple(
         sorted(p for p in k_plus if any(t in graph.adjacency[p] for t in t_q))
     )
@@ -249,9 +273,11 @@ def analyze(cluster: WeightedCluster, w: BoundaryPoint) -> SingularityReport:
 def zero_excess_components(cluster: WeightedCluster) -> list[tuple[int, ...]]:
     """Connected components of the zero-excess points in the dual graph,
     ordered by their smallest point."""
-    rho = excesses(cluster)
-    graph = dual_graph(cluster.skeleton)
-    zero = {p for p in cluster.skeleton.points if rho[p] == 0}
+    return _zero_excess_components(excesses(cluster), dual_graph(cluster.skeleton))
+
+
+def _zero_excess_components(rho: tuple[int, ...], graph: DualGraph) -> list[tuple[int, ...]]:
+    zero = {p for p, r in enumerate(rho) if r == 0}
     components = []
     seen: set[int] = set()
     for start in sorted(zero):
@@ -278,10 +304,11 @@ def enumerate_singularities(cluster: WeightedCluster) -> list[SingularityReport]
     lowest-index member, and the contracted set must come back equal to the
     component.
     """
-    _require_base_cluster(cluster)
+    rho = _require_base_cluster(cluster)
+    graph = dual_graph(cluster.skeleton)
     reports = []
-    for component in zero_excess_components(cluster):
-        report = analyze(cluster, FreeOn(component[0]))
+    for component in _zero_excess_components(rho, graph):
+        report = _analyze(cluster, FreeOn(component[0]), rho, graph)
         _check(not report.smooth, "zero-excess component analyzed as smooth")
         _check(
             report.T_Q == component,

@@ -82,25 +82,20 @@ class ClusterSkeleton:
         """r_q, the number of cluster points proximate to q."""
         return len(self.proximate_to[q])
 
-    @cached_property
-    def ancestor_sets(self) -> tuple[frozenset[int], ...]:
-        """Predecessors of each point (the points it is infinitely near to)."""
-        sets: list[frozenset[int]] = []
-        for p in self.points:
-            par = self.parents[p]
-            if par is None:
-                sets.append(frozenset())
-            else:
-                sets.append(sets[par] | {par})
-        return tuple(sets)
-
     def geq(self, p: int, q: int) -> bool:
         """True if p is infinitely near or equal to q."""
-        return p == q or q in self.ancestor_sets[p]
+        # parents precede their children, so the walk can stop below q
+        while p is not None and p > q:
+            p = self.parents[p]
+        return p == q
 
     def predecessors(self, p: int) -> frozenset[int]:
         """p together with every point preceding it."""
-        return self.ancestor_sets[p] | {p}
+        chain = []
+        while p is not None:
+            chain.append(p)
+            p = self.parents[p]
+        return frozenset(chain)
 
     @cached_property
     def tag_index(self) -> dict:
@@ -121,8 +116,17 @@ class ClusterSkeleton:
                 pairs.setdefault(self.proximities[p], p)
         return pairs
 
+    @cached_property
+    def _verdict(self) -> tuple[Diagnostic, ...]:
+        return tuple(validate(self))
+
     def require_valid(self) -> "ClusterSkeleton":
-        problems = validate(self)
+        """Raise ClusterError unless the skeleton is valid.
+
+        The skeleton is immutable, so `validate` runs at most once per object;
+        `extend_point` and `restrict` hand a valid verdict on to what they build.
+        """
+        problems = self._verdict
         if problems:
             raise ClusterError(
                 "invalid skeleton: " + "; ".join(str(d) for d in problems)
@@ -261,11 +265,6 @@ def extend_point(
         tag = _fresh_tag("w", skeleton.tags)
     elif tag in skeleton.tag_index:
         raise ClusterError(f"tag {tag!r} already in use")
-    extended = ClusterSkeleton(
-        skeleton.parents + (parent,),
-        skeleton.proximities + (targets,),
-        skeleton.tags + (tag,),
-    )
     if len(targets) == 2:
         other = min(targets)
         if other not in skeleton.proximities[parent]:
@@ -278,7 +277,26 @@ def extend_point(
                 "satellite position already occupied by point "
                 f"{skeleton.tags[skeleton.satellite_pairs[targets]]}"
             )
-    return extended
+    extended = ClusterSkeleton(
+        skeleton.parents + (parent,),
+        skeleton.proximities + (targets,),
+        skeleton.tags + (tag,),
+    )
+    return _inherit_verdict(skeleton, extended)
+
+
+def _inherit_verdict(source: ClusterSkeleton, derived: ClusterSkeleton) -> ClusterSkeleton:
+    """Mark `derived` valid if `source` is already known to be valid.
+
+    Sound only for what `extend_point` and a non-empty `restrict` build: the
+    new point passed every rule it could break (target count and range,
+    satellite inheritance, free satellite position, fresh tag, parent the
+    latest target), and a non-empty predecessor-closed subset of a valid
+    skeleton is valid.
+    """
+    if source.__dict__.get("_verdict") == ():
+        derived.__dict__["_verdict"] = ()
+    return derived
 
 
 def _fresh_tag(stem: str, used: Sequence[str]) -> str:
@@ -299,6 +317,8 @@ def restrict(
     Returns the restricted skeleton and the kept old indices in order.
     """
     kept = tuple(sorted(set(keep)))
+    if kept and not (0 <= kept[0] and kept[-1] < len(skeleton)):
+        raise ClusterError("restriction keeps an index that is not a point of the cluster")
     index = {old: new for new, old in enumerate(kept)}
     parents: list[Optional[int]] = []
     prox: list[frozenset[int]] = []
@@ -312,10 +332,8 @@ def restrict(
         par = skeleton.parents[old]
         parents.append(None if par is None else index[par])
         prox.append(frozenset(index[q] for q in skeleton.proximities[old]))
-    return (
-        ClusterSkeleton(tuple(parents), tuple(prox), tuple(skeleton.tags[old] for old in kept)),
-        kept,
-    )
+    sub = ClusterSkeleton(tuple(parents), tuple(prox), tuple(skeleton.tags[old] for old in kept))
+    return (_inherit_verdict(skeleton, sub) if kept else sub), kept
 
 
 def canonical(skeleton: ClusterSkeleton) -> ClusterSkeleton:
@@ -497,9 +515,7 @@ def is_mK_proximate(skeleton: ClusterSkeleton, p: int, q: int) -> bool:
     """True if p is maximal (for the infinitely-near order) among points proximate to q."""
     if q not in skeleton.proximities[p]:
         return False
-    return not any(
-        r != p and p in skeleton.ancestor_sets[r] for r in skeleton.proximate_to[q]
-    )
+    return not any(r != p and skeleton.geq(r, p) for r in skeleton.proximate_to[q])
 
 
 def mK_targets(skeleton: ClusterSkeleton, p: int) -> frozenset[int]:

@@ -146,13 +146,23 @@ def random_minimal_graph_spec(
 
 
 def brute_values(cluster: WeightedCluster) -> tuple[int, ...]:
-    """Values by plain recursion, no sharing with the forward-substitution path."""
-    sk = cluster.skeleton
-
-    def value(p: int) -> int:
-        return cluster.nu[p] + sum(value(q) for q in sk.proximities[p])
-
-    return tuple(value(p) for p in sk.points)
+    """Values by a memoized depth-first search down the proximity targets,
+    started from the last point first, so it shares nothing with the
+    forward-substitution path.  The stack is explicit: deep clusters hit no
+    recursion limit."""
+    sk = cluster.skeleton.require_valid()  # targets precede points: no cycles
+    value: dict[int, int] = {}
+    for root in reversed(sk.points):
+        stack = [root]
+        while stack:
+            p = stack[-1]
+            missing = [q for q in sk.proximities[p] if q not in value]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            value[p] = cluster.nu[p] + sum(value[q] for q in sk.proximities[p])
+    return tuple(value[p] for p in sk.points)
 
 
 def brute_unload(cluster: WeightedCluster, max_states: int = 2_000_000) -> WeightedCluster:

@@ -144,7 +144,9 @@ def unload(
     its proximity targets, at the points proximate to p and at their targets,
     and only those are updated, so a step costs O(r_p + log n): a heap yields
     the lowest-index negative point.  With `pick`, each step also sorts the
-    negative points to build the list it passes.
+    negative points to build the list it passes.  The up-front skeleton check
+    reads the verdict stored on the skeleton, so only the first check of a
+    skeleton runs `validate`.
     """
     sk = cluster.skeleton
     sk.require_valid()

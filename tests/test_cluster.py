@@ -2,9 +2,13 @@
 
 Core claims:
     - validate() accepts the legal structures and names each broken rule
+    - a skeleton is validated once; extend_point and non-empty restrictions
+      of a valid skeleton inherit its verdict soundly, and a broken skeleton
+      raises in every operation that checks it
     - proximity matrices transcribe the structure and invert integrally
     - the dual graph is a tree obeying the intersection edge rule
     - chains are unique tree paths; the open variant drops endpoints
+    - the infinitely-near order matches ancestry in the parent tree
     - maximal proximity follows the infinitely-near order
     - every chain between comparable points ascends then descends, and the
       descending part stays proximate to the ascending part
@@ -12,21 +16,28 @@ Core claims:
 
 import random
 
+import networkx as nx
 import pytest
 
 from sandwiched import (
     ClusterSkeleton,
     ClusterError,
+    FreeOn,
     SkeletonBuilder,
+    WeightedCluster,
+    analyze,
     canonical,
     chain_skeleton,
     dual_graph,
+    extend,
     is_mK_free,
     is_mK_proximate,
     is_mK_satellite,
     proximity_matrix,
+    unload,
     validate,
 )
+from sandwiched import cluster as cluster_module
 from sandwiched.cluster import extend_point, restrict
 from sandwiched.oracle import random_skeleton
 
@@ -50,50 +61,140 @@ def test_validate_satellite_is_clean():
     assert validate(satellite_triangle()) == []
 
 
-def test_validate_reports_missing_target():
-    broken = ClusterSkeleton(
+# One skeleton per broken rule, each built directly (its verdict is unknown).
+BROKEN = {
+    "target-missing": lambda: ClusterSkeleton(
         parents=(None, 0, 1),
         proximities=(frozenset(), frozenset({0}), frozenset({1, 7})),
         tags=("O", "p1", "w"),
-    )
-    rules = {d.rule for d in validate(broken)}
+    ),
+    "single-origin": lambda: ClusterSkeleton(
+        parents=(None, None),
+        proximities=(frozenset(), frozenset()),
+        tags=("O", "O2"),
+    ),
+    "satellite-inheritance": lambda: ClusterSkeleton(
+        parents=(None, 0, 1, 2),
+        proximities=(frozenset(), frozenset({0}), frozenset({1}), frozenset({2, 0})),
+        tags=("O", "p1", "p2", "w"),
+    ),
+    "satellite-occupied": lambda: ClusterSkeleton(
+        parents=(None, 0, 1, 1),
+        proximities=(frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({0, 1})),
+        tags=("O", "p1", "a", "b"),
+    ),
+    "tag-duplicate": lambda: ClusterSkeleton(
+        parents=(None, 0),
+        proximities=(frozenset(), frozenset({0})),
+        tags=("O", "O"),
+    ),
+}
+
+
+def test_validate_reports_missing_target():
+    rules = {d.rule for d in validate(BROKEN["target-missing"]())}
     assert "target-missing" in rules
 
 
 def test_validate_reports_second_origin():
-    broken = ClusterSkeleton(
-        parents=(None, None),
-        proximities=(frozenset(), frozenset()),
-        tags=("O", "O2"),
-    )
+    broken = BROKEN["single-origin"]()
     assert any(d.rule == "single-origin" and d.point == 1 for d in validate(broken))
 
 
 def test_validate_reports_inheritance_violation():
-    broken = ClusterSkeleton(
-        parents=(None, 0, 1, 2),
-        proximities=(frozenset(), frozenset({0}), frozenset({1}), frozenset({2, 0})),
-        tags=("O", "p1", "p2", "w"),
-    )
+    broken = BROKEN["satellite-inheritance"]()
     assert any(d.rule == "satellite-inheritance" for d in validate(broken))
 
 
 def test_validate_reports_occupied_satellite_position():
-    broken = ClusterSkeleton(
-        parents=(None, 0, 1, 1),
-        proximities=(frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({0, 1})),
-        tags=("O", "p1", "a", "b"),
-    )
+    broken = BROKEN["satellite-occupied"]()
     assert any(d.rule == "satellite-occupied" for d in validate(broken))
 
 
 def test_validate_reports_duplicate_tags():
-    broken = ClusterSkeleton(
-        parents=(None, 0),
-        proximities=(frozenset(), frozenset({0})),
-        tags=("O", "O"),
-    )
+    broken = BROKEN["tag-duplicate"]()
     assert any(d.rule == "tag-duplicate" for d in validate(broken))
+
+
+# -- stored verdicts -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rule", sorted(BROKEN))
+def test_broken_skeleton_raises_in_every_operation(rule):
+    # the first check stores the verdict; every later one must still raise
+    broken = BROKEN[rule]()
+    K = WeightedCluster(broken, (1,) * len(broken))
+    for operation in (
+        lambda: unload(K),
+        lambda: dual_graph(broken),
+        lambda: proximity_matrix(broken),
+        lambda: analyze(K, FreeOn(0)),
+        lambda: extend(K, FreeOn(0)),
+        broken.require_valid,
+    ):
+        with pytest.raises(ClusterError, match="invalid skeleton"):
+            operation()
+    assert validate(broken) == validate(BROKEN[rule]())
+
+
+def _count_validate(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(
+        cluster_module, "validate", lambda sk: calls.append(sk) or validate(sk)
+    )
+    return calls
+
+
+def test_inherited_verdicts_are_sound(monkeypatch):
+    # extend_point and a non-empty restrict of a checked skeleton pass its
+    # verdict on without validating; a fresh copy must then validate clean
+    calls = _count_validate(monkeypatch)
+    rng = random.Random(37)
+    checked = 0
+    for _ in range(2000):
+        sk = random_skeleton(rng, 10, 0.5).require_valid()
+        points = list(sk.points)
+        attempts = [rng.sample(points, min(len(sk), rng.randint(1, 2))) for _ in range(3)]
+        p = rng.choice(points)
+        attempts += [[p, q] for q in sk.proximities[p]]  # satellites, some occupied
+        derived = []
+        for targets in attempts:
+            tag = rng.choice((None, "fresh", sk.tags[-1]))
+            try:
+                derived.append(extend_point(sk, targets, tag))
+            except ClusterError:
+                pass
+        seeds = rng.sample(points, rng.randint(1, len(sk)))
+        derived.append(restrict(sk, set().union(*(sk.predecessors(q) for q in seeds)))[0])
+        for d in derived:
+            calls.clear()
+            d.require_valid()
+            assert calls == []
+            assert validate(ClusterSkeleton(d.parents, d.proximities, d.tags)) == []
+            checked += 1
+    assert checked > 5000
+
+
+def test_unknown_or_empty_verdict_is_not_passed_on(monkeypatch):
+    calls = _count_validate(monkeypatch)
+    sk = chain_skeleton(3)
+    empty, kept = restrict(sk, [])
+    assert kept == ()
+    with pytest.raises(ClusterError, match="empty cluster"):
+        empty.require_valid()
+    unchecked = ClusterSkeleton(sk.parents, sk.proximities, sk.tags)
+    calls.clear()
+    extend_point(unchecked, (2,)).require_valid()
+    restrict(unchecked, {0, 1})[0].require_valid()
+    assert len(calls) == 2
+
+
+def test_restrict_rejects_indices_outside_the_cluster():
+    sk = chain_skeleton(2)
+    with pytest.raises(ClusterError):
+        restrict(sk, {-1, 0})
+    with pytest.raises(ClusterError):
+        restrict(sk, {0, 1, 2})
 
 
 # -- proximity matrix ----------------------------------------------------------
@@ -201,7 +302,7 @@ def test_chain_ascends_then_descends_on_random_skeletons():
             sub, kept = restrict(sk, sk.predecessors(p))
             g = dual_graph(sub)
             new_p = kept.index(p)
-            for q in sub.ancestor_sets[new_p]:
+            for q in sub.predecessors(new_p) - {new_p}:
                 path = g.chain(q, new_p)
                 n = len(path) - 2
                 i0 = 0
@@ -214,6 +315,29 @@ def test_chain_ascends_then_descends_on_random_skeletons():
                     assert any(
                         path[s] in sub.proximities[path[j]] for s in range(i0)
                     ), (path, i0, j)
+
+
+# -- infinitely-near order ------------------------------------------------------------
+
+
+def test_geq_matches_networkx_ancestors():
+    rng = random.Random(41)
+    for _ in range(200):
+        sk = random_skeleton(rng, 12, 0.5)
+        tree = nx.DiGraph()
+        tree.add_nodes_from(sk.points)
+        tree.add_edges_from((sk.parents[p], p) for p in sk.points if p)
+        for p in sk.points:
+            below = nx.ancestors(tree, p)
+            assert sk.predecessors(p) == below | {p}
+            for q in sk.points:
+                assert sk.geq(p, q) == (q == p or q in below)
+
+
+def test_predecessors_of_deep_chain():
+    sk = chain_skeleton(3000)
+    assert sk.predecessors(2999) == frozenset(sk.points)
+    assert sk.geq(2999, 0) and not sk.geq(0, 2999)
 
 
 # -- maximal proximity ----------------------------------------------------------------

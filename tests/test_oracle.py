@@ -3,8 +3,8 @@
 Core claims:
     - generation is deterministic per seed and always yields valid,
       consistent, positive clusters
-    - the recursive value oracle and the exhaustive unloading oracle agree
-      with the production paths
+    - the depth-first value oracle and the exhaustive unloading oracle agree
+      with the production paths, the value oracle also on a 3000-point chain
     - oversized exhaustive searches are refused, not attempted
     - the selftest aggregates the suites and passes quickly
 """
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from sandwiched import WeightedCluster, is_consistent, unload, validate, values
+from sandwiched import WeightedCluster, chain_skeleton, is_consistent, unload, validate, values
 from sandwiched.errors import OracleInstanceTooLarge
 from sandwiched.oracle import (
     GeneratorConfig,
@@ -55,6 +55,12 @@ def test_brute_values_matches():
     for _ in range(40):
         K = _random_cluster(rng, config)
         assert brute_values(K) == values(K)
+
+
+def test_brute_values_on_deep_chain():
+    # a plain recursion dies at this depth
+    K = WeightedCluster(chain_skeleton(3000), tuple(range(1, 3001)))
+    assert brute_values(K) == values(K)
 
 
 def test_brute_unload_matches_on_smalls():

@@ -310,6 +310,12 @@ def test_simple_cluster_satellite_support():
     assert rho == (0, 0, 0, 1)
 
 
+def test_simple_cluster_of_deep_chain():
+    K = simple_cluster(chain_skeleton(3000), 2999)
+    assert K.nu == (1,) * 3000
+    assert excesses(K) == (0,) * 2999 + (1,)
+
+
 def test_simple_cluster_unit_excess_on_random_skeletons():
     rng = random.Random(10)
     for _ in range(50):
