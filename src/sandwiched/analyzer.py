@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .cluster import DualGraph, dual_graph, extend_point
+from .cluster import DualGraph, bfs, dual_graph, extend_point
 from .errors import ClusterError, InternalCheckError
 from .weighted import (
     WeightedCluster,
@@ -278,21 +278,14 @@ def zero_excess_components(cluster: WeightedCluster) -> list[tuple[int, ...]]:
 
 def _zero_excess_components(rho: tuple[int, ...], graph: DualGraph) -> list[tuple[int, ...]]:
     zero = {p for p, r in enumerate(rho) if r == 0}
+    restricted = {p: tuple(q for q in graph.adjacency[p] if q in zero) for p in zero}
     components = []
     seen: set[int] = set()
     for start in sorted(zero):
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in graph.adjacency[u]:
-                if v in zero and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        components.append(tuple(sorted(comp)))
+        if start not in seen:
+            order, _ = bfs(restricted, start)
+            seen.update(order)
+            components.append(tuple(sorted(order)))
     return components
 
 

@@ -3,8 +3,9 @@
 Subcommands: validate, unload, analyze, singularities, cartier, synthesize,
 export, selftest.  Exit codes: 0 success (smooth / consistent / all passed),
 1 input or validation error (also an unreadable or non-UTF-8 file), 2 a
-singularity was found (for scripting), 3 an internal cross-check failed or a
-safety cap was exceeded (a bug, please report the input).
+singularity was found (for scripting), 3 an internal cross-check failed, a
+safety cap was exceeded, or the run ran out of memory or recursion depth (a
+bug, please report the input).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .analyzer import (
 from .cartier import CartierRequest, build
 from .cluster import validate
 from .errors import CapExceededError, ClusterError, InternalCheckError, ParseError
-from .oracle import selftest
 from .synthesis import parse_graph_spec, synthesize
 from .weighted import unload
 
@@ -55,6 +55,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INTERNAL
     except CapExceededError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (MemoryError, RecursionError) as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"internal error: {type(exc).__name__}{detail}", file=sys.stderr)
         return EXIT_INTERNAL
 
 
@@ -314,6 +318,8 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .oracle import selftest  # only this subcommand pays for importing the oracle
+
     report = selftest(seed=args.seed, clusters=args.clusters)
     print(
         f"selftest seed={report.seed}: {report.clusters} clusters, "

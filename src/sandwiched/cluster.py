@@ -12,7 +12,6 @@ Everything here is unweighted; virtual multiplicities live in `weighted`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -54,9 +53,6 @@ class ClusterSkeleton:
     @property
     def points(self) -> range:
         return range(len(self.parents))
-
-    def is_free(self, p: int) -> bool:
-        return p != ORIGIN and len(self.proximities[p]) == 1
 
     def is_satellite(self, p: int) -> bool:
         return len(self.proximities[p]) == 2
@@ -319,20 +315,15 @@ def restrict(
     kept = tuple(sorted(set(keep)))
     if kept and not (0 <= kept[0] and kept[-1] < len(skeleton)):
         raise ClusterError("restriction keeps an index that is not a point of the cluster")
-    index = {old: new for new, old in enumerate(kept)}
-    parents: list[Optional[int]] = []
-    prox: list[frozenset[int]] = []
+    kept_set = set(kept)
     for old in kept:
         for q in skeleton.proximities[old]:
-            if q not in index:
+            if q not in kept_set:
                 raise ClusterError(
                     f"restriction is not predecessor-closed: {skeleton.tags[old]} "
                     f"needs {skeleton.tags[q]}"
                 )
-        par = skeleton.parents[old]
-        parents.append(None if par is None else index[par])
-        prox.append(frozenset(index[q] for q in skeleton.proximities[old]))
-    sub = ClusterSkeleton(tuple(parents), tuple(prox), tuple(skeleton.tags[old] for old in kept))
+    sub = _relabel(skeleton, kept)
     return (_inherit_verdict(skeleton, sub) if kept else sub), kept
 
 
@@ -363,6 +354,12 @@ def canonical(skeleton: ClusterSkeleton) -> ClusterSkeleton:
         order.append(p)
         for c in sorted(children[p], key=lambda c: (size[c], skeleton.tags[c]), reverse=True):
             stack.append(c)
+    return _relabel(skeleton, order)
+
+
+def _relabel(skeleton: ClusterSkeleton, order: Sequence[int]) -> ClusterSkeleton:
+    """The points `order` of `skeleton`, renumbered 0, 1, ... in that order;
+    every proximity target of a listed point must be listed too."""
     index = {old: new for new, old in enumerate(order)}
     parents = tuple(
         None if skeleton.parents[old] is None else index[skeleton.parents[old]] for old in order
@@ -419,68 +416,77 @@ def proximity_matrix(skeleton: ClusterSkeleton) -> ProximityMatrix:
 # -- Dual graph and chains -----------------------------------------------------
 
 
+def adjacency(vertices: Iterable, edges: Iterable[tuple]) -> dict:
+    """Each vertex's neighbours in an undirected edge list, as a sorted tuple."""
+    adj: dict = {v: [] for v in vertices}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+
+def bfs(adjacency: dict, root, key=None) -> tuple[list, dict]:
+    """Breadth-first order from `root` and the parent of each vertex reached
+    (None for the root); neighbours are visited sorted by `key` when given."""
+    parent = {root: None}
+    order = [root]
+    for v in order:
+        neighbours = adjacency[v] if key is None else sorted(adjacency[v], key=key)
+        for nxt in neighbours:
+            if nxt not in parent:
+                parent[nxt] = v
+                order.append(nxt)
+    return order, parent
+
+
 @dataclass(frozen=True)
 class DualGraph:
     """Intersection tree of the exceptional components, with vertex weights.
 
-    Vertices carry the original point indices; `weight(p)` is r_p + 1, the
-    negative of the self-intersection of the component of p.
+    Vertices are point indices of a cluster, or names for a prescribed graph;
+    for a cluster's graph `weight(p)` is r_p + 1, the negative of the
+    self-intersection of the component of p.
     """
 
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    vertices: tuple
+    edges: tuple[tuple, ...]
     weights: tuple[int, ...]
 
     @cached_property
     def adjacency(self) -> dict:
-        adj = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        return adjacency(self.vertices, self.edges)
 
     @cached_property
     def _weight_of(self) -> dict:
         return dict(zip(self.vertices, self.weights))
 
-    def weight(self, p: int) -> int:
+    def weight(self, p) -> int:
         return self._weight_of[p]
 
-    def degree(self, p: int) -> int:
+    def degree(self, p) -> int:
         return len(self.adjacency[p])
 
-    def are_adjacent(self, p: int, q: int) -> bool:
+    def are_adjacent(self, p, q) -> bool:
         return q in self.adjacency[p]
 
-    def chain(self, a: int, b: int) -> tuple[int, ...]:
+    def chain(self, a, b) -> tuple:
         """The unique path from a to b (inclusive)."""
         if a not in self.adjacency or b not in self.adjacency:
             raise ClusterError("chain endpoints must be vertices of the graph")
-        if a == b:
-            return (a,)
-        back = {a: None}
-        queue = deque([a])
-        while queue:
-            u = queue.popleft()
-            if u == b:
-                break
-            for v in self.adjacency[u]:
-                if v not in back:
-                    back[v] = u
-                    queue.append(v)
-        if b not in back:
+        _, parent = bfs(self.adjacency, a)
+        if b not in parent:
             raise ClusterError("graph is disconnected; no chain exists")
         path = [b]
         while path[-1] != a:
-            path.append(back[path[-1]])
+            path.append(parent[path[-1]])
         path.reverse()
         return tuple(path)
 
-    def open_chain(self, a: int, b: int) -> tuple[int, ...]:
+    def open_chain(self, a, b) -> tuple:
         """ch0(a, b): the chain with both endpoints removed."""
         return self.chain(a, b)[1:-1]
 
-    def induced(self, keep: Iterable[int]) -> "DualGraph":
+    def induced(self, keep: Iterable) -> "DualGraph":
         """Subgraph on `keep`, weights retained from this graph."""
         keep_set = set(keep)
         vertices = tuple(v for v in self.vertices if v in keep_set)

@@ -1,10 +1,11 @@
 """Independent brute-force oracles and seeded random instance generation.
 
 Nothing here shares a code path with the operations it checks: values are
-recomputed by plain recursion, and unloading results are compared against an
-exhaustive search over dominating consistent clusters.  The generators drive
-both the property-test corpus and the CLI selftest; all randomness flows
-through an explicit seed.
+recomputed by plain recursion, unloading results are compared against an
+exhaustive search over dominating consistent clusters, and the fundamental
+cycle and multiplicity of a singularity are recomputed from its resolution
+graph alone.  The generators drive both the property-test corpus and the CLI
+selftest; all randomness flows through an explicit seed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import product
 from typing import Callable, Optional
 
 from .analyzer import FreeOn, Satellite, analyze, enumerate_singularities
-from .cluster import ClusterSkeleton, dual_graph, validate
+from .cluster import ClusterSkeleton, DualGraph, dual_graph, validate
 from .errors import CapExceededError, OracleInstanceTooLarge
 from .synthesis import MinimalGraphSpec
 from .weighted import (
@@ -205,6 +206,32 @@ def brute_unload(cluster: WeightedCluster, max_states: int = 2_000_000) -> Weigh
     ), "no pointwise-minimal consistent dominating cluster in the box"
     nu = tuple(best[p] - sum(best[q] for q in sk.proximities[p]) for p in sk.points)
     return WeightedCluster(sk, nu)
+
+
+def laufer_cycle(graph: DualGraph) -> dict:
+    """Fundamental cycle of a resolution graph by Laufer's computation
+    sequence: start from the sum of all components and add E_v while
+    Z.E_v > 0, where E_v.E_v = -weight(v) and adjacent components meet once
+    (H. Laufer, "On rational singularities", Amer. J. Math. 94, 1972)."""
+    z = {v: 1 for v in graph.vertices}
+    while True:
+        for v in graph.vertices:
+            if sum(z[u] for u in graph.adjacency[v]) > graph.weight(v) * z[v]:
+                z[v] += 1
+                break
+        else:
+            return z
+
+
+def graph_multiplicity(graph: DualGraph) -> int:
+    """Multiplicity of a rational singularity from its resolution graph,
+    -Z.Z with Z the fundamental cycle (M. Artin, "On isolated rational
+    singularities of surfaces", Amer. J. Math. 88, 1966)."""
+    z = laufer_cycle(graph)
+    return sum(
+        z[v] * (graph.weight(v) * z[v] - sum(z[u] for u in graph.adjacency[v]))
+        for v in graph.vertices
+    )
 
 
 def reference_unload(

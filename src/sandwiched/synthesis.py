@@ -20,40 +20,20 @@ analyzer before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .analyzer import FreeOn, analyze
-from .cluster import SkeletonBuilder
+from .cluster import DualGraph, SkeletonBuilder, adjacency, bfs
 from .errors import ClusterError, InternalCheckError, ParseError
 from .weighted import WeightedCluster, multiplicities_from_excesses
 
 
 @dataclass(frozen=True)
-class MinimalGraphSpec:
-    """Tree with vertex weights: omega(q) >= 2 and omega(q) >= deg(q)."""
+class MinimalGraphSpec(DualGraph):
+    """Tree with vertex weights: omega(q) >= 2 and omega(q) >= deg(q).
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    weights: tuple[int, ...]
-
-    @cached_property
-    def _weight_of(self) -> dict:
-        return dict(zip(self.vertices, self.weights))
-
-    @cached_property
-    def _degree_of(self) -> dict:
-        degree: dict = {}
-        for u, v in self.edges:
-            degree[u] = degree.get(u, 0) + 1
-            if v != u:
-                degree[v] = degree.get(v, 0) + 1
-        return degree
-
-    def weight(self, name: str) -> int:
-        return self._weight_of[name]
-
-    def degree(self, name: str) -> int:
-        return self._degree_of.get(name, 0)
+    A `DualGraph` whose vertices are names; `require_valid` checks the
+    conditions above.
+    """
 
     def require_valid(self) -> "MinimalGraphSpec":
         if not self.vertices:
@@ -70,7 +50,8 @@ class MinimalGraphSpec:
                 raise ClusterError(f"loop edge at {u}")
         if len(self.edges) != len(self.vertices) - 1:
             raise ClusterError("not a tree: wrong edge count")
-        if not _connected(self.vertices, self.edges):
+        order, _ = bfs(self.adjacency, self.vertices[0])
+        if len(order) != len(self.vertices):
             raise ClusterError("not a tree: graph is disconnected")
         for name, omega in zip(self.vertices, self.weights):
             if omega < 2:
@@ -81,35 +62,6 @@ class MinimalGraphSpec:
                     "would not be reduced"
                 )
         return self
-
-
-def _connected(vertices, edges) -> bool:
-    if not vertices:
-        return False
-    order, _ = _bfs(_adjacency(vertices, edges), vertices[0])
-    return len(order) == len(vertices)
-
-
-def _adjacency(vertices, edges) -> dict:
-    adjacency = {v: [] for v in vertices}
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    return adjacency
-
-
-def _bfs(adjacency, root, key=None) -> tuple[list, dict]:
-    """Breadth-first order from `root` and the parent of each vertex reached
-    (None for the root); neighbours are visited sorted by `key` when given."""
-    parent = {root: None}
-    order = [root]
-    for v in order:
-        neighbours = adjacency[v] if key is None else sorted(adjacency[v], key=key)
-        for nxt in neighbours:
-            if nxt not in parent:
-                parent[nxt] = v
-                order.append(nxt)
-    return order, parent
 
 
 def count_contracted_branches(spec: MinimalGraphSpec) -> int:
@@ -126,9 +78,7 @@ def synthesize(spec: MinimalGraphSpec) -> tuple[WeightedCluster, FreeOn]:
     root = next(v for v in spec.vertices if spec.weight(v) > spec.degree(v))
 
     vertex_rank = {v: i for i, v in enumerate(spec.vertices)}
-    order, parent_vertex = _bfs(
-        _adjacency(spec.vertices, spec.edges), root, vertex_rank.__getitem__
-    )
+    order, parent_vertex = bfs(spec.adjacency, root, vertex_rank.__getitem__)
     children: dict = {v: [] for v in spec.vertices}
     for v in order[1:]:
         children[parent_vertex[v]].append(v)
@@ -218,25 +168,25 @@ def _centre_codes(vertices, edges, weights) -> set:
     (the middle of a longest path); empty when the graph is not a tree."""
     if not vertices or len(edges) != len(vertices) - 1:
         return set()
-    adjacency = _adjacency(vertices, edges)
-    order, _ = _bfs(adjacency, vertices[0])
+    neighbours = adjacency(vertices, edges)
+    order, _ = bfs(neighbours, vertices[0])
     if len(order) != len(vertices):
         return set()
-    order, parent = _bfs(adjacency, order[-1])
+    order, parent = bfs(neighbours, order[-1])
     path = [order[-1]]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
     centres = path[(len(path) - 1) // 2 : len(path) // 2 + 1]
-    return {_rooted_code(adjacency, c, weights) for c in centres}
+    return {_rooted_code(neighbours, c, weights) for c in centres}
 
 
-def _rooted_code(adjacency, root, weights) -> str:
+def _rooted_code(neighbours, root, weights) -> str:
     """`weight(child codes, sorted)` for the tree rooted at `root`, built
     leaves first over the reversed breadth-first order (no recursion)."""
-    order, parent = _bfs(adjacency, root)
+    order, parent = bfs(neighbours, root)
     codes: dict = {}
     for v in reversed(order):
-        subcodes = sorted(codes.pop(c) for c in adjacency[v] if c != parent[v])
+        subcodes = sorted(codes.pop(c) for c in neighbours[v] if c != parent[v])
         codes[v] = f"{weights[v]}({''.join(subcodes)})"
     return codes[root]
 

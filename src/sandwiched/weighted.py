@@ -241,16 +241,12 @@ def drop_zero_points(cluster: WeightedCluster) -> DropResult:
 
 
 def simple_multiplicities(skeleton: ClusterSkeleton, p: int) -> tuple[int, ...]:
-    """Multiplicities of the simple cluster of p, as a full-length vector
-    (zero outside the predecessors of p)."""
+    """Multiplicities of the simple cluster of p, as a full-length vector:
+    excess 1 at p and 0 elsewhere.  Proximity targets are predecessors, so
+    the vector is zero outside the predecessors of p."""
     rho = [0] * len(skeleton)
     rho[p] = 1
-    nu = [0] * len(skeleton)
-    support = skeleton.predecessors(p)
-    for q in reversed(skeleton.points):
-        if q in support:
-            nu[q] = rho[q] + sum(nu[t] for t in skeleton.proximate_to[q])
-    return tuple(nu)
+    return multiplicities_from_excesses(skeleton, rho).nu
 
 
 def simple_cluster(skeleton: ClusterSkeleton, p: int) -> WeightedCluster:

@@ -19,7 +19,7 @@ from sandwiched import (
 )
 from sandwiched.analyzer import nu_prime
 from sandwiched.cartier import CartierRequest, build
-from sandwiched.oracle import random_minimal_graph_spec
+from sandwiched.oracle import graph_multiplicity, laufer_cycle, random_minimal_graph_spec
 from sandwiched.synthesis import synthesize, weighted_trees_isomorphic
 
 from conftest import CORPUS_TARGET, make_d1, make_dr
@@ -208,3 +208,18 @@ def test_criterion_8_synthesis_round_trip():
             spec.vertices, spec.edges, dict(zip(spec.vertices, spec.weights)),
         )
     print("\nACCEPTANCE 8 PASS: 120 synthesis round trips up to isomorphism")
+
+
+def test_criterion_9_fundamental_cycle_from_the_graph_alone(corpus):
+    """Laufer's computation sequence on the resolution graph gives the
+    fundamental cycle the unloading gave, and Artin's -Z.Z gives the
+    multiplicity: a third route that shares no code with unloading."""
+    start = time.monotonic()
+    for instance in corpus:
+        report = instance.report
+        z = laufer_cycle(report.resolution_graph)
+        assert z == {p: report.z[p] for p in report.T_Q}, instance.cluster.by_tag()
+        assert graph_multiplicity(report.resolution_graph) == report.mult
+    elapsed = time.monotonic() - start
+    print(f"\nACCEPTANCE 9 PASS: Laufer cycle and Artin multiplicity on "
+          f"{len(corpus)} instances in {elapsed:.2f}s")

@@ -7,14 +7,21 @@ Core claims:
     - unload is the identity on consistent input
     - cartier emits the expected cluster and a passing certificate
     - outputs are byte-identical across runs and re-parse
-    - missing or undecodable files and a safety-cap overrun end in a one-line
-      message and an exit code, never a traceback
+    - missing or undecodable files, a safety-cap overrun and running out of
+      memory or recursion depth end in a one-line message and an exit code,
+      never a traceback
+    - importing the CLI does not import the oracle (only `selftest` needs it)
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sandwiched
 from sandwiched import cli, unload
 from sandwiched.cli import main
 
@@ -248,3 +255,37 @@ def test_unload_cap_overrun_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: unloading exceeded the 1-step safety cap\n"
+
+
+@pytest.mark.parametrize(
+    "callee, argv, error, message",
+    [
+        ("unload", ["unload"], MemoryError(), "internal error: MemoryError\n"),
+        (
+            "enumerate_singularities",
+            ["singularities"],
+            RecursionError("maximum recursion depth exceeded"),
+            "internal error: RecursionError: maximum recursion depth exceeded\n",
+        ),
+    ],
+    ids=["memory", "recursion"],
+)
+def test_resource_exhaustion_exits_3(d1_file, capsys, monkeypatch, callee, argv, error, message):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, callee, exhausted)
+    code, out, err = run(capsys, *argv, d1_file)
+    assert code == 3
+    assert out == ""
+    assert err == message
+
+
+def test_import_leaves_oracle_unloaded():
+    source = str(Path(sandwiched.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, sandwiched.cli; print('sandwiched.oracle' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert result.stdout == "False\n"

@@ -6,6 +6,9 @@ Core claims:
     - the depth-first value oracle and the exhaustive unloading oracle agree
       with the production paths, the value oracle also on a 3000-point chain
     - oversized exhaustive searches are refused, not attempted
+    - Laufer's computation sequence gives the known fundamental cycles of
+      the A, D and E graphs and of a single curve, and Artin's formula their
+      multiplicities
     - the selftest aggregates the suites and passes quickly
 """
 
@@ -13,18 +16,55 @@ import random
 
 import pytest
 
-from sandwiched import WeightedCluster, chain_skeleton, is_consistent, unload, validate, values
+from sandwiched import (
+    DualGraph,
+    WeightedCluster,
+    chain_skeleton,
+    is_consistent,
+    unload,
+    validate,
+    values,
+)
 from sandwiched.errors import OracleInstanceTooLarge
 from sandwiched.oracle import (
     GeneratorConfig,
     _random_cluster,
     brute_unload,
     brute_values,
+    graph_multiplicity,
+    laufer_cycle,
     random_cluster,
     random_minimal_graph_spec,
     random_skeleton,
     selftest,
 )
+
+
+def _minus_two_tree(edges):
+    vertices = tuple(sorted({v for edge in edges for v in edge}))
+    return DualGraph(vertices, tuple(edges), (2,) * len(vertices))
+
+
+@pytest.mark.parametrize(
+    "graph, cycle, mult",
+    [
+        (DualGraph((0,), (), (5,)), {0: 1}, 5),
+        (_minus_two_tree([(0, 1), (1, 2), (2, 3)]), {0: 1, 1: 1, 2: 1, 3: 1}, 2),
+        (_minus_two_tree([(0, 1), (0, 2), (0, 3)]), {0: 2, 1: 1, 2: 1, 3: 1}, 2),
+        # E8: arms of 2, 1 and 4 vertices at the centre 0
+        (
+            _minus_two_tree([(0, 1), (1, 2), (0, 3), (0, 4), (4, 5), (5, 6), (6, 7)]),
+            {0: 6, 1: 4, 2: 2, 3: 3, 4: 5, 5: 4, 6: 3, 7: 2},
+            2,
+        ),
+        # a (-3) centre with three (-2) arms is minimal: Z reduced, mult 3
+        (DualGraph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3)), (3, 2, 2, 2)), {0: 1, 1: 1, 2: 1, 3: 1}, 3),
+    ],
+    ids=["single", "A4", "D4", "E8", "minimal-star"],
+)
+def test_laufer_cycle_and_artin_multiplicity(graph, cycle, mult):
+    assert laufer_cycle(graph) == cycle
+    assert graph_multiplicity(graph) == mult
 
 
 def test_random_cluster_deterministic_per_seed():
