@@ -9,23 +9,15 @@ from .analyzer import (
     analyze,
     enumerate_singularities,
     extend,
-    resolution_graph,
-    verify_coef_fund,
-    verify_difexcess,
 )
 from .cartier import CartierRequest, CartierResult, build, verify
 from .cluster import (
     ClusterSkeleton,
     DualGraph,
-    ProximityMatrix,
     SkeletonBuilder,
     canonical,
     chain_skeleton,
     dual_graph,
-    is_mK_free,
-    is_mK_proximate,
-    is_mK_satellite,
-    proximity_matrix,
     validate,
 )
 from .errors import (
@@ -41,7 +33,6 @@ from .weighted import (
     dicritical_set,
     drop_zero_points,
     excesses,
-    exceptional_intersections,
     is_consistent,
     linear_combination,
     multiplicities_from_values,
@@ -65,7 +56,6 @@ __all__ = [
     "MinimalGraphSpec",
     "OracleInstanceTooLarge",
     "ParseError",
-    "ProximityMatrix",
     "Satellite",
     "SingularityReport",
     "SkeletonBuilder",
@@ -80,16 +70,10 @@ __all__ = [
     "dual_graph",
     "enumerate_singularities",
     "excesses",
-    "exceptional_intersections",
     "extend",
     "is_consistent",
-    "is_mK_free",
-    "is_mK_proximate",
-    "is_mK_satellite",
     "linear_combination",
     "multiplicities_from_values",
-    "proximity_matrix",
-    "resolution_graph",
     "self_intersection",
     "simple_cluster",
     "synthesize",
@@ -97,6 +81,4 @@ __all__ = [
     "validate",
     "values",
     "verify",
-    "verify_coef_fund",
-    "verify_difexcess",
 ]

@@ -24,6 +24,7 @@ from .weighted import (
     drop_zero_points,
     excesses,
     is_consistent,
+    self_intersection,
     unload,
     values,
 )
@@ -155,8 +156,10 @@ def _analyze(
 
     t_q = tuple(p for p in sk.points if v_after[p] > v_before[p])
     _check(bool(t_q), "inconsistent extension produced no unloaded points")
-    touched_in_k = frozenset(s.point for s in result.steps if s.point < n)
-    _check(frozenset(t_q) == touched_in_k, "value-increase set differs from unloading trace")
+    _check(
+        frozenset(t_q) == result.touched - {n},
+        "value-increase set differs from unloading trace",
+    )
 
     # t_q ascends and predecessors come first: a unique minimal point must be t_q[0]
     o_q = t_q[0]
@@ -194,9 +197,7 @@ def _analyze(
         _check(z[p] == recursion, "fundamental cycle fails its proximity recursion")
 
     mult = 1 + len(b_q)
-    mult_by_self_intersection = sum(m * m for m in nu_after) - sum(
-        m * m for m in cluster.nu
-    )
+    mult_by_self_intersection = self_intersection(unloaded) - self_intersection(cluster)
     _check(mult == mult_by_self_intersection, "multiplicity formulas disagree")
     emdim = mult + 1
 
@@ -309,71 +310,6 @@ def enumerate_singularities(cluster: WeightedCluster) -> list[SingularityReport]
         )
         reports.append(report)
     return reports
-
-
-def nu_prime(cluster: WeightedCluster, report: SingularityReport) -> tuple[int, ...]:
-    """Multiplicities of the codimension-one ideal's cluster, on the base points."""
-    return tuple(m + e for m, e in zip(cluster.nu, report.epsilon))
-
-
-def verify_difexcess(cluster: WeightedCluster, report: SingularityReport) -> bool:
-    """Check how excesses move under the codimension-one extension:
-    rho'_p = rho_p + eps_p - sum of eps over points proximate to p, and the
-    excess grows on T_Q, drops by one exactly on the dicriticals adjacent to
-    T_Q, and is unchanged elsewhere."""
-    if report.smooth:
-        return True
-    sk = cluster.skeleton
-    rho = excesses(cluster)
-    rho_p = excesses(WeightedCluster(sk, nu_prime(cluster, report)))
-    eps = report.epsilon
-    for p in sk.points:
-        if rho_p[p] != rho[p] + eps[p] - sum(eps[q] for q in sk.proximate_to[p]):
-            return False
-    t_set, kplus_q = set(report.T_Q), set(report.Kplus_Q)
-    for p in sk.points:
-        if p in t_set:
-            if rho_p[p] < rho[p]:
-                return False
-        elif p in kplus_q:
-            if rho_p[p] != rho[p] - 1:
-                return False
-        elif rho_p[p] != rho[p]:
-            return False
-    return True
-
-
-def verify_coef_fund(cluster: WeightedCluster, report: SingularityReport) -> bool:
-    """Check the fundamental-cycle facts: the coefficient is 1 at the minimal
-    contracted point, at contracted points with a dicritical point proximate
-    to them, and at contracted points proximate to something outside T_Q;
-    and B_Q is exactly the set of non-contracted points proximate to T_Q."""
-    if report.smooth:
-        return True
-    sk = cluster.skeleton
-    t_set = set(report.T_Q)
-    rho = excesses(cluster)
-    z = report.z
-    for p in report.T_Q:
-        if p == report.o_Q and z[p] != 1:
-            return False
-        if any(rho[q] > 0 for q in sk.proximate_to[p]) and z[p] != 1:
-            return False
-        if any(q not in t_set for q in sk.proximities[p]) and z[p] != 1:
-            return False
-    expected_b = {
-        u
-        for u in sk.points
-        if u not in t_set and any(q in t_set for q in sk.proximities[u])
-    }
-    return expected_b == set(report.B_Q) - t_set
-
-
-def resolution_graph(cluster: WeightedCluster, report: SingularityReport) -> DualGraph:
-    """Dual graph of the contracted components, weights counted in the base cluster."""
-    if report.smooth:
-        raise ClusterError("smooth points have no resolution graph")
-    return dual_graph(cluster.skeleton).induced(report.T_Q)
 
 
 def contracted_neighbor(

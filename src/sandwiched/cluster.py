@@ -74,10 +74,6 @@ class ClusterSkeleton:
                     rows[q].append(p)
         return tuple(tuple(sorted(row)) for row in rows)
 
-    def proximate_count(self, q: int) -> int:
-        """r_q, the number of cluster points proximate to q."""
-        return len(self.proximate_to[q])
-
     def geq(self, p: int, q: int) -> bool:
         """True if p is infinitely near or equal to q."""
         # parents precede their children, so the walk can stop below q
@@ -368,51 +364,6 @@ def _relabel(skeleton: ClusterSkeleton, order: Sequence[int]) -> ClusterSkeleton
     return ClusterSkeleton(parents, prox, tuple(skeleton.tags[old] for old in order))
 
 
-# -- Proximity matrix ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProximityMatrix:
-    """Lower-triangular unimodular matrix: 1 on the diagonal, -1 at (p, q) iff p -> q."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def transpose(self) -> "ProximityMatrix":
-        n = len(self.rows)
-        return ProximityMatrix(tuple(tuple(self.rows[i][j] for i in range(n)) for j in range(n)))
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        return tuple(sum(r * x for r, x in zip(row, vec)) for row in self.rows)
-
-    def inverse(self) -> "ProximityMatrix":
-        """Exact integer inverse (forward substitution; determinant is 1)."""
-        n = len(self.rows)
-        inv = [[0] * n for _ in range(n)]
-        for j in range(n):
-            col = [0] * n
-            col[j] = 1
-            for i in range(j, n):
-                s = col[i] - sum(self.rows[i][k] * inv[k][j] for k in range(j, i))
-                inv[i][j] = s
-        return ProximityMatrix(tuple(tuple(row) for row in inv))
-
-
-def proximity_matrix(skeleton: ClusterSkeleton) -> ProximityMatrix:
-    skeleton.require_valid()
-    n = len(skeleton)
-    rows = []
-    for p in range(n):
-        row = [0] * n
-        row[p] = 1
-        for q in skeleton.proximities[p]:
-            row[q] = -1
-        rows.append(tuple(row))
-    return ProximityMatrix(tuple(rows))
-
-
 # -- Dual graph and chains -----------------------------------------------------
 
 
@@ -510,27 +461,5 @@ def dual_graph(skeleton: ClusterSkeleton) -> DualGraph:
             if frozenset((p, q)) not in occupied:
                 edges.append((p, q))
     edges.sort()
-    weights = tuple(skeleton.proximate_count(p) + 1 for p in skeleton.points)
+    weights = tuple(len(skeleton.proximate_to[p]) + 1 for p in skeleton.points)
     return DualGraph(tuple(skeleton.points), tuple(edges), weights)
-
-
-# -- Maximal proximity ----------------------------------------------------------
-
-
-def is_mK_proximate(skeleton: ClusterSkeleton, p: int, q: int) -> bool:
-    """True if p is maximal (for the infinitely-near order) among points proximate to q."""
-    if q not in skeleton.proximities[p]:
-        return False
-    return not any(r != p and skeleton.geq(r, p) for r in skeleton.proximate_to[q])
-
-
-def mK_targets(skeleton: ClusterSkeleton, p: int) -> frozenset[int]:
-    return frozenset(q for q in skeleton.proximities[p] if is_mK_proximate(skeleton, p, q))
-
-
-def is_mK_free(skeleton: ClusterSkeleton, p: int) -> bool:
-    return len(mK_targets(skeleton, p)) == 1
-
-
-def is_mK_satellite(skeleton: ClusterSkeleton, p: int) -> bool:
-    return len(mK_targets(skeleton, p)) == 2

@@ -35,6 +35,7 @@ class _Token:
 
 
 _SYMBOLS = ("->", "{", "}", ";", ",", "=")
+_DIGITS = "0123456789"  # str.isdigit() also accepts superscripts and other scripts
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -62,9 +63,9 @@ def _tokenize(text: str) -> list[_Token]:
                 tokens.append(_Token("name", line[col:end], lineno, col + 1))
                 col = end
                 continue
-            if ch.isdigit() or (ch == "-" and col + 1 < len(line) and line[col + 1].isdigit()):
+            if ch in _DIGITS or (ch == "-" and col + 1 < len(line) and line[col + 1] in _DIGITS):
                 end = col + 1
-                while end < len(line) and line[end].isdigit():
+                while end < len(line) and line[end] in _DIGITS:
                     end += 1
                 tokens.append(_Token("int", line[col:end], lineno, col + 1))
                 col = end
@@ -226,7 +227,12 @@ def _parse_weights_block(cursor: _Cursor, skeleton: ClusterSkeleton) -> dict:
             raise ParseError(f"weight of {tok.text!r} set twice", tok.line, tok.column)
         cursor.expect("=")
         value = cursor.expect("int")
-        weights[point] = int(value.text)
+        try:
+            weights[point] = int(value.text)
+        except ValueError:  # longer than the interpreter's integer-string limit
+            raise ParseError(
+                f"weight of {tok.text!r} has too many digits", value.line, value.column
+            ) from None
     return weights
 
 

@@ -1,11 +1,14 @@
-"""Independent brute-force oracles and seeded random instance generation.
+"""Independent brute-force oracles, paper checks, and seeded random instances.
 
-Nothing here shares a code path with the operations it checks: values are
+No oracle shares a code path with the operations it checks: values are
 recomputed by plain recursion, unloading results are compared against an
 exhaustive search over dominating consistent clusters, and the fundamental
 cycle and multiplicity of a singularity are recomputed from its resolution
-graph alone.  The generators drive both the property-test corpus and the CLI
-selftest; all randomness flows through an explicit seed.
+graph alone.  The paper checks (the proximity matrix, maximal proximity, and
+the excess and fundamental-cycle lemmas) restate the paper on top of the
+library; only the tests evaluate them.  The generators drive both the
+property-test corpus and the CLI selftest; all randomness flows through an
+explicit seed.
 """
 
 from __future__ import annotations
@@ -14,9 +17,15 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from .analyzer import FreeOn, Satellite, analyze, enumerate_singularities
+from .analyzer import (
+    FreeOn,
+    Satellite,
+    SingularityReport,
+    analyze,
+    enumerate_singularities,
+)
 from .cluster import ClusterSkeleton, DualGraph, dual_graph, validate
 from .errors import CapExceededError, OracleInstanceTooLarge
 from .synthesis import MinimalGraphSpec
@@ -271,6 +280,128 @@ def reference_unload(
     return UnloadResult(WeightedCluster(sk, tuple(nu)), tuple(steps))
 
 
+# -- Paper checks ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ProximityMatrix:
+    """Lower-triangular unimodular matrix: 1 on the diagonal, -1 at (p, q) iff p -> q."""
+
+    rows: tuple[tuple[int, ...], ...]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def transpose(self) -> "ProximityMatrix":
+        n = len(self.rows)
+        return ProximityMatrix(tuple(tuple(self.rows[i][j] for i in range(n)) for j in range(n)))
+
+    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
+        return tuple(sum(r * x for r, x in zip(row, vec)) for row in self.rows)
+
+    def inverse(self) -> "ProximityMatrix":
+        """Exact integer inverse (forward substitution; determinant is 1)."""
+        n = len(self.rows)
+        inv = [[0] * n for _ in range(n)]
+        for j in range(n):
+            col = [0] * n
+            col[j] = 1
+            for i in range(j, n):
+                s = col[i] - sum(self.rows[i][k] * inv[k][j] for k in range(j, i))
+                inv[i][j] = s
+        return ProximityMatrix(tuple(tuple(row) for row in inv))
+
+
+def proximity_matrix(skeleton: ClusterSkeleton) -> ProximityMatrix:
+    skeleton.require_valid()
+    n = len(skeleton)
+    rows = []
+    for p in range(n):
+        row = [0] * n
+        row[p] = 1
+        for q in skeleton.proximities[p]:
+            row[q] = -1
+        rows.append(tuple(row))
+    return ProximityMatrix(tuple(rows))
+
+
+def is_mK_proximate(skeleton: ClusterSkeleton, p: int, q: int) -> bool:
+    """True if p is maximal (for the infinitely-near order) among points proximate to q."""
+    if q not in skeleton.proximities[p]:
+        return False
+    return not any(r != p and skeleton.geq(r, p) for r in skeleton.proximate_to[q])
+
+
+def mK_targets(skeleton: ClusterSkeleton, p: int) -> frozenset[int]:
+    return frozenset(q for q in skeleton.proximities[p] if is_mK_proximate(skeleton, p, q))
+
+
+def is_mK_free(skeleton: ClusterSkeleton, p: int) -> bool:
+    return len(mK_targets(skeleton, p)) == 1
+
+
+def is_mK_satellite(skeleton: ClusterSkeleton, p: int) -> bool:
+    return len(mK_targets(skeleton, p)) == 2
+
+
+def nu_prime(cluster: WeightedCluster, report: SingularityReport) -> tuple[int, ...]:
+    """Multiplicities of the codimension-one ideal's cluster, on the base points."""
+    return tuple(m + e for m, e in zip(cluster.nu, report.epsilon))
+
+
+def verify_difexcess(cluster: WeightedCluster, report: SingularityReport) -> bool:
+    """Check how excesses move under the codimension-one extension:
+    rho'_p = rho_p + eps_p - sum of eps over points proximate to p, and the
+    excess grows on T_Q, drops by one exactly on the dicriticals adjacent to
+    T_Q, and is unchanged elsewhere."""
+    if report.smooth:
+        return True
+    sk = cluster.skeleton
+    rho = excesses(cluster)
+    rho_p = excesses(WeightedCluster(sk, nu_prime(cluster, report)))
+    eps = report.epsilon
+    for p in sk.points:
+        if rho_p[p] != rho[p] + eps[p] - sum(eps[q] for q in sk.proximate_to[p]):
+            return False
+    t_set, kplus_q = set(report.T_Q), set(report.Kplus_Q)
+    for p in sk.points:
+        if p in t_set:
+            if rho_p[p] < rho[p]:
+                return False
+        elif p in kplus_q:
+            if rho_p[p] != rho[p] - 1:
+                return False
+        elif rho_p[p] != rho[p]:
+            return False
+    return True
+
+
+def verify_coef_fund(cluster: WeightedCluster, report: SingularityReport) -> bool:
+    """Check the fundamental-cycle facts: the coefficient is 1 at the minimal
+    contracted point, at contracted points with a dicritical point proximate
+    to them, and at contracted points proximate to something outside T_Q;
+    and B_Q is exactly the set of non-contracted points proximate to T_Q."""
+    if report.smooth:
+        return True
+    sk = cluster.skeleton
+    t_set = set(report.T_Q)
+    rho = excesses(cluster)
+    z = report.z
+    for p in report.T_Q:
+        if p == report.o_Q and z[p] != 1:
+            return False
+        if any(rho[q] > 0 for q in sk.proximate_to[p]) and z[p] != 1:
+            return False
+        if any(q not in t_set for q in sk.proximities[p]) and z[p] != 1:
+            return False
+    expected_b = {
+        u
+        for u in sk.points
+        if u not in t_set and any(q in t_set for q in sk.proximities[u])
+    }
+    return expected_b == set(report.B_Q) - t_set
+
+
 # -- Selftest ---------------------------------------------------------------------
 
 
@@ -345,7 +476,7 @@ def _check_cluster_identities(cluster: WeightedCluster, rng: random.Random, repo
     result = unload(noisy)
     if not is_consistent(result.cluster):
         raise AssertionError("unloading ended on an inconsistent cluster")
-    shuffled = unload(noisy, pick=rng.choice)
+    shuffled = reference_unload(noisy, pick=rng.choice)
     if shuffled.cluster != result.cluster:
         raise AssertionError("unloading result depends on the unloading order")
     if len(cluster.skeleton) <= 6 and all(abs(m) <= 6 for m in noisy.nu):

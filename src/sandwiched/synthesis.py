@@ -74,7 +74,7 @@ def count_contracted_branches(spec: MinimalGraphSpec) -> int:
 def synthesize(spec: MinimalGraphSpec) -> tuple[WeightedCluster, FreeOn]:
     """Cluster and boundary point realizing the graph with the extremal
     contracted-branch count; analyzer-verified before returning."""
-    spec.require_valid()
+    expected = count_contracted_branches(spec)  # validates the spec
     root = next(v for v in spec.vertices if spec.weight(v) > spec.degree(v))
 
     vertex_rank = {v: i for i, v in enumerate(spec.vertices)}
@@ -108,7 +108,7 @@ def synthesize(spec: MinimalGraphSpec) -> tuple[WeightedCluster, FreeOn]:
     boundary = FreeOn(index[root])
 
     report = analyze(cluster, boundary)
-    _certify(spec, cluster, report, index)
+    _certify(spec, cluster, report, index, expected)
     return cluster, boundary
 
 
@@ -120,8 +120,7 @@ def _fresh(name: str, used: set) -> str:
     return candidate
 
 
-def _certify(spec, cluster, report, index):
-    expected = count_contracted_branches(spec)
+def _certify(spec, cluster, report, index, expected):
     checks = [
         (not report.smooth, "synthesized point is smooth"),
         (set(report.T_Q) == set(index.values()), "contracted set is not the graph"),

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cluster import ClusterSkeleton, restrict
 from .errors import CapExceededError, ClusterError
@@ -30,9 +30,6 @@ class WeightedCluster:
             raise ClusterError(
                 f"{len(self.nu)} multiplicities for {len(self.skeleton)} points"
             )
-
-    def multiplicity(self, tag: str) -> int:
-        return self.nu[self.skeleton.index_of(tag)]
 
     def by_tag(self) -> dict:
         return {tag: m for tag, m in zip(self.skeleton.tags, self.nu)}
@@ -85,15 +82,6 @@ def dicritical_set(cluster: WeightedCluster) -> frozenset[int]:
     return frozenset(p for p, r in enumerate(excesses(cluster)) if r > 0)
 
 
-def exceptional_intersections(cluster: WeightedCluster) -> tuple[int, ...]:
-    """Intersection of the strict transform of a curve through the cluster
-    with each exceptional component: e_p - sum of e_q over q proximate to p,
-    which for the virtual system is exactly the excess vector."""
-    if not is_consistent(cluster):
-        raise ClusterError("exceptional intersections require a consistent cluster")
-    return excesses(cluster)
-
-
 def self_intersection(cluster: WeightedCluster) -> int:
     return sum(m * m for m in cluster.nu)
 
@@ -124,29 +112,23 @@ class UnloadResult:
         return frozenset(s.point for s in self.steps)
 
 
-def unload(
-    cluster: WeightedCluster,
-    *,
-    pick: Optional[Callable[[list[int]], int]] = None,
-    cap: Optional[int] = None,
-) -> UnloadResult:
+def unload(cluster: WeightedCluster, *, cap: Optional[int] = None) -> UnloadResult:
     """Unload until no excess is negative.
 
     Works in value form: a step at p raises v_p by n = ceil(-rho_p/(r_p + 1)),
     leaving all other values unchanged, and the multiplicities are recomputed
     (equivalently nu_p grows by n and nu drops by n at each point proximate
-    to p).  The default strategy unloads the lowest-index negative point; the
-    result is independent of that choice.  `pick`, when given, receives the
-    ascending list of all negative points and returns the one to unload.  The
-    cap is a bug trap only: termination is guaranteed.
+    to p).  The lowest-index negative point is always unloaded next; the
+    result is independent of that choice (`oracle.reference_unload` takes
+    any order, and the tests compare the two).  The cap is a bug trap only:
+    termination is guaranteed.
 
     The excesses are computed once.  A step at p changes them only at p, at
     its proximity targets, at the points proximate to p and at their targets,
     and only those are updated, so a step costs O(r_p + log n): a heap yields
-    the lowest-index negative point.  With `pick`, each step also sorts the
-    negative points to build the list it passes.  The up-front skeleton check
-    reads the verdict stored on the skeleton, so only the first check of a
-    skeleton runs `validate`.
+    the lowest-index negative point.  The up-front skeleton check reads the
+    verdict stored on the skeleton, so only the first check of a skeleton
+    runs `validate`.
     """
     sk = cluster.skeleton
     sk.require_valid()
@@ -163,12 +145,9 @@ def unload(
     queue = sorted(negative)
     steps: list[UnloadStep] = []
     while negative:
-        if pick is None:
-            p = heappop(queue)
-            if p not in negative:
-                continue
-        else:
-            p = pick(sorted(negative))
+        p = heappop(queue)
+        if p not in negative:
+            continue
         rho_p = rho[p]
         r_p = len(prox_to[p])
         inc = (-rho_p + r_p) // (r_p + 1)

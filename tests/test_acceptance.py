@@ -17,9 +17,13 @@ from sandwiched import (
     unload,
     values,
 )
-from sandwiched.analyzer import nu_prime
 from sandwiched.cartier import CartierRequest, build
-from sandwiched.oracle import graph_multiplicity, laufer_cycle, random_minimal_graph_spec
+from sandwiched.oracle import (
+    graph_multiplicity,
+    laufer_cycle,
+    nu_prime,
+    random_minimal_graph_spec,
+)
 from sandwiched.synthesis import synthesize, weighted_trees_isomorphic
 
 from conftest import CORPUS_TARGET, make_d1, make_dr

@@ -30,13 +30,17 @@ from sandwiched import (
     enumerate_singularities,
     excesses,
     extend,
-    resolution_graph,
     unload,
+)
+from sandwiched.analyzer import zero_excess_components
+from sandwiched.oracle import (
+    GeneratorConfig,
+    _random_cluster,
+    nu_prime,
+    random_boundary_points,
     verify_coef_fund,
     verify_difexcess,
 )
-from sandwiched.analyzer import nu_prime, zero_excess_components
-from sandwiched.oracle import GeneratorConfig, _random_cluster, random_boundary_points
 
 from conftest import make_dr
 
@@ -249,13 +253,6 @@ def test_triple_chain_zero_interior_forces_excess_two():
 # -- resolution graph ---------------------------------------------------------------------
 
 
-def test_resolution_graph_matches_report(d1):
-    report = analyze(d1, Satellite(0, 1))
-    graph = resolution_graph(d1, report)
-    assert graph.vertices == report.resolution_graph.vertices
-    assert graph.edges == report.resolution_graph.edges
-
-
 def test_resolution_graph_weight_sum_on_minimal_reports():
     rng = random.Random(16)
     config = GeneratorConfig(max_points=10, satellite_probability=0.45)
@@ -271,11 +268,6 @@ def test_resolution_graph_weight_sum_on_minimal_reports():
                 )
                 assert total == report.mult
     assert seen_minimal > 0
-
-
-def test_resolution_graph_rejected_for_smooth(d1):
-    with pytest.raises(ClusterError):
-        resolution_graph(d1, analyze(d1, FreeOn(2)))
 
 
 # -- tame unloading of extensions ------------------------------------------------------------

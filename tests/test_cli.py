@@ -9,8 +9,11 @@ Core claims:
     - outputs are byte-identical across runs and re-parse
     - missing or undecodable files, a safety-cap overrun and running out of
       memory or recursion depth end in a one-line message and an exit code,
-      never a traceback
-    - importing the CLI does not import the oracle (only `selftest` needs it)
+      never a traceback; so does a weight that is not an ASCII integer or is
+      too long to convert
+    - importing the package and every runtime module does not import the
+      oracle (only `selftest` and the tests need it), and every name in
+      `sandwiched.__all__` resolves
 """
 
 import json
@@ -243,6 +246,20 @@ def test_undecodable_file_is_an_input_error(tmp_path, capsys):
         assert err.startswith(f"error: {path}: not valid UTF-8") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "weight, message",
+    [("²", "unexpected character '²'"), ("1" * 5000, "weight of 'O' has too many digits")],
+    ids=["superscript", "5000-digits"],
+)
+def test_bad_integer_weight_is_an_input_error(tmp_path, capsys, weight, message):
+    path = tmp_path / "w.cluster"
+    path.write_text(f"cluster d1 {{ O }}\nweights d1 {{ O={weight} }}\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: line 2, column 16: {message}\n"
+
+
 def test_unload_cap_overrun_exits_3(tmp_path, capsys, monkeypatch):
     path = tmp_path / "i.cluster"
     path.write_text(
@@ -284,8 +301,16 @@ def test_resource_exhaustion_exits_3(d1_file, capsys, monkeypatch, callee, argv,
 def test_import_leaves_oracle_unloaded():
     source = str(Path(sandwiched.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import importlib, pkgutil, sys, sandwiched\n"
+        "runtime = [m.name for m in pkgutil.iter_modules(sandwiched.__path__) if m.name != 'oracle']\n"
+        "for name in runtime:\n"
+        "    importlib.import_module('sandwiched.' + name)\n"
+        "print('cli' in runtime, 'sandwiched.oracle' in sys.modules)\n"
+        "print([name for name in sandwiched.__all__ if not hasattr(sandwiched, name)])\n"
+    )
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, sandwiched.cli; print('sandwiched.oracle' in sys.modules)"],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
     )
-    assert result.stdout == "False\n"
+    assert result.stdout == "True False\n[]\n"

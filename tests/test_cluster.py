@@ -30,16 +30,18 @@ from sandwiched import (
     chain_skeleton,
     dual_graph,
     extend,
-    is_mK_free,
-    is_mK_proximate,
-    is_mK_satellite,
-    proximity_matrix,
     unload,
     validate,
 )
 from sandwiched import cluster as cluster_module
 from sandwiched.cluster import extend_point, restrict
-from sandwiched.oracle import random_skeleton
+from sandwiched.oracle import (
+    is_mK_free,
+    is_mK_proximate,
+    is_mK_satellite,
+    proximity_matrix,
+    random_skeleton,
+)
 
 
 def satellite_triangle() -> ClusterSkeleton:

@@ -8,6 +8,7 @@ Core claims:
       with weights, attains component count = embedding dimension, and
       reports a minimal singularity
     - graph specs reject non-trees, low weights, and weight < degree
+    - `synthesize` validates its spec once
     - the edge-list file format round-trips
     - tree isomorphism and synthesis handle paths far deeper than the
       interpreter's recursion limit
@@ -39,8 +40,8 @@ def test_single_vertex_weight_two():
     assert report.B_Q == (cluster.skeleton.index_of("a_e0"),)
     assert report.embed_equality == (True, True, True)
     # every component through the point loses one unit of excess
-    from sandwiched import WeightedCluster, excesses, verify_difexcess
-    from sandwiched.analyzer import nu_prime
+    from sandwiched import WeightedCluster, excesses
+    from sandwiched.oracle import nu_prime, verify_difexcess
 
     assert verify_difexcess(cluster, report)
     rho = excesses(cluster)
@@ -134,3 +135,19 @@ def test_random_specs_round_trip():
             tuple(weights), edges, weights,
             spec.vertices, spec.edges, dict(zip(spec.vertices, spec.weights)),
         )
+
+
+def test_synthesize_validates_the_spec_once(monkeypatch):
+    rng = random.Random(56)
+    specs = [random_minimal_graph_spec(rng, 7, 6) for _ in range(10)]
+    calls = []
+    real = MinimalGraphSpec.require_valid
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(MinimalGraphSpec, "require_valid", counting)
+    for spec in specs:
+        synthesize(spec)
+    assert calls == specs
