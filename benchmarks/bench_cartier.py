@@ -1,0 +1,51 @@
+"""Alpha ladder for the Cartier builder, timed with pytest-benchmark.
+
+Two series, alpha 25, 50, 100, 200 and 400 on every component through Q:
+`cartier.build` on d1 (origin, p1, q1) at Satellite(0, 1), and on the one
+singularity of make_dr(5).  The builder adds about alpha points, one stage
+each, so the growth exponent in alpha is the cost of a stage plus one.
+Kept outside `tests/` so the test suite does not pay for it.  From the root
+of a checkout:
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_cartier.py \\
+        --benchmark-json=change.json
+
+and after the same run against the parent's source tree,
+
+    PYTHONPATH=src python benchmarks/bench_unload.py parent.json change.json > BENCH_N.json
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from conftest import make_d1, make_dr  # noqa: E402
+
+from sandwiched import Satellite, analyze, enumerate_singularities  # noqa: E402
+from sandwiched.cartier import CartierRequest, build  # noqa: E402
+
+ALPHAS = (25, 50, 100, 200, 400)
+
+
+def run_ladder(benchmark, K, report, alpha):
+    request = CartierRequest(K, report, {p: alpha for p in report.Kplus_Q})
+    benchmark.extra_info["alpha"] = alpha
+    result = benchmark.pedantic(build, (request,), rounds=5, warmup_rounds=1)
+    assert result.certificate.passed
+    benchmark.extra_info["added"] = len(result.added)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_build_d1(benchmark, alpha):
+    K = make_d1()
+    run_ladder(benchmark, K, analyze(K, Satellite(0, 1)), alpha)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_build_make_dr(benchmark, alpha):
+    K = make_dr(5)
+    (report,) = enumerate_singularities(K)
+    run_ladder(benchmark, K, report, alpha)

@@ -15,7 +15,8 @@ Run it once more against the source tree of the parent commit, then
 merges the two runs: median time per size on each side, the speed-up, and
 the growth exponent of each side (the least-squares slope of log time
 against log points).  It merges runs of any file in `benchmarks/`; a
-benchmark that records `calls` in its extra info is reported per call.
+benchmark that records `calls` in its extra info is reported per call, and
+one that records `alpha` instead of `points` is laid out by alpha.
 """
 
 import json
@@ -57,19 +58,22 @@ def growth_exponent(points, seconds):
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
-COUNTS = ("steps", "calls")
+COUNTS = ("steps", "calls", "added")
+SIZE_KEYS = ("points", "alpha")  # the first of these a benchmark records is its size
 
 
 def merge(parent: dict, change: dict) -> dict:
     """Median time per size on each side (per call when a benchmark records
     `calls`), the speed-up and each side's growth exponent, per series."""
+    size_of = {}
 
     def medians(run):
         out, counts = {}, {}
         for bench in run["benchmarks"]:
             series = bench["name"].split("[")[0].removeprefix("test_")
             info = bench["extra_info"]
-            points = info["points"]
+            size_of[series] = next(key for key in SIZE_KEYS if key in info)
+            points = info[size_of[series]]
             out.setdefault(series, {})[points] = bench["stats"]["median"] / info.get("calls", 1)
             for key in COUNTS:
                 if key in info:
@@ -84,7 +88,7 @@ def merge(parent: dict, change: dict) -> dict:
         points = sorted(old)
         new = after[series]
         merged[series] = {
-            "points": points,
+            size_of[series]: points,
             **{key: [c[n] for n in points] for key, c in new_counts.get(series, {}).items()},
             "parent_median_ms": [float(f"{old[n] * 1e3:.4g}") for n in points],
             "change_median_ms": [float(f"{new[n] * 1e3:.4g}") for n in points],

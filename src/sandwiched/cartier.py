@@ -17,6 +17,17 @@ points in creation order.  A stage drops points or appends one at the end,
 and a base point that comes back is re-attached among the base points, so
 no stage re-sorts, and every tag names the same point throughout.
 
+Each stage carries forward what it does not change.  The skeleton of an
+appended point keeps the proximity lists, tag index and satellite pairs of
+the previous one, updated for the new point (`cluster.extend_point`); a
+stage that drops no point keeps its skeleton object (`cluster.restrict`).
+The builder carries the stage's excess vector: appending a point of
+multiplicity 1 lowers the excess of each of its targets by 1 and gives the
+point excess 1; dropping zero points keeps the excesses of the kept points;
+re-attaching base points at multiplicity 0 gives them excess 0 and moves no
+other.  The vector is recomputed from scratch only after an unloading, which
+runs only when some carried excess is negative.
+
 A result is never trusted on construction: `verify` re-checks it from
 scratch (value identities, localization of the dicritical points, vanishing
 excesses off the contracted set, and an exact linear readout of the
@@ -27,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Optional
 
 from .analyzer import SingularityReport, contracted_neighbor
@@ -38,7 +50,6 @@ from .weighted import (
     drop_zero_points,
     embed_indices,
     excesses,
-    is_consistent,
     simple_multiplicities,
     unload,
     values,
@@ -120,7 +131,8 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
 
     cap = 4 * sum(alpha.values()) * len(sk) * len(sk)
     micro = 0
-    used_tags = set(sk.tags)
+    # w0, w1, ... in order, skipping the base's tags
+    fresh_tags = (t for t in (f"w{i}" for i in count()) if t not in sk.tag_index)
 
     combined = [0] * len(sk)
     for p in dicriticals:
@@ -128,17 +140,35 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
             combined[q] += alpha[p] * m
     start, kept = restrict(sk, (q for q in sk.points if combined[q] > 0))
     cluster = WeightedCluster(start, tuple(combined[q] for q in kept))
+    rho = list(excesses(cluster))
     trace = [cluster]
 
-    def add_point(cluster: WeightedCluster, targets) -> WeightedCluster:
-        """Append a fresh point of multiplicity 1; its parent is the later target."""
-        skeleton = extend_point(cluster.skeleton, targets, _fresh_tag(used_tags))
-        return WeightedCluster(skeleton, cluster.nu + (1,))
+    def reattach(cluster: WeightedCluster, rho: list, points):
+        """`_reattach`, with the excesses read across by tag: a re-attached
+        point has multiplicity 0 and nothing of positive multiplicity is
+        proximate to it, so its excess is 0 and no other excess moves."""
+        grown = _reattach(cluster, sk, points)
+        if grown is cluster:
+            return cluster, rho
+        index = cluster.skeleton.tag_index
+        return grown, [rho[index[t]] if t in index else 0 for t in grown.skeleton.tags]
 
-    def settle(cluster: WeightedCluster, label: str) -> WeightedCluster:
-        """Unload if needed, forbid unloading at original dicriticals, drop zeros."""
+    def add_point(cluster: WeightedCluster, rho: list, targets):
+        """Append a fresh point of multiplicity 1; its parent is the later
+        target.  The excess drops by 1 at each target and is 1 at the point."""
+        skeleton = extend_point(cluster.skeleton, targets, next(fresh_tags))
+        rho = rho.copy()
+        for q in set(targets):
+            rho[q] -= 1
+        rho.append(1)
+        return WeightedCluster(skeleton, cluster.nu + (1,)), rho
+
+    def settle(cluster: WeightedCluster, rho: list, label: str):
+        """Unload if some excess is negative, forbid unloading at original
+        dicriticals, drop zeros.  Dropped points have multiplicity 0, so the
+        kept points keep their excesses."""
         nonlocal micro
-        if not is_consistent(cluster):
+        if min(rho) < 0:
             result = unload(cluster)
             micro += len(result.steps)
             for step in result.steps:
@@ -147,24 +177,27 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
                         f"{label}: unloading touched a dicritical point of the base cluster"
                     )
             cluster = result.cluster
-        cluster = drop_zero_points(cluster).cluster
+            rho = list(excesses(cluster))
+        dropped = drop_zero_points(cluster)
+        if dropped.dropped:
+            rho = [rho[p] for p in dropped.kept]
         if micro > cap:
             raise CapExceededError(
                 f"builder exceeded the {cap}-step safety cap", trace=tuple(trace)
             )
-        return cluster
+        return dropped.cluster, rho
 
-    def stage_excesses(cluster: WeightedCluster):
-        """The excess vector, and the excess at each prescribed dicritical
-        present in the cluster (an absent one has excess 0)."""
-        rho = excesses(cluster)
+    def stage_excesses(cluster: WeightedCluster, rho: list) -> dict:
+        """The excess at each prescribed dicritical present in the cluster
+        (an absent one has excess 0)."""
         index = cluster.skeleton.tag_index
-        at = {p: rho[index[sk.tags[p]]] for p in dicriticals if sk.tags[p] in index}
-        return rho, at
+        return {p: rho[index[sk.tags[p]]] for p in dicriticals if sk.tags[p] in index}
 
-    def check_interior_excess(label: str, cluster: WeightedCluster, rho, at):
+    def check_interior_excess(label: str, cluster: WeightedCluster, rho: list, at: dict):
         """Between any two prescribed dicriticals some interior chain point
         keeps positive excess; this is what makes the growth loop sound."""
+        if len(at) < 2:
+            return
         cur = cluster.skeleton
         cur_graph = dual_graph(cur)
         present = [cur.tag_index[sk.tags[p]] for p in at]
@@ -177,12 +210,12 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
                     )
 
     # first stage: one free point over the seed, unload, discard zeros
-    cluster = _reattach(cluster, sk, (seed_point,))
-    cluster = add_point(cluster, (cluster.skeleton.index_of(sk.tags[seed_point]),))
+    cluster, rho = reattach(cluster, rho, (seed_point,))
+    cluster, rho = add_point(cluster, rho, (cluster.skeleton.index_of(sk.tags[seed_point]),))
     micro += 1
-    cluster = settle(cluster, "first stage")
+    cluster, rho = settle(cluster, rho, "first stage")
     trace.append(cluster)
-    rho, at = stage_excesses(cluster)
+    at = stage_excesses(cluster, rho)
     for p in dicriticals:
         got = at.get(p, 0)
         if got != alpha[p] - 1:
@@ -198,17 +231,17 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
             break
         total_before = sum(at.values())
         p_r = pending[0]
-        cluster = _reattach(cluster, sk, (neighbor[p_r],))
+        cluster, rho = reattach(cluster, rho, (neighbor[p_r],))
         cur = cluster.skeleton
         p_index = cur.index_of(sk.tags[p_r])
         partner = cur.index_of(sk.tags[neighbor[p_r]])
         while frozenset((p_index, partner)) in cur.satellite_pairs:
             partner = cur.satellite_pairs[frozenset((p_index, partner))]
-        cluster = add_point(cluster, (partner, p_index))
+        cluster, rho = add_point(cluster, rho, (partner, p_index))
         micro += 1
-        cluster = settle(cluster, "growth loop")
+        cluster, rho = settle(cluster, rho, "growth loop")
         trace.append(cluster)
-        rho, at = stage_excesses(cluster)
+        at = stage_excesses(cluster, rho)
         if sum(at.values()) >= total_before:
             raise InternalCheckError("growth loop: total prescribed excess did not drop")
         check_interior_excess("growth loop", cluster, rho, at)
@@ -257,14 +290,6 @@ def _reattach(
     return WeightedCluster(skeleton, nu)
 
 
-def _fresh_tag(used_tags: set) -> str:
-    i = 0
-    while f"w{i}" in used_tags:
-        i += 1
-    used_tags.add(f"w{i}")
-    return f"w{i}"
-
-
 def verify(
     base: WeightedCluster,
     report: SingularityReport,
@@ -289,7 +314,8 @@ def verify(
             False, False, False, False, (), False, ("embedding",)
         )
 
-    consistent = is_consistent(candidate)
+    rho_candidate = excesses(candidate)
+    consistent = all(r >= 0 for r in rho_candidate)
     if not consistent:
         failures.append("consistency")
 
@@ -320,7 +346,7 @@ def verify(
             for t in csk.proximities[p]
         )
     localization = True
-    for d in dicritical_set(candidate):
+    for d in (p for p, r in enumerate(rho_candidate) if r > 0):
         tag = csk.tags[d]
         if tag in base_tags:
             if tag not in t_tags:
@@ -330,7 +356,6 @@ def verify(
     if not localization:
         failures.append("localization")
 
-    rho_candidate = excesses(candidate)
     off_excess_zero = all(
         rho_candidate[mapping[p]] == 0
         for p in sk.points
@@ -359,27 +384,39 @@ def verify(
 def _read_multiplicities(dicriticals, simple_values, v_candidate, mapping, alpha, sk):
     """Solve sum_q x_q * v_p(simple(q)) = v_p(candidate) over the dicriticals.
 
-    Exact rational elimination; the simple-cluster value matrix is
-    invertible, so the multiplicities are determined by the values alone.
+    Exact: fraction-free (Bareiss) elimination in integers, pivoting on the
+    first nonzero entry of each column, then fraction-free back substitution
+    for det * x_q, and one `Fraction` division per unknown.  The
+    simple-cluster value matrix is invertible, so the multiplicities are
+    determined by the values alone.
     """
     m = len(dicriticals)
     rows = [
-        [Fraction(simple_values[q][p]) for q in dicriticals]
-        + [Fraction(v_candidate[mapping[p]])]
+        [simple_values[q][p] for q in dicriticals] + [v_candidate[mapping[p]]]
         for p in dicriticals
     ]
+    # every entry below the pivot rows is a minor of the matrix, so each
+    # division by the previous pivot is exact; the last pivot is +-det
+    det = 1
     for col in range(m):
         pivot = next((r for r in range(col, m) if rows[r][col] != 0), None)
         if pivot is None:
             return (), False
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(m):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col] / rows[col][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+        top = rows[col]
+        for r in range(col + 1, m):
+            row = rows[r]
+            rows[r] = [(top[col] * a - row[col] * b) // det for a, b in zip(row, top)]
+        det = top[col]
+    # det * x is integral (Cramer), so every division here is exact too
+    scaled = [0] * m
+    for i in reversed(range(m)):
+        row = rows[i]
+        rest = sum(row[j] * scaled[j] for j in range(i + 1, m))
+        scaled[i] = (det * row[m] - rest) // row[i]
     solution = {}
     for i, q in enumerate(dicriticals):
-        x = rows[i][m] / rows[i][i]
+        x = Fraction(scaled[i], det)
         if x.denominator != 1:
             return (), False
         solution[q] = int(x)

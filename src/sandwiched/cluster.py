@@ -274,7 +274,33 @@ def extend_point(
         skeleton.proximities + (targets,),
         skeleton.tags + (tag,),
     )
+    _carry_caches(skeleton, extended, targets)
     return _inherit_verdict(skeleton, extended)
+
+
+def _carry_caches(source: ClusterSkeleton, extended: ClusterSkeleton, targets: frozenset) -> None:
+    """Give `extended` (`source` plus one point proximate to `targets`) an
+    updated copy of each proximity cache that `source` already holds.
+
+    The new point n is the largest index, so appending it keeps each
+    target's row of `proximate_to` ascending; nothing is proximate to n.
+    Caches that `source` does not hold are left to be computed on demand.
+    """
+    cached = source.__dict__
+    carried = extended.__dict__
+    n = len(source)
+    if "proximate_to" in cached:
+        rows = list(cached["proximate_to"])
+        for q in targets:
+            rows[q] += (n,)
+        rows.append(())
+        carried["proximate_to"] = tuple(rows)
+    if "tag_index" in cached:
+        carried["tag_index"] = {**cached["tag_index"], extended.tags[n]: n}
+    if "satellite_pairs" in cached:
+        pairs = cached["satellite_pairs"]
+        # the caller checked that a satellite's pair is not yet occupied
+        carried["satellite_pairs"] = {**pairs, targets: n} if len(targets) == 2 else pairs
 
 
 def _inherit_verdict(source: ClusterSkeleton, derived: ClusterSkeleton) -> ClusterSkeleton:
@@ -306,11 +332,15 @@ def restrict(
 ) -> tuple[ClusterSkeleton, tuple[int, ...]]:
     """Sub-skeleton on `keep` (which must be predecessor-closed).
 
-    Returns the restricted skeleton and the kept old indices in order.
+    Returns the restricted skeleton and the kept old indices in order;
+    keeping every point returns `skeleton` itself.
     """
     kept = tuple(sorted(set(keep)))
     if kept and not (0 <= kept[0] and kept[-1] < len(skeleton)):
         raise ClusterError("restriction keeps an index that is not a point of the cluster")
+    if len(kept) == len(skeleton):
+        # every point stays: the skeleton itself, with its verdict and caches
+        return skeleton, kept
     kept_set = set(kept)
     for old in kept:
         for q in skeleton.proximities[old]:

@@ -19,6 +19,7 @@ analyzer before it is returned.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .analyzer import FreeOn, analyze
@@ -193,6 +194,11 @@ def _rooted_code(neighbours, root, weights) -> str:
 # -- Graph file format -------------------------------------------------------------
 
 
+# the DSL's integer rule: ASCII digits only (`int` also takes other scripts'
+# digits and underscores), with an optional minus sign
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def parse_graph_spec(text: str) -> MinimalGraphSpec:
     """Parse the edge-list format: `weight NAME=n` lines declare vertices,
     `A B` lines declare edges, `#` starts a comment."""
@@ -203,16 +209,20 @@ def parse_graph_spec(text: str) -> MinimalGraphSpec:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("weight"):
-            rest = line[len("weight"):].strip()
+        words = line.split(None, 1)
+        if words[0] == "weight":
+            rest = words[1] if len(words) == 2 else ""
             if "=" not in rest:
                 raise ParseError("expected `weight NAME=n`", lineno, 1)
             name, _, value = rest.partition("=")
             name = name.strip()
+            value = value.strip()
+            if not _INTEGER.fullmatch(value):
+                raise ParseError(f"weight of {name!r} is not an integer", lineno, 1)
             try:
-                omega = int(value.strip())
-            except ValueError:
-                raise ParseError(f"weight of {name!r} is not an integer", lineno, 1) from None
+                omega = int(value)
+            except ValueError:  # longer than the interpreter's integer-string limit
+                raise ParseError(f"weight of {name!r} has too many digits", lineno, 1) from None
             if name in weights:
                 raise ParseError(f"weight of {name!r} declared twice", lineno, 1)
             vertices.append(name)

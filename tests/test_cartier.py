@@ -10,17 +10,34 @@ Core claims:
     - the builder's whole output (cluster, added points, trace, certificate)
       on the first 300 acceptance requests and the worked example matches a
       recorded digest byte for byte
+    - the excess updates the builder carries from stage to stage agree with
+      `excesses` recomputed: dropping zero points, appending a point of
+      multiplicity 1, re-attaching base points
+    - the integer readout agrees with exact rational Gauss-Jordan
+      elimination, singular and non-integral systems included
 """
 
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from sandwiched import ClusterError, FreeOn, Satellite, WeightedCluster, analyze, values
-from sandwiched.cartier import CartierRequest, build, verify
-from sandwiched.oracle import GeneratorConfig, _random_cluster
+from sandwiched import (
+    ClusterError,
+    FreeOn,
+    Satellite,
+    WeightedCluster,
+    analyze,
+    chain_skeleton,
+    drop_zero_points,
+    excesses,
+    values,
+)
+from sandwiched.cartier import CartierRequest, _reattach, _read_multiplicities, build, verify
+from sandwiched.cluster import extend_point, restrict
+from sandwiched.oracle import GeneratorConfig, _random_cluster, random_skeleton
 from sandwiched.analyzer import enumerate_singularities
 from sandwiched.synthesis import MinimalGraphSpec, synthesize
 
@@ -161,3 +178,130 @@ def test_golden_digest_of_builds(corpus, d1, d1_report):
         alpha = {p: rng.randint(1, 5) for p in instance.report.Kplus_Q}
         feed(build(CartierRequest(instance.cluster, instance.report, alpha)))
     assert h.hexdigest() == GOLDEN_DIGEST
+
+
+# -- what the builder carries between stages ------------------------------------
+
+
+def _weighted(rng, skeleton):
+    """`skeleton` with random multiplicities, a third of them zero."""
+    return WeightedCluster(
+        skeleton, tuple(rng.choice((0, 0, 1, 2, 3, -1)) for _ in skeleton.points)
+    )
+
+
+def test_dropping_zero_points_keeps_the_excesses_of_kept_points():
+    rng = random.Random(71)
+    dropped = 0
+    for _ in range(2000):
+        cluster = _weighted(rng, random_skeleton(rng, 10, 0.5))
+        rho = excesses(cluster)
+        result = drop_zero_points(cluster)
+        assert excesses(result.cluster) == tuple(rho[p] for p in result.kept)
+        dropped += bool(result.dropped)
+    assert dropped > 500
+
+
+def test_a_point_of_multiplicity_one_lowers_only_its_targets():
+    rng = random.Random(73)
+    for _ in range(2000):
+        cluster = _weighted(rng, random_skeleton(rng, 10, 0.5))
+        sk = cluster.skeleton
+        p = rng.choice(list(sk.points))
+        targets = rng.choice([(p,)] + [(p, q) for q in sk.proximities[p]])
+        try:
+            grown = extend_point(sk, targets)
+        except ClusterError:  # the satellite position is occupied
+            continue
+        expected = [r - (q in targets) for q, r in enumerate(excesses(cluster))] + [1]
+        assert excesses(WeightedCluster(grown, cluster.nu + (1,))) == tuple(expected)
+
+
+def test_reattached_points_have_excess_zero_and_move_no_other():
+    rng = random.Random(79)
+    rebuilt = 0
+    for _ in range(2000):
+        base = random_skeleton(rng, 10, 0.5).require_valid()
+        seeds = rng.sample(list(base.points), rng.randint(1, len(base)))
+        sk, _ = restrict(base, set().union(*(base.predecessors(q) for q in seeds)))
+        for _ in range(rng.randint(0, 3)):
+            p = rng.choice(list(sk.points))
+            try:
+                sk = extend_point(sk, rng.choice([(p,)] + [(p, q) for q in sk.proximities[p]]))
+            except ClusterError:
+                pass
+        cluster = _weighted(rng, sk)
+        try:
+            grown = _reattach(cluster, base, rng.sample(list(base.points), min(3, len(base))))
+        except ClusterError:  # a base satellite's position is taken by an added one
+            continue
+        before = dict(zip(sk.tags, excesses(cluster)))
+        after = dict(zip(grown.skeleton.tags, excesses(grown)))
+        assert after == {tag: before.get(tag, 0) for tag in grown.skeleton.tags}
+        rebuilt += grown is not cluster
+    assert rebuilt > 500
+
+
+# -- the readout ---------------------------------------------------------------
+
+
+def _read_by_gauss_jordan(dicriticals, simple_values, v_candidate, mapping, alpha, sk):
+    """The rational Gauss-Jordan readout that the integer elimination replaced."""
+    m = len(dicriticals)
+    rows = [
+        [Fraction(simple_values[q][p]) for q in dicriticals]
+        + [Fraction(v_candidate[mapping[p]])]
+        for p in dicriticals
+    ]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if rows[r][col] != 0), None)
+        if pivot is None:
+            return (), False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(m):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    solution = {}
+    for i, q in enumerate(dicriticals):
+        x = rows[i][m] / rows[i][i]
+        if x.denominator != 1:
+            return (), False
+        solution[q] = int(x)
+    readout = tuple((sk.tags[q], solution[q]) for q in dicriticals)
+    matches = all(solution[q] == alpha.get(q, 0) for q in dicriticals)
+    return readout, matches
+
+
+def test_integer_readout_matches_rational_gauss_jordan():
+    rng = random.Random(83)
+    outcomes = {"singular": 0, "unsolved": 0, "mismatch": 0, "match": 0}
+    for _ in range(6000):
+        m = rng.randint(1, 6)
+        A = [[rng.choice((0, 0, 1, 2, 3, -1, -2, 7)) for _ in range(m)] for _ in range(m)]
+        singular = m > 1 and rng.random() < 0.2
+        if singular:  # one row a multiple of another
+            i, j = rng.sample(range(m), 2)
+            k = rng.randint(-2, 2)
+            A[i] = [k * a for a in A[j]]
+        x = [rng.randint(-5, 9) for _ in range(m)]
+        if rng.random() < 0.5:  # an integral solution, or a random right side
+            b = [sum(a * xi for a, xi in zip(row, x)) for row in A]
+        else:
+            b = [rng.randint(-20, 40) for _ in range(m)]
+        alpha = {q: x[q] + (rng.random() < 0.2) for q in range(m)}
+        args = (
+            list(range(m)),
+            {q: [A[p][q] for p in range(m)] for q in range(m)},
+            b,
+            list(range(m)),
+            alpha,
+            chain_skeleton(m),
+        )
+        readout, matches = _read_multiplicities(*args)
+        assert (readout, matches) == _read_by_gauss_jordan(*args)
+        assert not (singular and readout)
+        if not singular:  # unsolved: non-integral, or singular by chance
+            outcomes["match" if matches else "mismatch" if readout else "unsolved"] += 1
+        outcomes["singular"] += singular
+    assert min(outcomes.values()) > 500, outcomes

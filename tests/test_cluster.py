@@ -5,6 +5,8 @@ Core claims:
     - a skeleton is validated once; extend_point and non-empty restrictions
       of a valid skeleton inherit its verdict soundly, and a broken skeleton
       raises in every operation that checks it
+    - extend_point carries the proximity caches its source holds, equal to
+      a fresh rebuild, and restricting to every point is the identity
     - proximity matrices transcribe the structure and invert integrally
     - the dual graph is a tree obeying the intersection edge rule
     - chains are unique tree paths; the open variant drops endpoints
@@ -189,6 +191,43 @@ def test_unknown_or_empty_verdict_is_not_passed_on(monkeypatch):
     extend_point(unchecked, (2,)).require_valid()
     restrict(unchecked, {0, 1})[0].require_valid()
     assert len(calls) == 2
+
+
+CACHES = ("proximate_to", "tag_index", "satellite_pairs")
+
+
+def test_extend_point_carries_the_caches_its_source_holds():
+    # a carried cache equals the one a cache-free copy computes, and a cache
+    # the source does not hold is not carried
+    rng = random.Random(53)
+    extended = {1: 0, 2: 0}
+    for _ in range(2000):
+        sk = random_skeleton(rng, 10, 0.5).require_valid()
+        for name in rng.sample(CACHES, rng.randint(0, len(CACHES))):
+            getattr(sk, name)
+        p = rng.choice(list(sk.points))
+        for targets in [(p,)] + [(p, q) for q in sk.proximities[p]]:
+            try:
+                ext = extend_point(sk, targets, rng.choice((None, "fresh")))
+            except ClusterError:  # the satellite position is occupied
+                continue
+            fresh = ClusterSkeleton(ext.parents, ext.proximities, ext.tags)
+            for name in CACHES:
+                assert (name in ext.__dict__) == (name in sk.__dict__)
+                if name in ext.__dict__:
+                    assert getattr(ext, name) == getattr(fresh, name)
+            extended[len(targets)] += 1
+    assert min(extended.values()) > 1000
+
+
+def test_restrict_keeping_every_point_returns_the_skeleton():
+    rng = random.Random(59)
+    for _ in range(2000):
+        sk = random_skeleton(rng, 10, 0.5).require_valid()
+        keep = list(sk.points)
+        rng.shuffle(keep)
+        sub, kept = restrict(sk, keep)
+        assert sub is sk and kept == tuple(sk.points)
 
 
 def test_restrict_rejects_indices_outside_the_cluster():

@@ -5,6 +5,8 @@ Core claims:
       only ParseError or ClusterError
     - text that parses is a fixed point of serialize -> parse -> serialize,
       byte for byte, in both formats
+    - a well-formed graph document parses, also when a vertex name begins
+      with `weight`, and both formats read a weight by one integer rule
 
 Documents are drawn well-formed and then edited by a few random insertions
 and deletions, so that both the accepting and the rejecting paths are hit.
@@ -24,13 +26,17 @@ DSL_CRASHERS = (
     "cluster d1 { O }\nweights d1 { O=" + "1" * 5000 + " }\n",
 )
 GRAPH_CRASHERS = ("weight a=²\n", "weight a=" + "1" * 5000 + "\n")
+# weight spellings that `int` reads (as 3 and 10) but the DSL rejects
+GRAPH_NON_ASCII_WEIGHTS = ("٣", "1_0")
+# an edge whose first endpoint is named like a declaration
+GRAPH_EDGE_FROM_WEIGHTS = "weight weights=2\nweight a=2\nweights a\n"
 
 NAMES = st.sampled_from(
     ["O", "p1", "q", "_x", "w2", "cluster", "weights", "weight", "ß", "d٣"]
 )
-# a line that starts with `weight` declares a vertex, so no edge can start
-# with a name like `weights`
-GRAPH_NAMES = st.sampled_from(["O", "p1", "q", "_x", "a-b", "cluster", "ß", "d٣"])
+# a line whose first word is `weight` declares a vertex, so no vertex can be
+# named `weight`
+GRAPH_NAMES = st.sampled_from(["O", "p1", "q", "_x", "a-b", "cluster", "weights", "ß", "d٣"])
 SEPARATORS = st.sampled_from([" ", "  ", "\n", " # note\n", "\t"])
 
 
@@ -73,10 +79,11 @@ def dsl_documents(draw):
 
 
 @st.composite
-def graph_documents(draw):
-    """Weight lines and the edges of a random tree, in shuffled order."""
+def graph_documents(draw, min_weight=2):
+    """Weight lines and the edges of a random tree, in shuffled order; with
+    `min_weight` 6 every weight is at least every degree, so it is valid."""
     names = draw(st.lists(GRAPH_NAMES, min_size=1, max_size=6, unique=True))
-    lines = [f"weight {v}={draw(st.integers(2, 6))}" for v in names]
+    lines = [f"weight {v}={draw(st.integers(min_weight, 6))}" for v in names]
     for i in range(1, len(names)):
         u, v = names[draw(st.integers(0, i - 1))], names[i]
         lines.append(f"{u} {v}" if draw(st.booleans()) else f"{v} {u}")
@@ -136,3 +143,24 @@ def test_parsed_graph_is_a_serialization_fixed_point(text):
         first = serialize_graph_spec(spec)
         assert parse_graph_spec(first) == spec
         assert serialize_graph_spec(parse_graph_spec(first)) == first
+
+
+@PROPERTY
+@given(graph_documents(min_weight=6))
+@example(GRAPH_EDGE_FROM_WEIGHTS)
+def test_valid_graph_documents_parse(text):
+    assert parse_graph_spec(text).require_valid()
+
+
+@PROPERTY
+@given(st.text(alphabet="0123456789-+_ ²٣", max_size=6))
+@example(GRAPH_NON_ASCII_WEIGHTS[0])
+@example(GRAPH_NON_ASCII_WEIGHTS[1])
+def test_graph_weights_read_like_dsl_weights(token):
+    # one integer rule in both formats; a graph weight must also be >= 2
+    graph = parsed_or_none(parse_graph_spec, f"weight a={token}\n")
+    dsl = parsed_or_none(parse, f"cluster d {{ a }}\nweights d {{ a={token} }}\n")
+    if dsl is None or dsl["d"].nu[0] < 2:
+        assert graph is None
+    else:
+        assert graph.weights == dsl["d"].nu

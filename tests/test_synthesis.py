@@ -9,7 +9,8 @@ Core claims:
       reports a minimal singularity
     - graph specs reject non-trees, low weights, and weight < degree
     - `synthesize` validates its spec once
-    - the edge-list file format round-trips
+    - the edge-list file format round-trips; a weight is ASCII digits, and
+      only a first word `weight` declares one
     - tree isomorphism and synthesis handle paths far deeper than the
       interpreter's recursion limit
 """
@@ -18,7 +19,7 @@ import random
 
 import pytest
 
-from sandwiched import ClusterError, analyze, count_contracted_branches, synthesize
+from sandwiched import ClusterError, ParseError, analyze, count_contracted_branches, synthesize
 from sandwiched.oracle import random_minimal_graph_spec
 from sandwiched.synthesis import (
     MinimalGraphSpec,
@@ -97,6 +98,17 @@ def test_graph_file_errors_carry_position():
     with pytest.raises(ClusterError) as err:
         parse_graph_spec("weight a\n")
     assert "line 1" in str(err.value)
+
+
+@pytest.mark.parametrize("digits", ["٣", "1_0"])  # int() reads them as 3 and 10
+def test_graph_weights_take_ascii_digits_only(digits):
+    with pytest.raises(ParseError, match="not an integer"):
+        parse_graph_spec(f"weight a={digits}\n")
+
+
+def test_only_a_whole_first_word_declares_a_weight():
+    spec = parse_graph_spec("weight weights=2\nweight a=2\nweights a\n")
+    assert spec.edges == (("weights", "a"),)
 
 
 def test_tree_isomorphism_helper():
