@@ -95,16 +95,14 @@ def _require_base_cluster(cluster: WeightedCluster) -> tuple[int, ...]:
     return rho
 
 
-def extend(
-    cluster: WeightedCluster, w: BoundaryPoint, tag: Optional[str] = None
-) -> WeightedCluster:
+def extend(cluster: WeightedCluster, w: BoundaryPoint) -> WeightedCluster:
     """The codimension-one cluster K_w: K plus the point w with multiplicity 1."""
     _require_base_cluster(cluster)
-    return _extend(cluster, w, tag, None)
+    return _extend(cluster, w, None)
 
 
 def _extend(
-    cluster: WeightedCluster, w: BoundaryPoint, tag: Optional[str], graph: Optional[DualGraph]
+    cluster: WeightedCluster, w: BoundaryPoint, graph: Optional[DualGraph]
 ) -> WeightedCluster:
     """`extend` on a checked base cluster; `graph`, if given, is its dual graph."""
     sk = cluster.skeleton
@@ -121,7 +119,7 @@ def _extend(
         targets = (w.p, w.q)
     else:
         raise ClusterError(f"not a boundary point spec: {w!r}")
-    extended = extend_point(sk, targets, tag)
+    extended = extend_point(sk, targets)
     return WeightedCluster(extended, cluster.nu + (1,))
 
 
@@ -141,7 +139,7 @@ def _analyze(
     sk = cluster.skeleton
     if graph is None and isinstance(w, Satellite):
         graph = dual_graph(sk)
-    k_w = _extend(cluster, w, None, graph)
+    k_w = _extend(cluster, w, graph)
     if is_consistent(k_w):
         return SingularityReport(w=w, smooth=True)
 

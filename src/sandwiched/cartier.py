@@ -19,14 +19,16 @@ no stage re-sorts, and every tag names the same point throughout.
 
 Each stage carries forward what it does not change.  The skeleton of an
 appended point keeps the proximity lists, tag index and satellite pairs of
-the previous one, updated for the new point (`cluster.extend_point`); a
-stage that drops no point keeps its skeleton object (`cluster.restrict`).
-The builder carries the stage's excess vector: appending a point of
+the previous one, updated for the new point (`cluster.extend_point`).  The
+builder carries the stage's excess vector: appending a point of
 multiplicity 1 lowers the excess of each of its targets by 1 and gives the
-point excess 1; dropping zero points keeps the excesses of the kept points;
-re-attaching base points at multiplicity 0 gives them excess 0 and moves no
-other.  The vector is recomputed from scratch only after an unloading, which
-runs only when some carried excess is negative.
+point excess 1.  Only an unloading makes a multiplicity zero.  The start
+has positive multiplicities, and every stage is predecessor-closed, so a
+base point comes back only when the new point's target is missing; it is
+re-attached at multiplicity 0 with its missing predecessors, the target's
+excess drops to -1 and an unloading follows.  So zero points are dropped,
+and the excesses recomputed, only after an unloading, which runs only when
+some carried excess is negative.
 
 A result is never trusted on construction: `verify` re-checks it from
 scratch (value identities, localization of the dicritical points, vanishing
@@ -143,31 +145,35 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
     rho = list(excesses(cluster))
     trace = [cluster]
 
-    def reattach(cluster: WeightedCluster, rho: list, points):
-        """`_reattach`, with the excesses read across by tag: a re-attached
-        point has multiplicity 0 and nothing of positive multiplicity is
-        proximate to it, so its excess is 0 and no other excess moves."""
-        grown = _reattach(cluster, sk, points)
-        if grown is cluster:
-            return cluster, rho
-        index = cluster.skeleton.tag_index
-        return grown, [rho[index[t]] if t in index else 0 for t in grown.skeleton.tags]
-
-    def add_point(cluster: WeightedCluster, rho: list, targets):
-        """Append a fresh point of multiplicity 1; its parent is the later
-        target.  The excess drops by 1 at each target and is 1 at the point."""
-        skeleton = extend_point(cluster.skeleton, targets, next(fresh_tags))
-        rho = rho.copy()
+    def stage(
+        cluster: WeightedCluster, rho: list, anchor: int, dicritical: Optional[int], label: str
+    ):
+        """Re-attach the base point `anchor` and append a point of
+        multiplicity 1: free over the anchor, or the next satellite of
+        `dicritical` on the chain toward it.  The excess drops by 1 at each
+        target and is 1 at the point.  If an excess is negative, unload
+        (never at an original dicritical) and drop the zero points.
+        Returns the stage, its excesses and the excess at each prescribed
+        dicritical present (an absent one has excess 0)."""
+        nonlocal micro
+        grown = _reattach(cluster, sk, (anchor,))
+        if grown is not cluster:
+            cluster, rho = grown, list(excesses(grown))
+        cur = cluster.skeleton
+        targets = (cur.index_of(sk.tags[anchor]),)
+        if dicritical is not None:
+            p_index = cur.index_of(sk.tags[dicritical])
+            partner = targets[0]
+            while frozenset((p_index, partner)) in cur.satellite_pairs:
+                partner = cur.satellite_pairs[frozenset((p_index, partner))]
+            targets = (partner, p_index)
+        cluster = WeightedCluster(
+            extend_point(cur, targets, next(fresh_tags)), cluster.nu + (1,)
+        )
         for q in set(targets):
             rho[q] -= 1
         rho.append(1)
-        return WeightedCluster(skeleton, cluster.nu + (1,)), rho
-
-    def settle(cluster: WeightedCluster, rho: list, label: str):
-        """Unload if some excess is negative, forbid unloading at original
-        dicriticals, drop zeros.  Dropped points have multiplicity 0, so the
-        kept points keep their excesses."""
-        nonlocal micro
+        micro += 1
         if min(rho) < 0:
             result = unload(cluster)
             micro += len(result.steps)
@@ -176,22 +182,15 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
                     raise InternalCheckError(
                         f"{label}: unloading touched a dicritical point of the base cluster"
                     )
-            cluster = result.cluster
+            cluster = drop_zero_points(result.cluster).cluster
             rho = list(excesses(cluster))
-        dropped = drop_zero_points(cluster)
-        if dropped.dropped:
-            rho = [rho[p] for p in dropped.kept]
         if micro > cap:
             raise CapExceededError(
                 f"builder exceeded the {cap}-step safety cap", trace=tuple(trace)
             )
-        return dropped.cluster, rho
-
-    def stage_excesses(cluster: WeightedCluster, rho: list) -> dict:
-        """The excess at each prescribed dicritical present in the cluster
-        (an absent one has excess 0)."""
         index = cluster.skeleton.tag_index
-        return {p: rho[index[sk.tags[p]]] for p in dicriticals if sk.tags[p] in index}
+        at = {p: rho[index[sk.tags[p]]] for p in dicriticals if sk.tags[p] in index}
+        return cluster, rho, at
 
     def check_interior_excess(label: str, cluster: WeightedCluster, rho: list, at: dict):
         """Between any two prescribed dicriticals some interior chain point
@@ -209,13 +208,9 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
                         f"{cur.tags[a]} and {cur.tags[b]}"
                     )
 
-    # first stage: one free point over the seed, unload, discard zeros
-    cluster, rho = reattach(cluster, rho, (seed_point,))
-    cluster, rho = add_point(cluster, rho, (cluster.skeleton.index_of(sk.tags[seed_point]),))
-    micro += 1
-    cluster, rho = settle(cluster, rho, "first stage")
+    # first stage: one free point over the seed
+    cluster, rho, at = stage(cluster, rho, seed_point, None, "first stage")
     trace.append(cluster)
-    at = stage_excesses(cluster, rho)
     for p in dicriticals:
         got = at.get(p, 0)
         if got != alpha[p] - 1:
@@ -231,17 +226,8 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
             break
         total_before = sum(at.values())
         p_r = pending[0]
-        cluster, rho = reattach(cluster, rho, (neighbor[p_r],))
-        cur = cluster.skeleton
-        p_index = cur.index_of(sk.tags[p_r])
-        partner = cur.index_of(sk.tags[neighbor[p_r]])
-        while frozenset((p_index, partner)) in cur.satellite_pairs:
-            partner = cur.satellite_pairs[frozenset((p_index, partner))]
-        cluster, rho = add_point(cluster, rho, (partner, p_index))
-        micro += 1
-        cluster, rho = settle(cluster, rho, "growth loop")
+        cluster, rho, at = stage(cluster, rho, neighbor[p_r], p_r, "growth loop")
         trace.append(cluster)
-        at = stage_excesses(cluster, rho)
         if sum(at.values()) >= total_before:
             raise InternalCheckError("growth loop: total prescribed excess did not drop")
         check_interior_excess("growth loop", cluster, rho, at)
@@ -266,13 +252,15 @@ def _reattach(
 ) -> WeightedCluster:
     """Re-attach base `points` and their predecessors at multiplicity 0.
 
-    The skeleton is rebuilt only when one of them is missing: the base points
-    present, in base order, then the added points in their current order.
+    Every stage is predecessor-closed, so a stage holding the points holds
+    their predecessors and is returned as it is.  Otherwise the skeleton is
+    rebuilt: the base points present, in base order, then the added points
+    in their current order.
     """
     cur = cluster.skeleton
-    needed = set().union(*(base.predecessors(p) for p in points))
-    if all(base.tags[q] in cur.tag_index for q in needed):
+    if all(base.tags[p] in cur.tag_index for p in points):
         return cluster
+    needed = set().union(*(base.predecessors(p) for p in points))
     needed.update(base.tag_index[t] for t in cur.tags if t in base.tag_index)
     order = [base.tags[q] for q in sorted(needed)]
     order += [t for t in cur.tags if t not in base.tag_index]

@@ -25,7 +25,7 @@ from .analyzer import (
 )
 from .cartier import CartierRequest, build
 from .cluster import validate
-from .errors import CapExceededError, ClusterError, InternalCheckError, ParseError
+from .errors import CapExceededError, ClusterError, InternalCheckError
 from .synthesis import parse_graph_spec, synthesize
 from .weighted import unload
 
@@ -40,9 +40,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ClusterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -233,12 +233,12 @@ class SkeletonBuilder:
         return skeleton.require_valid()
 
 
-def chain_skeleton(length: int, tags: Optional[Sequence[str]] = None) -> ClusterSkeleton:
+def chain_skeleton(length: int) -> ClusterSkeleton:
     """Origin followed by `length - 1` free points, each over the previous."""
     b = SkeletonBuilder()
-    prev = b.origin(tags[0] if tags else "O")
-    for i in range(1, length):
-        prev = b.free(prev, tags[i] if tags else None)
+    prev = b.origin()
+    for _ in range(1, length):
+        prev = b.free(prev)
     return b.build()
 
 

@@ -34,7 +34,6 @@ class _Token:
     column: int
 
 
-_SYMBOLS = ("->", "{", "}", ";", ",", "=")
 _DIGITS = "0123456789"  # str.isdigit() also accepts superscripts and other scripts
 
 

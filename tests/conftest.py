@@ -8,6 +8,7 @@ exercised on both sides.
 
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
@@ -40,15 +41,16 @@ def make_d1() -> WeightedCluster:
     return WeightedCluster(b.build(), (1, 1, 1))
 
 
-def make_dr(r: int) -> WeightedCluster:
+def make_dr(r: int, s: Optional[int] = None) -> WeightedCluster:
     """Origin, r points all proximate to it in a satellite chain, then a free
-    chain of r points; weighted as the simple cluster of the last point."""
+    chain of s points (r by default); weighted as the simple cluster of the
+    last point."""
     b = SkeletonBuilder()
     o = b.origin()
     prev = b.free(o, "p1")
     for i in range(2, r + 1):
         prev = b.satellite(prev, o, f"p{i}")
-    for i in range(1, r + 1):
+    for i in range(1, (r if s is None else s) + 1):
         prev = b.free(prev, f"q{i}")
     skeleton = b.build()
     return simple_cluster(skeleton, len(skeleton) - 1)

@@ -227,3 +227,21 @@ def test_criterion_9_fundamental_cycle_from_the_graph_alone(corpus):
     elapsed = time.monotonic() - start
     print(f"\nACCEPTANCE 9 PASS: Laufer cycle and Artin multiplicity on "
           f"{len(corpus)} instances in {elapsed:.2f}s")
+
+
+def test_criterion_9_on_non_reduced_cycles_of_make_dr():
+    """The corpus holds few non-minimal singularities; the make_dr(r, s)
+    family, with a satellite chain of r points and a free chain of s, gives
+    the graph-only route many non-reduced fundamental cycles."""
+    reports = non_minimal = 0
+    for r in range(1, 16):
+        for s in range(16):
+            for report in enumerate_singularities(make_dr(r, s)):
+                z = laufer_cycle(report.resolution_graph)
+                assert z == {p: report.z[p] for p in report.T_Q}, (r, s)
+                assert graph_multiplicity(report.resolution_graph) == report.mult
+                reports += 1
+                non_minimal += not report.minimal
+    assert non_minimal >= 190, (reports, non_minimal)
+    print(f"\nACCEPTANCE 9 PASS: make_dr(r, s), r=1..15, s=0..15: {reports} "
+          f"singularities, {non_minimal} non-minimal")

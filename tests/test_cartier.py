@@ -13,6 +13,9 @@ Core claims:
     - the excess updates the builder carries from stage to stage agree with
       `excesses` recomputed: dropping zero points, appending a point of
       multiplicity 1, re-attaching base points
+    - only an unloading makes a multiplicity zero, so every stage but the
+      last has positive multiplicities; re-attaching rebuilds a stage exactly
+      when a requested base point is missing
     - the integer readout agrees with exact rational Gauss-Jordan
       elimination, singular and non-integral systems included
 """
@@ -126,6 +129,9 @@ def test_random_requests_always_certify():
             alpha = {p: rng.randint(1, 4) for p in report.Kplus_Q}
             result = build(CartierRequest(K, report, alpha))
             assert result.certificate.passed, result.certificate.failures
+            # only an unloading makes a multiplicity zero, and it drops them;
+            # the last entry re-attaches every base point
+            assert all(min(stage.nu) > 0 for stage in result.trace[:-1])
             built += 1
 
 
@@ -231,10 +237,13 @@ def test_reattached_points_have_excess_zero_and_move_no_other():
             except ClusterError:
                 pass
         cluster = _weighted(rng, sk)
+        points = rng.sample(list(base.points), min(3, len(base)))
         try:
-            grown = _reattach(cluster, base, rng.sample(list(base.points), min(3, len(base))))
+            grown = _reattach(cluster, base, points)
         except ClusterError:  # a base satellite's position is taken by an added one
             continue
+        present = all(base.tags[p] in sk.tag_index for p in points)
+        assert (grown is cluster) == present
         before = dict(zip(sk.tags, excesses(cluster)))
         after = dict(zip(grown.skeleton.tags, excesses(grown)))
         assert after == {tag: before.get(tag, 0) for tag in grown.skeleton.tags}

@@ -365,7 +365,9 @@ def test_linear_combination_adds_excesses():
 
 def test_linear_combination_rejects_foreign_skeletons():
     a = WeightedCluster(chain_skeleton(3), (1, 1, 1))
-    b = WeightedCluster(chain_skeleton(2, tags=("X", "Y")), (1, 1))
+    builder = SkeletonBuilder()
+    builder.free(builder.origin("X"), "Y")
+    b = WeightedCluster(builder.build(), (1, 1))
     with pytest.raises(ClusterError):
         linear_combination([(a, 1), (b, 1)])
 
