@@ -4,6 +4,12 @@ Two series, alpha 25, 50, 100, 200 and 400 on every component through Q:
 `cartier.build` on d1 (origin, p1, q1) at Satellite(0, 1), and on the one
 singularity of make_dr(5).  The builder adds about alpha points, one stage
 each, so the growth exponent in alpha is the cost of a stage plus one.
+Both have one component through Q, so they never run the interior-excess
+check between prescribed dicriticals; a third series, alpha 5, 10, 25 and
+50, builds on the synthesized minimal singularity of
+random_minimal_graph_spec(Random(5), 6, 5): 13 points and 8 components
+through Q, about 8 alpha added points.
+
 Kept outside `tests/` so the test suite does not pay for it.  From the root
 of a checkout:
 
@@ -15,6 +21,7 @@ and after the same run against the parent's source tree,
     PYTHONPATH=src python benchmarks/bench_unload.py parent.json change.json > BENCH_N.json
 """
 
+import random
 import sys
 from pathlib import Path
 
@@ -26,8 +33,11 @@ from conftest import make_d1, make_dr  # noqa: E402
 
 from sandwiched import Satellite, analyze, enumerate_singularities  # noqa: E402
 from sandwiched.cartier import CartierRequest, build  # noqa: E402
+from sandwiched.oracle import random_minimal_graph_spec  # noqa: E402
+from sandwiched.synthesis import synthesize  # noqa: E402
 
 ALPHAS = (25, 50, 100, 200, 400)
+MANY_COMPONENT_ALPHAS = (5, 10, 25, 50)
 
 
 def run_ladder(benchmark, K, report, alpha):
@@ -48,4 +58,12 @@ def test_build_d1(benchmark, alpha):
 def test_build_make_dr(benchmark, alpha):
     K = make_dr(5)
     (report,) = enumerate_singularities(K)
+    run_ladder(benchmark, K, report, alpha)
+
+
+@pytest.mark.parametrize("alpha", MANY_COMPONENT_ALPHAS)
+def test_build_many_components(benchmark, alpha):
+    K, w = synthesize(random_minimal_graph_spec(random.Random(5), 6, 5))
+    report = analyze(K, w)
+    assert (len(K.skeleton), len(report.Kplus_Q)) == (13, 8)
     run_ladder(benchmark, K, report, alpha)

@@ -16,6 +16,10 @@ Core claims:
     - only an unloading makes a multiplicity zero, so every stage but the
       last has positive multiplicities; re-attaching rebuilds a stage exactly
       when a requested base point is missing
+    - the dual graph the builder carries equals a fresh one at every stage
+      it is checked, and the interior-excess check, one search per
+      dicritical, agrees with one chain per pair of dicriticals, message
+      for message
     - the integer readout agrees with exact rational Gauss-Jordan
       elimination, singular and non-integral systems included
 """
@@ -38,8 +42,17 @@ from sandwiched import (
     excesses,
     values,
 )
-from sandwiched.cartier import CartierRequest, _reattach, _read_multiplicities, build, verify
-from sandwiched.cluster import extend_point, restrict
+from sandwiched import cartier
+from sandwiched.cartier import (
+    CartierRequest,
+    _reattach,
+    _read_multiplicities,
+    build,
+    check_interior_excess,
+    verify,
+)
+from sandwiched.cluster import dual_graph, extend_point, restrict
+from sandwiched.errors import InternalCheckError
 from sandwiched.oracle import GeneratorConfig, _random_cluster, random_skeleton
 from sandwiched.analyzer import enumerate_singularities
 from sandwiched.synthesis import MinimalGraphSpec, synthesize
@@ -249,6 +262,93 @@ def test_reattached_points_have_excess_zero_and_move_no_other():
         assert after == {tag: before.get(tag, 0) for tag in grown.skeleton.tags}
         rebuilt += grown is not cluster
     assert rebuilt > 500
+
+
+# -- the interior-excess check --------------------------------------------------
+
+
+def _interior_excess_by_pairs(label, skeleton, rho, tags):
+    """The check that one search per dicritical replaced: a fresh dual graph
+    and one open chain per pair of prescribed dicriticals."""
+    if len(tags) < 2:
+        return
+    graph = dual_graph(skeleton)
+    present = [skeleton.tag_index[t] for t in tags]
+    for i, a in enumerate(present):
+        for b in present[i + 1 :]:
+            if not any(rho[u] > 0 for u in graph.open_chain(a, b)):
+                raise InternalCheckError(
+                    f"{label}: no positive excess between "
+                    f"{skeleton.tags[a]} and {skeleton.tags[b]}"
+                )
+
+
+def _failure(check, *args):
+    try:
+        check(*args)
+    except InternalCheckError as error:
+        return str(error)
+    return None
+
+
+def _checked_stages(monkeypatch, corpus):
+    """Every stage the builder checks on the multi-component corpus requests,
+    and whether it carried the stage's dual graph, asserting that a carried
+    graph is the stage's."""
+    stages = []
+
+    def recording(label, skeleton, graph, rho, tags):
+        if graph is not None:
+            fresh = dual_graph(skeleton)
+            assert graph == fresh and graph.adjacency == fresh.adjacency
+        stages.append((label, skeleton, list(rho), tags, graph is not None))
+        return check_interior_excess(label, skeleton, graph, rho, tags)
+
+    monkeypatch.setattr(cartier, "check_interior_excess", recording)
+    rng = random.Random(89)
+    requests = [i for i in corpus if len(i.report.Kplus_Q) > 1][:40]
+    for instance in requests:
+        alpha = {p: rng.randint(1, 8) for p in instance.report.Kplus_Q}
+        build(CartierRequest(instance.cluster, instance.report, alpha))
+    return stages
+
+
+def test_interior_excess_search_agrees_with_the_pairwise_chains(monkeypatch, corpus):
+    stages = _checked_stages(monkeypatch, corpus)
+    rng = random.Random(97)
+    outcomes = {"passed": 0, "failed": 0, "carried": 0}
+    for label, skeleton, rho, tags, carried in stages:
+        outcomes["carried"] += carried
+        # the stage's own excesses, then some positive ones set to zero
+        for trial in range(3):
+            if trial:
+                rho = [0 if r > 0 and rng.random() < 0.5 else r for r in rho]
+            expected = _failure(_interior_excess_by_pairs, label, skeleton, rho, tags)
+            assert _failure(check_interior_excess, label, skeleton, None, rho, tags) == expected
+            if len(tags) > 1:
+                outcomes["failed" if expected else "passed"] += 1
+        graph = check_interior_excess(label, skeleton, None, [1] * len(skeleton), tags)
+        assert (graph is None) == (len(tags) < 2)
+        assert graph is None or graph == dual_graph(skeleton)
+    assert min(outcomes.values()) > 500, outcomes
+
+
+def test_zero_excess_on_a_chain_interior_is_reported(monkeypatch, corpus):
+    stages = _checked_stages(monkeypatch, corpus)
+    reported = 0
+    for label, skeleton, rho, tags, _ in stages:
+        if len(tags) < 2:
+            continue
+        a, b = (skeleton.tag_index[t] for t in tags[:2])
+        graph = dual_graph(skeleton)
+        interior = graph.open_chain(a, b)
+        rho = [0 if u in interior else r for u, r in enumerate(rho)]
+        message = f"{label}: no positive excess between {tags[0]} and {tags[1]}"
+        with pytest.raises(InternalCheckError) as raised:
+            check_interior_excess(label, skeleton, graph, rho, tags)
+        assert str(raised.value) == message
+        reported += bool(interior)
+    assert reported > 500
 
 
 # -- the readout ---------------------------------------------------------------
