@@ -15,8 +15,10 @@ Run it once more against the source tree of the parent commit, then
 merges the two runs: median time per size on each side, the speed-up, and
 the growth exponent of each side (the least-squares slope of log time
 against log points).  It merges runs of any file in `benchmarks/`; a
-benchmark that records `calls` in its extra info is reported per call, and
-one that records `alpha` instead of `points` is laid out by alpha.
+benchmark that records `calls` in its extra info is reported per call, one
+that records `alpha` instead of `points` is laid out by alpha, and one that
+records `calibrated_median_s` is reported by that median rather than the
+raw one.
 """
 
 import json
@@ -74,7 +76,8 @@ def merge(parent: dict, change: dict) -> dict:
             info = bench["extra_info"]
             size_of[series] = next(key for key in SIZE_KEYS if key in info)
             points = info[size_of[series]]
-            out.setdefault(series, {})[points] = bench["stats"]["median"] / info.get("calls", 1)
+            median = info.get("calibrated_median_s", bench["stats"]["median"])
+            out.setdefault(series, {})[points] = median / info.get("calls", 1)
             for key in COUNTS:
                 if key in info:
                     counts.setdefault(series, {}).setdefault(key, {})[points] = info[key]

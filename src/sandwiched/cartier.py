@@ -23,16 +23,19 @@ the previous one, updated for the new point (`cluster.extend_point`).  The
 builder carries the stage's excess vector: appending a point of
 multiplicity 1 lowers the excess of each of its targets by 1 and gives the
 point excess 1.  From the first stage with two prescribed dicriticals on,
-it also carries the stage's dual graph, which the new point changes only
-locally (`cluster.extend_dual_graph`); an unloading, which renumbers the
-points, or a rebuild drops it until the interior-excess check needs it
+it also carries the adjacency rows of the stage's dual graph, all that the
+interior-excess check reads of it; the new point changes only its
+targets' rows (`cluster.extend_adjacency`), and an unloading, which
+renumbers the points, or a rebuild drops them until the check needs them
 again.  Only an unloading makes a multiplicity zero.  The start has
 positive multiplicities, and every stage is predecessor-closed, so a base
 point comes back only when the new point's target is missing; it is
 re-attached at multiplicity 0 with its missing predecessors, the target's
 excess drops to -1 and an unloading follows.  So zero points are dropped,
 and the excesses recomputed, only after an unloading, which runs only when
-some carried excess is negative.
+some carried excess is negative.  A re-attachment restricts the base and
+appends the added points again, so it inherits the base's verdict: no stage
+runs `validate`.
 
 A result is never trusted on construction: `verify` re-checks it from
 scratch (value identities, localization of the dicritical points, vanishing
@@ -43,20 +46,11 @@ intersection multiplicities).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 from typing import Optional
 
 from .analyzer import SingularityReport, contracted_neighbor
-from .cluster import (
-    ClusterSkeleton,
-    DualGraph,
-    bfs,
-    dual_graph,
-    extend_dual_graph,
-    extend_point,
-    restrict,
-)
+from .cluster import ClusterSkeleton, bfs, dual_graph, extend_adjacency, extend_point, restrict
 from .errors import CapExceededError, ClusterError, InternalCheckError
 from .weighted import (
     WeightedCluster,
@@ -160,7 +154,7 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
     def stage(
         cluster: WeightedCluster,
         rho: list,
-        graph: Optional[DualGraph],
+        adjacency: Optional[dict],
         anchor: int,
         dicritical: Optional[int],
         label: str,
@@ -168,13 +162,14 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
         """Re-attach the base point `anchor` and append a point of
         multiplicity 1: free over the anchor, or the next satellite of
         `dicritical` on the chain toward it.  The excess drops by 1 at each
-        target and is 1 at the point, and the dual graph `graph` of the
-        stage, when carried, is blown up at the point.  If an excess is
-        negative, unload (never at an original dicritical) and drop the zero
-        points.  Returns the stage, its excesses, its dual graph or None
-        (after an unloading or a rebuild, until a check needs it again) and
-        the excess at each prescribed dicritical present (an absent one has
-        excess 0).
+        target and is 1 at the point, and the adjacency rows of the stage's
+        dual graph, when carried, are blown up at the point.  If an excess
+        is negative, unload (never at an original dicritical) and drop the
+        zero points.  Appends the stage to the trace and checks its interior
+        excess.  Returns the stage, its excesses, its adjacency rows (None
+        until two prescribed dicriticals are present, and again after an
+        unloading or a rebuild) and the excess at each prescribed dicritical
+        present (an absent one has excess 0).
 
         The re-attachment has never been seen to rebuild here.  The seed
         point t is in the start: the points infinitely near t span a
@@ -185,12 +180,12 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
         it, or else proximate to it, a case with no such argument; but no
         seeded search (82,613 builds from every contracted seed point,
         alpha up to 20) reached the rebuild.  It stays as a guard and
-        resets the carried graph.
+        drops the carried rows.
         """
         nonlocal micro
         grown = _reattach(cluster, sk, (anchor,))
         if grown is not cluster:
-            cluster, rho, graph = grown, list(excesses(grown)), None
+            cluster, rho, adjacency = grown, list(excesses(grown)), None
         cur = cluster.skeleton
         targets = (cur.index_of(sk.tags[anchor]),)
         if dicritical is not None:
@@ -215,29 +210,28 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
                         f"{label}: unloading touched a dicritical point of the base cluster"
                     )
             cluster = drop_zero_points(result.cluster).cluster
-            rho, graph = list(excesses(cluster)), None
-        elif graph is not None:
-            graph = extend_dual_graph(graph, targets)
+            rho, adjacency = list(excesses(cluster)), None
+        elif adjacency is not None:
+            extend_adjacency(adjacency, targets)
         if micro > cap:
             raise CapExceededError(
                 f"builder exceeded the {cap}-step safety cap", trace=tuple(trace)
             )
         index = cluster.skeleton.tag_index
         at = {p: rho[index[sk.tags[p]]] for p in dicriticals if sk.tags[p] in index}
-        return cluster, rho, graph, at
+        trace.append(cluster)
+        present = [sk.tags[p] for p in at]
+        adjacency = check_interior_excess(label, cluster.skeleton, adjacency, rho, present)
+        return cluster, rho, adjacency, at
 
     # first stage: one free point over the seed
-    cluster, rho, graph, at = stage(cluster, rho, None, seed_point, None, "first stage")
-    trace.append(cluster)
+    cluster, rho, adjacency, at = stage(cluster, rho, None, seed_point, None, "first stage")
     for p in dicriticals:
         got = at.get(p, 0)
         if got != alpha[p] - 1:
             raise InternalCheckError(
                 f"first stage: excess {got} at {sk.tags[p]}, expected {alpha[p] - 1}"
             )
-    graph = check_interior_excess(
-        "first stage", cluster.skeleton, graph, rho, [sk.tags[p] for p in at]
-    )
 
     # growth loop: satellite chains on each dicritical toward its neighbour
     while True:
@@ -246,15 +240,11 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
             break
         total_before = sum(at.values())
         p_r = pending[0]
-        cluster, rho, graph, at = stage(
-            cluster, rho, graph, neighbor[p_r], p_r, "growth loop"
+        cluster, rho, adjacency, at = stage(
+            cluster, rho, adjacency, neighbor[p_r], p_r, "growth loop"
         )
-        trace.append(cluster)
         if sum(at.values()) >= total_before:
             raise InternalCheckError("growth loop: total prescribed excess did not drop")
-        graph = check_interior_excess(
-            "growth loop", cluster.skeleton, graph, rho, [sk.tags[p] for p in at]
-        )
 
     # finalize: every base point comes back, at multiplicity zero if absent
     final = _reattach(cluster, sk, sk.points)
@@ -272,24 +262,25 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
 
 
 def check_interior_excess(
-    label: str, skeleton: ClusterSkeleton, graph: Optional[DualGraph], rho, tags
-) -> Optional[DualGraph]:
+    label: str, skeleton: ClusterSkeleton, adjacency: Optional[dict], rho, tags
+) -> Optional[dict]:
     """Between any two of the prescribed dicriticals `tags` (those present,
     in order) some interior point of their chain keeps positive excess; this
     is what makes the growth loop sound.
 
     The dual graph is a tree, so the chain from a to b is the path through
     the breadth-first parents from a: one search per dicritical but the last
-    reads the chains to every later one.  Returns the stage's dual graph,
-    `graph` or a fresh one when it is None and two dicriticals are present.
+    reads the chains to every later one.  Returns the adjacency rows of the
+    stage's dual graph: `adjacency`, or fresh rows when it is None and two
+    dicriticals are present.
     """
     if len(tags) < 2:
-        return graph
-    if graph is None:
-        graph = dual_graph(skeleton)
+        return adjacency
+    if adjacency is None:
+        adjacency = dual_graph(skeleton).adjacency
     present = [skeleton.tag_index[t] for t in tags]
     for i, a in enumerate(present[:-1]):
-        _, parent = bfs(graph.adjacency, a)
+        _, parent = bfs(adjacency, a)
         for b in present[i + 1 :]:
             u = parent[b]
             while u != a and rho[u] <= 0:
@@ -299,7 +290,7 @@ def check_interior_excess(
                     f"{label}: no positive excess between "
                     f"{skeleton.tags[a]} and {skeleton.tags[b]}"
                 )
-    return graph
+    return adjacency
 
 
 def _reattach(
@@ -309,27 +300,21 @@ def _reattach(
 
     Every stage is predecessor-closed, so a stage holding the points holds
     their predecessors and is returned as it is.  Otherwise the skeleton is
-    rebuilt: the base points present, in base order, then the added points
-    in their current order.
+    rebuilt by the cluster operations: the base restricted to the points
+    needed, then the added points appended again in their current order.
+    A base satellite whose position an added point took raises ClusterError.
     """
     cur = cluster.skeleton
     if all(base.tags[p] in cur.tag_index for p in points):
         return cluster
     needed = set().union(*(base.predecessors(p) for p in points))
     needed.update(base.tag_index[t] for t in cur.tags if t in base.tag_index)
-    order = [base.tags[q] for q in sorted(needed)]
-    order += [t for t in cur.tags if t not in base.tag_index]
-    index = {tag: i for i, tag in enumerate(order)}
-    parents: list[Optional[int]] = []
-    prox: list[frozenset[int]] = []
-    for tag in order:
-        src = cur if tag in cur.tag_index else base
-        p = src.tag_index[tag]
-        par = src.parents[p]
-        parents.append(None if par is None else index[src.tags[par]])
-        prox.append(frozenset(index[src.tags[q]] for q in src.proximities[p]))
-    skeleton = ClusterSkeleton(tuple(parents), tuple(prox), tuple(order)).require_valid()
-    nu = tuple(cluster.nu[cur.tag_index[t]] if t in cur.tag_index else 0 for t in order)
+    skeleton, _ = restrict(base, needed)
+    for p, tag in enumerate(cur.tags):
+        if tag not in base.tag_index:
+            targets = (skeleton.tag_index[cur.tags[q]] for q in cur.proximities[p])
+            skeleton = extend_point(skeleton, targets, tag)
+    nu = tuple(cluster.nu[cur.tag_index[t]] if t in cur.tag_index else 0 for t in skeleton.tags)
     return WeightedCluster(skeleton, nu)
 
 
@@ -377,25 +362,20 @@ def verify(
         failures.append("value-condition")
 
     t_tags = {sk.tags[p] for p in report.T_Q}
-    base_tags = set(sk.tags)
     over_q: dict = {}
     csk = candidate.skeleton
     for p in csk.points:
         tag = csk.tags[p]
-        if tag in base_tags:
+        if tag in sk.tag_index:
             continue
         over_q[tag] = any(
             csk.tags[t] in t_tags or over_q.get(csk.tags[t], False)
             for t in csk.proximities[p]
         )
-    localization = True
-    for d in (p for p, r in enumerate(rho_candidate) if r > 0):
-        tag = csk.tags[d]
-        if tag in base_tags:
-            if tag not in t_tags:
-                localization = False
-        elif not over_q.get(tag, False):
-            localization = False
+    localization = all(
+        tag in t_tags if tag in sk.tag_index else over_q.get(tag, False)
+        for tag in (csk.tags[d] for d, r in enumerate(rho_candidate) if r > 0)
+    )
     if not localization:
         failures.append("localization")
 
@@ -428,7 +408,7 @@ def _read_multiplicities(dicriticals, simple_values, v_candidate, mapping, alpha
 
     Exact: fraction-free (Bareiss) elimination in integers, pivoting on the
     first nonzero entry of each column, then fraction-free back substitution
-    for det * x_q, and one `Fraction` division per unknown.  The
+    for det * x_q, and one exact division by det per unknown.  The
     simple-cluster value matrix is invertible, so the multiplicities are
     determined by the values alone.
     """
@@ -456,12 +436,9 @@ def _read_multiplicities(dicriticals, simple_values, v_candidate, mapping, alpha
         row = rows[i]
         rest = sum(row[j] * scaled[j] for j in range(i + 1, m))
         scaled[i] = (det * row[m] - rest) // row[i]
-    solution = {}
-    for i, q in enumerate(dicriticals):
-        x = Fraction(scaled[i], det)
-        if x.denominator != 1:
-            return (), False
-        solution[q] = int(x)
-    readout = tuple((sk.tags[q], solution[q]) for q in dicriticals)
-    matches = all(solution[q] == alpha.get(q, 0) for q in dicriticals)
+    solution = [divmod(x, det) for x in scaled]
+    if any(remainder for _, remainder in solution):
+        return (), False
+    readout = tuple((sk.tags[q], x) for q, (x, _) in zip(dicriticals, solution))
+    matches = all(x == alpha.get(q, 0) for q, (x, _) in zip(dicriticals, solution))
     return readout, matches

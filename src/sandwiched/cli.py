@@ -206,9 +206,9 @@ def _parse_at(spec: str, cluster):
         if len(parts) != 2:
             raise ClusterError("satellite spec must be sat:TAG1,TAG2")
         return Satellite(sk.index_of(parts[0].strip()), sk.index_of(parts[1].strip()))
-    if spec.startswith("c") and spec[1:].isdigit():
+    if spec.startswith("c") and spec[1:].isascii() and spec[1:].isdigit():
         components = zero_excess_components(cluster)
-        k = int(spec[1:])
+        k = _integer(spec[1:], "component number")
         if k >= len(components):
             raise ClusterError(
                 f"component {spec} does not exist ({len(components)} zero-excess components)"
@@ -258,13 +258,21 @@ def _parse_alpha(spec: str, cluster) -> dict:
         if not part:
             continue
         tag, _, value = part.partition("=")
+        tag, value = tag.strip(), value.strip()
         if not value:
             raise ClusterError(f"bad multiplicity entry {part!r}; expected TAG=N")
-        try:
-            alpha[cluster.skeleton.index_of(tag.strip())] = int(value)
-        except ValueError:
-            raise ClusterError(f"multiplicity {value!r} is not an integer") from None
+        if not dsl.INTEGER.fullmatch(value):
+            raise ClusterError(f"multiplicity {value!r} is not an integer")
+        alpha[cluster.skeleton.index_of(tag)] = _integer(value, f"multiplicity of {tag!r}")
     return alpha
+
+
+def _integer(digits: str, what: str) -> int:
+    """`int(digits)` for a string of the DSL's integer rule."""
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's integer-string limit
+        raise ClusterError(f"{what} has too many digits") from None
 
 
 def _cmd_cartier(args) -> int:

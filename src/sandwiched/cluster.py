@@ -12,7 +12,6 @@ Everything here is unweighted; virtual multiplicities live in `weighted`.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -496,34 +495,17 @@ def dual_graph(skeleton: ClusterSkeleton) -> DualGraph:
     return DualGraph(tuple(skeleton.points), tuple(edges), weights)
 
 
-def extend_dual_graph(graph: DualGraph, targets: Iterable[int]) -> DualGraph:
-    """The dual graph of `extend_point(skeleton, targets)`, from the dual
-    graph `graph` of `skeleton`.
+def extend_adjacency(adjacency: dict, targets: Iterable[int]) -> None:
+    """Update, in place, the dual graph's `adjacency` rows of a skeleton to
+    those of `extend_point(skeleton, targets)`.
 
     Blowing up the new point n changes the graph only locally: a free point
-    on E_p adds the leaf edge (p, n); a satellite at E_a ∩ E_b (a > b, so
-    (b, a) is an edge: the position is free) replaces that edge with (b, n)
-    and (a, n).  The new component has weight 1 and each target's weight
-    grows by 1, since n is proximate to it.  n is the largest index, so the
-    edges keep `dual_graph`'s sorted order by insertion, and a cached
-    `adjacency` is carried with each row still sorted.
+    on E_p adds n to the row of p; a satellite at E_a ∩ E_b separates a and
+    b and adds n to both rows.  n is the largest index, so every row stays
+    sorted, and the row of n is its sorted targets.
     """
-    targets = sorted(set(targets))
-    n = len(graph.vertices)
-    edges = list(graph.edges)
-    if len(targets) == 2:
-        del edges[bisect_left(edges, tuple(targets))]
+    targets = tuple(sorted(set(targets)))
+    n = len(adjacency)
     for q in targets:
-        insort(edges, (q, n))
-    weights = list(graph.weights)
-    for q in targets:
-        weights[q] += 1
-    weights.append(1)
-    extended = DualGraph(graph.vertices + (n,), tuple(edges), tuple(weights))
-    if "adjacency" in graph.__dict__:
-        adj = dict(graph.adjacency)
-        for q in targets:
-            adj[q] = tuple(v for v in adj[q] if v not in targets) + (n,)
-        adj[n] = tuple(targets)
-        extended.__dict__["adjacency"] = adj
-    return extended
+        adjacency[q] = tuple(v for v in adjacency[q] if v not in targets) + (n,)
+    adjacency[n] = targets

@@ -14,6 +14,7 @@ second proximity target) and the dual-graph view (vertex weights as labels).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +35,15 @@ class _Token:
     column: int
 
 
-_DIGITS = "0123456789"  # str.isdigit() also accepts superscripts and other scripts
+# ASCII digits only, with an optional minus sign: `int` also reads other
+# scripts' digits and underscores, and str.isdigit() accepts superscripts
+INTEGER = re.compile(r"-?[0-9]+")
+_WORD = re.compile(r"\w+")  # what str.isalnum() accepts, and `_`
+
+
+def is_name(text: str) -> bool:
+    """A point or cluster name: a letter or `_`, then letters, digits and `_`."""
+    return _WORD.fullmatch(text) is not None and (text[0].isalpha() or text[0] == "_")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -55,19 +64,15 @@ def _tokenize(text: str) -> list[_Token]:
                 tokens.append(_Token(ch, ch, lineno, col + 1))
                 col += 1
                 continue
-            if ch.isalpha() or ch == "_":
-                end = col
-                while end < len(line) and (line[end].isalnum() or line[end] == "_"):
-                    end += 1
+            if is_name(ch):
+                end = _WORD.match(line, col).end()
                 tokens.append(_Token("name", line[col:end], lineno, col + 1))
                 col = end
                 continue
-            if ch in _DIGITS or (ch == "-" and col + 1 < len(line) and line[col + 1] in _DIGITS):
-                end = col + 1
-                while end < len(line) and line[end] in _DIGITS:
-                    end += 1
-                tokens.append(_Token("int", line[col:end], lineno, col + 1))
-                col = end
+            integer = INTEGER.match(line, col)
+            if integer:
+                tokens.append(_Token("int", integer.group(), lineno, col + 1))
+                col = integer.end()
                 continue
             raise ParseError(f"unexpected character {ch!r}", lineno, col + 1)
     return tokens

@@ -243,6 +243,17 @@ def graph_multiplicity(graph: DualGraph) -> int:
     )
 
 
+def graph_branches(graph: DualGraph) -> int:
+    """Branch count of a rational singularity from its resolution graph,
+    -Z.E with Z the fundamental cycle and E the sum of all components: the
+    sum over v of weight(v) z_v minus the z_u of the neighbours u of v."""
+    z = laufer_cycle(graph)
+    return sum(
+        graph.weight(v) * z[v] - sum(z[u] for u in graph.adjacency[v])
+        for v in graph.vertices
+    )
+
+
 def reference_unload(
     cluster: WeightedCluster,
     *,

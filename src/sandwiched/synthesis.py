@@ -19,11 +19,11 @@ analyzer before it is returned.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .analyzer import FreeOn, analyze
 from .cluster import DualGraph, SkeletonBuilder, adjacency, bfs
+from .dsl import INTEGER, is_name
 from .errors import ClusterError, InternalCheckError, ParseError
 from .weighted import WeightedCluster, multiplicities_from_excesses
 
@@ -194,14 +194,10 @@ def _rooted_code(neighbours, root, weights) -> str:
 # -- Graph file format -------------------------------------------------------------
 
 
-# the DSL's integer rule: ASCII digits only (`int` also takes other scripts'
-# digits and underscores), with an optional minus sign
-_INTEGER = re.compile(r"-?[0-9]+")
-
-
 def parse_graph_spec(text: str) -> MinimalGraphSpec:
     """Parse the edge-list format: `weight NAME=n` lines declare vertices,
-    `A B` lines declare edges, `#` starts a comment."""
+    `A B` lines declare edges, `#` starts a comment.  Weights and vertex
+    names follow the DSL's rules: `synthesize` makes each vertex a point."""
     vertices: list[str] = []
     weights: dict = {}
     edges: list[tuple[str, str]] = []
@@ -217,7 +213,8 @@ def parse_graph_spec(text: str) -> MinimalGraphSpec:
             name, _, value = rest.partition("=")
             name = name.strip()
             value = value.strip()
-            if not _INTEGER.fullmatch(value):
+            _check_names(lineno, name)
+            if not INTEGER.fullmatch(value):
                 raise ParseError(f"weight of {name!r} is not an integer", lineno, 1)
             try:
                 omega = int(value)
@@ -231,6 +228,7 @@ def parse_graph_spec(text: str) -> MinimalGraphSpec:
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError("expected an edge line `A B`", lineno, 1)
+            _check_names(lineno, *parts)
             edges.append((parts[0], parts[1]))
     spec = MinimalGraphSpec(
         tuple(vertices), tuple(edges), tuple(weights[v] for v in vertices)
@@ -239,6 +237,13 @@ def parse_graph_spec(text: str) -> MinimalGraphSpec:
         return spec.require_valid()
     except ClusterError as exc:
         raise ParseError(str(exc), len(text.splitlines()) or 1, 1) from None
+
+
+def _check_names(lineno: int, *names: str) -> None:
+    for name in names:
+        if not is_name(name):
+            rule = "a letter or _, then letters, digits or _"
+            raise ParseError(f"vertex name {name!r} is not a cluster DSL name ({rule})", lineno, 1)
 
 
 def serialize_graph_spec(spec: MinimalGraphSpec) -> str:

@@ -19,6 +19,7 @@ from sandwiched import (
 )
 from sandwiched.cartier import CartierRequest, build
 from sandwiched.oracle import (
+    graph_branches,
     graph_multiplicity,
     laufer_cycle,
     nu_prime,
@@ -214,16 +215,32 @@ def test_criterion_8_synthesis_round_trip():
     print("\nACCEPTANCE 8 PASS: 120 synthesis round trips up to isomorphism")
 
 
+def _check_graph_only_bounds(report):
+    """The branch count -Z.E, minimality and the bound chain
+    |Kplus_Q| <= br + 1 <= mult + 1 = emdim with its two equalities, read
+    from the resolution graph and the number of components through Q alone."""
+    graph = report.resolution_graph
+    z = laufer_cycle(graph)
+    br, mult, components = graph_branches(graph), graph_multiplicity(graph), len(report.Kplus_Q)
+    assert br == report.br
+    assert report.minimal == all(z_v == 1 for z_v in z.values())
+    assert components <= br + 1 <= mult + 1 == report.emdim
+    assert (components == br + 1) == all(report.branches_equality)
+    assert (components == mult + 1) == all(report.embed_equality)
+    return z, mult
+
+
 def test_criterion_9_fundamental_cycle_from_the_graph_alone(corpus):
     """Laufer's computation sequence on the resolution graph gives the
-    fundamental cycle the unloading gave, and Artin's -Z.Z gives the
-    multiplicity: a third route that shares no code with unloading."""
+    fundamental cycle the unloading gave, Artin's -Z.Z gives the
+    multiplicity and -Z.E the branch count, which bound the number of
+    components through Q: a third route that shares no code with unloading."""
     start = time.monotonic()
     for instance in corpus:
         report = instance.report
-        z = laufer_cycle(report.resolution_graph)
+        z, mult = _check_graph_only_bounds(report)
         assert z == {p: report.z[p] for p in report.T_Q}, instance.cluster.by_tag()
-        assert graph_multiplicity(report.resolution_graph) == report.mult
+        assert mult == report.mult
     elapsed = time.monotonic() - start
     print(f"\nACCEPTANCE 9 PASS: Laufer cycle and Artin multiplicity on "
           f"{len(corpus)} instances in {elapsed:.2f}s")
@@ -237,9 +254,9 @@ def test_criterion_9_on_non_reduced_cycles_of_make_dr():
     for r in range(1, 16):
         for s in range(16):
             for report in enumerate_singularities(make_dr(r, s)):
-                z = laufer_cycle(report.resolution_graph)
+                z, mult = _check_graph_only_bounds(report)
                 assert z == {p: report.z[p] for p in report.T_Q}, (r, s)
-                assert graph_multiplicity(report.resolution_graph) == report.mult
+                assert mult == report.mult
                 reports += 1
                 non_minimal += not report.minimal
     assert non_minimal >= 190, (reports, non_minimal)

@@ -9,8 +9,8 @@ Core claims:
     - outputs are byte-identical across runs and re-parse
     - missing or undecodable files, a safety-cap overrun and running out of
       memory or recursion depth end in a one-line message and an exit code,
-      never a traceback; so does a weight that is not an ASCII integer or is
-      too long to convert
+      never a traceback; so does a weight, a component number or a
+      multiplicity that is not an ASCII integer or is too long to convert
     - importing the package and every runtime module does not import the
       oracle (only `selftest` and the tests need it), and every name in
       `sandwiched.__all__` resolves
@@ -258,6 +258,39 @@ def test_bad_integer_weight_is_an_input_error(tmp_path, capsys, weight, message)
     assert code == 1
     assert out == ""
     assert err == f"error: line 2, column 16: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "at, message",
+    [
+        ("c²", "cannot parse boundary point 'c²'"),
+        ("c" + "1" * 5000, "component number has too many digits"),
+    ],
+    ids=["superscript", "5000-digits"],
+)
+def test_bad_component_number_is_an_input_error(d1_file, capsys, at, message):
+    code, out, err = run(capsys, "analyze", d1_file, "--at", at)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [
+        ("q1=１", "multiplicity '１' is not an integer"),
+        ("q1=1_0", "multiplicity '1_0' is not an integer"),
+        ("q1=²", "multiplicity '²' is not an integer"),
+        ("q1=" + "1" * 5000, "multiplicity of 'q1' has too many digits"),
+        ("q1=-1", "prescribed multiplicities must be positive"),
+    ],
+    ids=["full-width", "underscore", "superscript", "5000-digits", "negative"],
+)
+def test_bad_multiplicity_is_an_input_error(d1_file, capsys, alpha, message):
+    code, out, err = run(capsys, "cartier", d1_file, "--at", "c0", "--alpha", alpha)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_unload_cap_overrun_exits_3(tmp_path, capsys, monkeypatch):

@@ -9,8 +9,8 @@ Core claims:
       a fresh rebuild, and restricting to every point is the identity
     - proximity matrices transcribe the structure and invert integrally
     - the dual graph is a tree obeying the intersection edge rule, and the
-      graph of an appended point derived by the local blow-up rule equals a
-      fresh one
+      adjacency rows of an appended point derived by the local blow-up rule
+      equal fresh ones
     - chains are unique tree paths; the open variant drops endpoints
     - the infinitely-near order matches ancestry in the parent tree
     - maximal proximity follows the infinitely-near order
@@ -38,7 +38,7 @@ from sandwiched import (
     validate,
 )
 from sandwiched import cluster as cluster_module
-from sandwiched.cluster import extend_dual_graph, extend_point, restrict
+from sandwiched.cluster import extend_adjacency, extend_point, restrict
 from sandwiched.oracle import (
     is_mK_free,
     is_mK_proximate,
@@ -303,11 +303,10 @@ def test_dual_graph_satellite_breaks_parent_edge():
     assert g.edges == ((0, 2), (1, 2))  # w-O and w-p1; O-p1 separated by w
 
 
-def test_extended_dual_graph_is_the_dual_graph_of_the_extension():
-    # a free point adds a leaf, a satellite splits the edge of its targets;
-    # a cached adjacency is carried, and only when the source holds one
+def test_extended_adjacency_is_the_adjacency_of_the_extension():
+    # a free point adds a leaf, a satellite splits the edge of its targets
     rng = random.Random(61)
-    extended = {(1, False): 0, (1, True): 0, (2, False): 0, (2, True): 0}
+    extended = {1: 0, 2: 0}
     for _ in range(2000):
         sk = random_skeleton(rng, 10, 0.5).require_valid()
         p = rng.choice(list(sk.points))
@@ -316,20 +315,10 @@ def test_extended_dual_graph_is_the_dual_graph_of_the_extension():
                 ext = extend_point(sk, targets)
             except ClusterError:  # the satellite position is occupied
                 continue
-            graph = dual_graph(sk)
-            cached = rng.random() < 0.5
-            if cached:
-                graph.adjacency
-            derived = extend_dual_graph(graph, targets)
-            fresh = dual_graph(ext)
-            assert (derived.vertices, derived.edges, derived.weights) == (
-                fresh.vertices,
-                fresh.edges,
-                fresh.weights,
-            )
-            assert ("adjacency" in derived.__dict__) == cached
-            assert derived.adjacency == fresh.adjacency
-            extended[len(targets), cached] += 1
+            adjacency = dict(dual_graph(sk).adjacency)
+            extend_adjacency(adjacency, targets)
+            assert adjacency == dual_graph(ext).adjacency
+            extended[len(targets)] += 1
     assert min(extended.values()) > 300, extended
 
 

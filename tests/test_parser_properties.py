@@ -6,7 +6,8 @@ Core claims:
     - text that parses is a fixed point of serialize -> parse -> serialize,
       byte for byte, in both formats
     - a well-formed graph document parses, also when a vertex name begins
-      with `weight`, and both formats read a weight by one integer rule
+      with `weight`, and both formats read a weight by one integer rule and
+      a name by one name rule
 
 Documents are drawn well-formed and then edited by a few random insertions
 and deletions, so that both the accepting and the rejecting paths are hit.
@@ -36,7 +37,10 @@ NAMES = st.sampled_from(
 )
 # a line whose first word is `weight` declares a vertex, so no vertex can be
 # named `weight`
-GRAPH_NAMES = st.sampled_from(["O", "p1", "q", "_x", "a-b", "cluster", "weights", "ß", "d٣"])
+GRAPH_NAMES = st.sampled_from(["O", "p1", "q", "_x", "a_b", "cluster", "weights", "ß", "d٣"])
+# vertex names that are not DSL names, which a synthesized cluster could not
+# carry as tags
+GRAPH_NON_DSL_NAMES = ("v-1", "2b", 'a"b')
 SEPARATORS = st.sampled_from([" ", "  ", "\n", " # note\n", "\t"])
 
 
@@ -164,3 +168,18 @@ def test_graph_weights_read_like_dsl_weights(token):
         assert graph is None
     else:
         assert graph.weights == dsl["d"].nu
+
+
+@PROPERTY
+@given(st.text(alphabet='ab_1²٣ß-" ', max_size=4))
+@example(GRAPH_NON_DSL_NAMES[0])
+@example(GRAPH_NON_DSL_NAMES[1])
+@example(GRAPH_NON_DSL_NAMES[2])
+def test_graph_names_read_like_dsl_names(token):
+    # one name rule in both formats: a graph vertex becomes a cluster tag
+    graph = parsed_or_none(parse_graph_spec, f"weight {token}=2\n")
+    dsl = parsed_or_none(parse, f"cluster d {{ {token} }}\n")
+    if dsl is None:
+        assert graph is None
+    else:
+        assert graph.vertices == dsl["d"].skeleton.tags

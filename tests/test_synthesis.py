@@ -9,8 +9,9 @@ Core claims:
       reports a minimal singularity
     - graph specs reject non-trees, low weights, and weight < degree
     - `synthesize` validates its spec once
-    - the edge-list file format round-trips; a weight is ASCII digits, and
-      only a first word `weight` declares one
+    - the edge-list file format round-trips; a weight is ASCII digits, a
+      vertex name is a DSL name, and only a first word `weight` declares one
+    - a synthesized cluster is a fixed point of DSL serialize -> parse
     - tree isomorphism and synthesis handle paths far deeper than the
       interpreter's recursion limit
 """
@@ -20,6 +21,7 @@ import random
 import pytest
 
 from sandwiched import ClusterError, ParseError, analyze, count_contracted_branches, synthesize
+from sandwiched import dsl
 from sandwiched.oracle import random_minimal_graph_spec
 from sandwiched.synthesis import (
     MinimalGraphSpec,
@@ -104,6 +106,36 @@ def test_graph_file_errors_carry_position():
 def test_graph_weights_take_ascii_digits_only(digits):
     with pytest.raises(ParseError, match="not an integer"):
         parse_graph_spec(f"weight a={digits}\n")
+
+
+@pytest.mark.parametrize(
+    "text, line, name",
+    [
+        ("weight v-1=2\n", 1, "v-1"),
+        ("weight a=2\nweight b=2\n# edge\na 2b\n", 4, "2b"),
+        ('weight a"b=2\n', 1, 'a"b'),
+    ],
+    ids=["hyphen", "leading-digit", "quote"],
+)
+def test_graph_vertex_names_are_dsl_names(text, line, name):
+    with pytest.raises(ParseError, match=f"line {line}, column 1: vertex name {name!r}"):
+        parse_graph_spec(text)
+
+
+def test_synthesized_clusters_reparse():
+    # vertex names drawn among DSL names, some taken by the helper points
+    names = ["O", "u", "O_", "a_e0", "ß", "d٣", "_x", "cluster", "weights", "v"]
+    rng = random.Random(41)
+    for _ in range(120):
+        spec = random_minimal_graph_spec(rng, max_vertices=len(names), max_weight=5)
+        rename = dict(zip(spec.vertices, rng.sample(names, len(spec.vertices))))
+        renamed = MinimalGraphSpec(
+            tuple(rename[v] for v in spec.vertices),
+            tuple((rename[u], rename[v]) for u, v in spec.edges),
+            spec.weights,
+        )
+        cluster, _ = synthesize(parse_graph_spec(serialize_graph_spec(renamed)))
+        assert dsl.parse(dsl.serialize("synthesized", cluster)) == {"synthesized": cluster}
 
 
 def test_only_a_whole_first_word_declares_a_weight():
