@@ -18,24 +18,24 @@ and a base point that comes back is re-attached among the base points, so
 no stage re-sorts, and every tag names the same point throughout.
 
 Each stage carries forward what it does not change.  The skeleton of an
-appended point keeps the proximity lists, tag index and satellite pairs of
-the previous one, updated for the new point (`cluster.extend_point`).  The
-builder carries the stage's excess vector: appending a point of
-multiplicity 1 lowers the excess of each of its targets by 1 and gives the
-point excess 1.  From the first stage with two prescribed dicriticals on,
-it also carries the adjacency rows of the stage's dual graph, all that the
-interior-excess check reads of it; the new point changes only its
-targets' rows (`cluster.extend_adjacency`), and an unloading, which
-renumbers the points, or a rebuild drops them until the check needs them
-again.  Only an unloading makes a multiplicity zero.  The start has
-positive multiplicities, and every stage is predecessor-closed, so a base
-point comes back only when the new point's target is missing; it is
-re-attached at multiplicity 0 with its missing predecessors, the target's
-excess drops to -1 and an unloading follows.  So zero points are dropped,
-and the excesses recomputed, only after an unloading, which runs only when
-some carried excess is negative.  A re-attachment restricts the base and
-appends the added points again, so it inherits the base's verdict: no stage
-runs `validate`.
+appended point keeps the proximity lists and tag index of the previous one,
+updated for the new point (`cluster.extend_point`).  The builder keeps the
+tags of each chain it grows, and the stage's excess vector: appending a
+point of multiplicity 1 lowers the excess of each of its targets by 1 and
+gives the point excess 1.  From the first stage with two prescribed
+dicriticals on, it also carries the adjacency rows of the stage's dual
+graph, all that the interior-excess check reads of it; the new point
+changes only its targets' rows (`cluster.extend_adjacency`), and an
+unloading, which renumbers the points, or a rebuild drops them until the
+check needs them again.  Only an unloading makes a multiplicity zero.  The
+start has positive multiplicities, and every stage is predecessor-closed,
+so a base point comes back only when the new point's target is missing; it
+is re-attached at multiplicity 0 with its missing predecessors, the
+target's excess drops to -1 and an unloading follows.  So zero points are
+dropped, and the excesses recomputed, only after an unloading, which runs
+only when some carried excess is negative.  A re-attachment restricts the
+base and appends the added points again, so it inherits the base's verdict:
+no stage runs `validate`.
 
 A result is never trusted on construction: `verify` re-checks it from
 scratch (value identities, localization of the dicritical points, vanishing
@@ -58,6 +58,7 @@ from .weighted import (
     drop_zero_points,
     embed_indices,
     excesses,
+    multiplicities_from_excesses,
     simple_multiplicities,
     unload,
     values,
@@ -142,14 +143,15 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
     # w0, w1, ... in order, skipping the base's tags
     fresh_tags = (t for t in (f"w{i}" for i in count()) if t not in sk.tag_index)
 
-    combined = [0] * len(sk)
-    for p in dicriticals:
-        for q, m in enumerate(simple_multiplicities(sk, p)):
-            combined[q] += alpha[p] * m
+    # multiplicities are linear in excesses: the sum of alpha[p] simple clusters
+    combined = multiplicities_from_excesses(sk, [alpha.get(p, 0) for p in sk.points]).nu
     start, kept = restrict(sk, (q for q in sk.points if combined[q] > 0))
     cluster = WeightedCluster(start, tuple(combined[q] for q in kept))
     rho = list(excesses(cluster))
     trace = [cluster]
+    # per prescribed dicritical: its anchor's tag, then the satellites appended for
+    # it; each is proximate to the one before, so the tags present are a prefix
+    chains = {p: [sk.tags[neighbor[p]]] for p in dicriticals}
 
     def stage(
         cluster: WeightedCluster,
@@ -163,9 +165,10 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
         multiplicity 1: free over the anchor, or the next satellite of
         `dicritical` on the chain toward it.  The excess drops by 1 at each
         target and is 1 at the point, and the adjacency rows of the stage's
-        dual graph, when carried, are blown up at the point.  If an excess
-        is negative, unload (never at an original dicritical) and drop the
-        zero points.  Appends the stage to the trace and checks its interior
+        dual graph, when carried, are blown up at the point.  Every stage
+        starts consistent, so only a target's excess can turn negative; if
+        one does, unload (never at an original dicritical) and drop the zero
+        points.  Appends the stage to the trace and checks its interior
         excess.  Returns the stage, its excesses, its adjacency rows (None
         until two prescribed dicriticals are present, and again after an
         unloading or a rebuild) and the excess at each prescribed dicritical
@@ -187,21 +190,20 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
         if grown is not cluster:
             cluster, rho, adjacency = grown, list(excesses(grown)), None
         cur = cluster.skeleton
-        targets = (cur.index_of(sk.tags[anchor]),)
+        tag = next(fresh_tags)
+        targets = (cur.tag_index[sk.tags[anchor]],)
         if dicritical is not None:
-            p_index = cur.index_of(sk.tags[dicritical])
-            partner = targets[0]
-            while frozenset((p_index, partner)) in cur.satellite_pairs:
-                partner = cur.satellite_pairs[frozenset((p_index, partner))]
-            targets = (partner, p_index)
-        cluster = WeightedCluster(
-            extend_point(cur, targets, next(fresh_tags)), cluster.nu + (1,)
-        )
-        for q in set(targets):
+            chain = chains[dicritical]
+            while chain[-1] not in cur.tag_index:
+                chain.pop()
+            targets = (cur.tag_index[chain[-1]], cur.tag_index[sk.tags[dicritical]])
+            chain.append(tag)
+        cluster = WeightedCluster(extend_point(cur, targets, tag), cluster.nu + (1,))
+        for q in targets:
             rho[q] -= 1
         rho.append(1)
         micro += 1
-        if min(rho) < 0:
+        if any(rho[q] < 0 for q in targets):
             result = unload(cluster)
             micro += len(result.steps)
             for step in result.steps:
@@ -234,14 +236,10 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
             )
 
     # growth loop: satellite chains on each dicritical toward its neighbour
-    while True:
-        pending = [p for p in dicriticals if at.get(p, 0) > 0]
-        if not pending:
-            break
+    while pending := [p for p in dicriticals if at.get(p, 0) > 0]:
         total_before = sum(at.values())
-        p_r = pending[0]
         cluster, rho, adjacency, at = stage(
-            cluster, rho, adjacency, neighbor[p_r], p_r, "growth loop"
+            cluster, rho, adjacency, neighbor[pending[0]], pending[0], "growth loop"
         )
         if sum(at.values()) >= total_before:
             raise InternalCheckError("growth loop: total prescribed excess did not drop")

@@ -263,6 +263,8 @@ def _parse_alpha(spec: str, cluster) -> dict:
             raise ClusterError(f"bad multiplicity entry {part!r}; expected TAG=N")
         if not dsl.INTEGER.fullmatch(value):
             raise ClusterError(f"multiplicity {value!r} is not an integer")
+        if cluster.skeleton.index_of(tag) in alpha:
+            raise ClusterError(f"multiplicity of {tag!r} given twice")
         alpha[cluster.skeleton.index_of(tag)] = _integer(value, f"multiplicity of {tag!r}")
     return alpha
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import ClusterError
 
@@ -98,15 +98,6 @@ class ClusterSkeleton:
             return self.tag_index[tag]
         except KeyError:
             raise ClusterError(f"no point tagged {tag!r}") from None
-
-    @cached_property
-    def satellite_pairs(self) -> dict:
-        """Map {a, b} -> satellite point proximate to both a and b."""
-        pairs = {}
-        for p in self.points:
-            if len(self.proximities[p]) == 2:
-                pairs.setdefault(self.proximities[p], p)
-        return pairs
 
     @cached_property
     def _verdict(self) -> tuple[Diagnostic, ...]:
@@ -264,11 +255,12 @@ def extend_point(
                 f"cannot attach satellite: {skeleton.tags[other]} is not a proximity "
                 f"target of {skeleton.tags[parent]}"
             )
-        if targets in skeleton.satellite_pairs:
-            raise ClusterError(
-                "satellite position already occupied by point "
-                f"{skeleton.tags[skeleton.satellite_pairs[targets]]}"
-            )
+        # a point at E_a ∩ E_b is proximate to both, so it is in the parent's row
+        for q in skeleton.proximate_to[parent]:
+            if skeleton.proximities[q] == targets:
+                raise ClusterError(
+                    f"satellite position already occupied by point {skeleton.tags[q]}"
+                )
     extended = ClusterSkeleton(
         skeleton.parents + (parent,),
         skeleton.proximities + (targets,),
@@ -297,10 +289,6 @@ def _carry_caches(source: ClusterSkeleton, extended: ClusterSkeleton, targets: f
         carried["proximate_to"] = tuple(rows)
     if "tag_index" in cached:
         carried["tag_index"] = {**cached["tag_index"], extended.tags[n]: n}
-    if "satellite_pairs" in cached:
-        pairs = cached["satellite_pairs"]
-        # the caller checked that a satellite's pair is not yet occupied
-        carried["satellite_pairs"] = {**pairs, targets: n} if len(targets) == 2 else pairs
 
 
 def _inherit_verdict(source: ClusterSkeleton, derived: ClusterSkeleton) -> ClusterSkeleton:
@@ -479,23 +467,21 @@ class DualGraph:
 def dual_graph(skeleton: ClusterSkeleton) -> DualGraph:
     """Dual graph of the exceptional divisor obtained by blowing up the cluster.
 
-    For q later than p, the components of p and q meet exactly when q is
-    proximate to p and no point of the cluster is proximate to both (such a
-    point is their intersection, and blowing it up separates them).
+    The points are blown up in order, each changing the graph as
+    `extend_adjacency` says; the resulting rows are the graph's adjacency.
     """
     skeleton.require_valid()
-    occupied = skeleton.satellite_pairs
-    edges = []
-    for q in skeleton.points:
-        for p in skeleton.proximities[q]:
-            if frozenset((p, q)) not in occupied:
-                edges.append((p, q))
-    edges.sort()
+    rows: dict = {ORIGIN: ()}
+    for q in skeleton.points[1:]:
+        extend_adjacency(rows, skeleton.proximities[q])
+    edges = sorted((p, q) for q, row in rows.items() for p in row if p < q)
     weights = tuple(len(skeleton.proximate_to[p]) + 1 for p in skeleton.points)
-    return DualGraph(tuple(skeleton.points), tuple(edges), weights)
+    graph = DualGraph(tuple(skeleton.points), tuple(edges), weights)
+    graph.__dict__["adjacency"] = rows
+    return graph
 
 
-def extend_adjacency(adjacency: dict, targets: Iterable[int]) -> None:
+def extend_adjacency(adjacency: dict, targets: Collection[int]) -> None:
     """Update, in place, the dual graph's `adjacency` rows of a skeleton to
     those of `extend_point(skeleton, targets)`.
 
@@ -504,8 +490,13 @@ def extend_adjacency(adjacency: dict, targets: Iterable[int]) -> None:
     b and adds n to both rows.  n is the largest index, so every row stays
     sorted, and the row of n is its sorted targets.
     """
-    targets = tuple(sorted(set(targets)))
     n = len(adjacency)
-    for q in targets:
-        adjacency[q] = tuple(v for v in adjacency[q] if v not in targets) + (n,)
-    adjacency[n] = targets
+    if len(targets) == 1:
+        (p,) = targets
+        adjacency[p] += (n,)
+        adjacency[n] = (p,)
+    else:
+        a, b = sorted(targets)
+        adjacency[a] = tuple(v for v in adjacency[a] if v != b) + (n,)
+        adjacency[b] = tuple(v for v in adjacency[b] if v != a) + (n,)
+        adjacency[n] = (a, b)

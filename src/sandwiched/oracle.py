@@ -4,11 +4,11 @@ No oracle shares a code path with the operations it checks: values are
 recomputed by plain recursion, unloading results are compared against an
 exhaustive search over dominating consistent clusters, and the fundamental
 cycle and multiplicity of a singularity are recomputed from its resolution
-graph alone.  The paper checks (the proximity matrix, maximal proximity, and
-the excess and fundamental-cycle lemmas) restate the paper on top of the
-library; only the tests evaluate them.  The generators drive both the
-property-test corpus and the CLI selftest; all randomness flows through an
-explicit seed.
+graph alone.  The paper checks (the proximity matrix, the dual graph by its
+static rule, maximal proximity, and the excess and fundamental-cycle lemmas)
+restate the paper on top of the library; only the tests evaluate them.  The
+generators drive both the property-test corpus and the CLI selftest; all
+randomness flows through an explicit seed.
 """
 
 from __future__ import annotations
@@ -334,6 +334,28 @@ def proximity_matrix(skeleton: ClusterSkeleton) -> ProximityMatrix:
             row[q] = -1
         rows.append(tuple(row))
     return ProximityMatrix(tuple(rows))
+
+
+def static_dual_graph(skeleton: ClusterSkeleton) -> DualGraph:
+    """The dual graph by its static rule, the reference for `dual_graph`.
+
+    For q later than p, the components of p and q meet exactly when q is
+    proximate to p and no point of the cluster is proximate to both (such a
+    point is their intersection, and blowing it up separates them).  The
+    weight of p is one more than the number of points proximate to p.
+    """
+    skeleton.require_valid()
+    occupied = {prox for prox in skeleton.proximities if len(prox) == 2}
+    edges = sorted(
+        (p, q)
+        for q in skeleton.points
+        for p in skeleton.proximities[q]
+        if frozenset((p, q)) not in occupied
+    )
+    weights = tuple(
+        1 + sum(p in prox for prox in skeleton.proximities) for p in skeleton.points
+    )
+    return DualGraph(tuple(skeleton.points), tuple(edges), weights)
 
 
 def is_mK_proximate(skeleton: ClusterSkeleton, p: int, q: int) -> bool:

@@ -20,6 +20,7 @@ analyzer before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .analyzer import FreeOn, analyze
 from .cluster import DualGraph, SkeletonBuilder, adjacency, bfs
@@ -37,32 +38,36 @@ class MinimalGraphSpec(DualGraph):
     """
 
     def require_valid(self) -> "MinimalGraphSpec":
+        for message, _ in self._problems():
+            raise ClusterError(message)
+        return self
+
+    def _problems(self) -> Iterator[tuple[str, object]]:
+        """(message, culprit) of the first condition broken; stop there, as later
+        checks need the earlier.  The culprit: an edge's index, a vertex, or None."""
         if not self.vertices:
-            raise ClusterError("graph needs at least one vertex")
+            yield "graph needs at least one vertex", None
         if len(set(self.vertices)) != len(self.vertices):
-            raise ClusterError("duplicate vertex names")
+            yield "duplicate vertex names", None
         if len(self.weights) != len(self.vertices):
-            raise ClusterError("one weight per vertex required")
+            yield "one weight per vertex required", None
         known = set(self.vertices)
-        for u, v in self.edges:
+        for i, (u, v) in enumerate(self.edges):
             if u not in known or v not in known:
-                raise ClusterError(f"edge {u}-{v} uses an unknown vertex")
+                yield f"edge {u}-{v} uses an unknown vertex", i
             if u == v:
-                raise ClusterError(f"loop edge at {u}")
+                yield f"loop edge at {u}", i
         if len(self.edges) != len(self.vertices) - 1:
-            raise ClusterError("not a tree: wrong edge count")
+            yield "not a tree: wrong edge count", None
         order, _ = bfs(self.adjacency, self.vertices[0])
         if len(order) != len(self.vertices):
-            raise ClusterError("not a tree: graph is disconnected")
+            yield "not a tree: graph is disconnected", None
         for name, omega in zip(self.vertices, self.weights):
             if omega < 2:
-                raise ClusterError(f"weight of {name} must be at least 2")
+                yield f"weight of {name} must be at least 2", name
             if omega < self.degree(name):
-                raise ClusterError(
-                    f"weight of {name} is below its degree: fundamental cycle "
-                    "would not be reduced"
-                )
-        return self
+                reason = "fundamental cycle would not be reduced"
+                yield f"weight of {name} is below its degree: {reason}", name
 
 
 def count_contracted_branches(spec: MinimalGraphSpec) -> int:
@@ -197,10 +202,12 @@ def _rooted_code(neighbours, root, weights) -> str:
 def parse_graph_spec(text: str) -> MinimalGraphSpec:
     """Parse the edge-list format: `weight NAME=n` lines declare vertices,
     `A B` lines declare edges, `#` starts a comment.  Weights and vertex
-    names follow the DSL's rules: `synthesize` makes each vertex a point."""
+    names follow the DSL's rules: `synthesize` makes each vertex a point.
+    An error is reported on the line of the edge or weight at fault."""
     vertices: list[str] = []
     weights: dict = {}
     edges: list[tuple[str, str]] = []
+    line_of: dict = {}  # vertex name or edge index -> line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -224,19 +231,20 @@ def parse_graph_spec(text: str) -> MinimalGraphSpec:
                 raise ParseError(f"weight of {name!r} declared twice", lineno, 1)
             vertices.append(name)
             weights[name] = omega
+            line_of[name] = lineno
         else:
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError("expected an edge line `A B`", lineno, 1)
             _check_names(lineno, *parts)
+            line_of[len(edges)] = lineno
             edges.append((parts[0], parts[1]))
     spec = MinimalGraphSpec(
         tuple(vertices), tuple(edges), tuple(weights[v] for v in vertices)
     )
-    try:
-        return spec.require_valid()
-    except ClusterError as exc:
-        raise ParseError(str(exc), len(text.splitlines()) or 1, 1) from None
+    for message, culprit in spec._problems():  # a fault of the whole graph: the last line
+        raise ParseError(message, line_of.get(culprit, len(text.splitlines()) or 1), 1)
+    return spec
 
 
 def _check_names(lineno: int, *names: str) -> None:

@@ -16,6 +16,10 @@ Core claims:
     - only an unloading makes a multiplicity zero, so every stage but the
       last has positive multiplicities; re-attaching rebuilds a stage exactly
       when a requested base point is missing
+    - every stage of a build is consistent
+    - a growth stage attaches where a walk along the satellites of its
+      dicritical from the anchor ends, also after an unloading dropped the
+      satellite the builder appended last
     - the adjacency rows of the dual graph the builder carries equal fresh
       ones at every stage it is checked, and the interior-excess check, one
       search per dicritical, agrees with one chain per pair of dicriticals,
@@ -54,7 +58,7 @@ from sandwiched.cartier import (
 from sandwiched.cluster import dual_graph, extend_point, restrict
 from sandwiched.errors import InternalCheckError
 from sandwiched.oracle import GeneratorConfig, _random_cluster, random_skeleton
-from sandwiched.analyzer import enumerate_singularities
+from sandwiched.analyzer import contracted_neighbor, enumerate_singularities
 from sandwiched.synthesis import MinimalGraphSpec, synthesize
 
 
@@ -262,6 +266,76 @@ def test_reattached_points_have_excess_zero_and_move_no_other():
         assert after == {tag: before.get(tag, 0) for tag in grown.skeleton.tags}
         rebuilt += grown is not cluster
     assert rebuilt > 500
+
+
+# -- where a growth stage attaches -----------------------------------------------
+
+
+def _corpus_requests(corpus):
+    """600 requests on the first corpus instances: alpha 1..5 on each
+    component, and on every fourth request 1..20 on one of them."""
+    rng = random.Random(101)
+    requests = []
+    for i, instance in enumerate(corpus[:600]):
+        alpha = {p: rng.randint(1, 5) for p in instance.report.Kplus_Q}
+        if i % 4 == 3:
+            alpha[rng.choice(instance.report.Kplus_Q)] = rng.randint(1, 20)
+        requests.append(CartierRequest(instance.cluster, instance.report, alpha))
+    return requests
+
+
+def test_every_stage_is_consistent(corpus):
+    for request in _corpus_requests(corpus):
+        for stage in build(request).trace:
+            assert min(excesses(stage)) >= 0
+
+
+def _partner_by_walk(skeleton, anchor, dicritical):
+    """The lookup the builder's chains replaced: from the anchor, follow the
+    satellite at the dicritical and the current point while there is one."""
+    pairs = {}
+    for s in skeleton.points:
+        if len(skeleton.proximities[s]) == 2:
+            pairs.setdefault(skeleton.proximities[s], s)
+    partner = anchor
+    while frozenset((dicritical, partner)) in pairs:
+        partner = pairs[frozenset((dicritical, partner))]
+    return partner
+
+
+def test_growth_stages_attach_where_the_satellite_walk_ends(monkeypatch, corpus):
+    appended = []
+    real = cartier.extend_point
+
+    def recording(skeleton, targets, tag=None):
+        targets = tuple(targets)
+        appended.append((skeleton, targets, tag))
+        return real(skeleton, targets, tag)
+
+    monkeypatch.setattr(cartier, "extend_point", recording)
+    stages = dropped = 0
+    for request in _corpus_requests(corpus):
+        appended.clear()
+        build(request)
+        sk = request.base.skeleton
+        graph = dual_graph(sk)
+        anchor = {
+            sk.tags[p]: sk.tags[contracted_neighbor(graph, request.report, p)]
+            for p in request.report.Kplus_Q
+        }
+        last: dict = {}  # dicritical tag -> tag of the satellite appended last for it
+        seen = set()
+        for skeleton, targets, tag in appended:
+            if tag in seen or len(targets) == 1:
+                continue  # a rebuild re-appending an added point, or the first stage
+            seen.add(tag)
+            partner, p = targets
+            d = skeleton.tags[p]
+            assert partner == _partner_by_walk(skeleton, skeleton.tag_index[anchor[d]], p)
+            stages += 1
+            dropped += d in last and last[d] not in skeleton.tag_index
+            last[d] = tag
+    assert stages > 3000 and dropped >= 20, (stages, dropped)
 
 
 # -- the interior-excess check --------------------------------------------------

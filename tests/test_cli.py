@@ -283,8 +283,9 @@ def test_bad_component_number_is_an_input_error(d1_file, capsys, at, message):
         ("q1=²", "multiplicity '²' is not an integer"),
         ("q1=" + "1" * 5000, "multiplicity of 'q1' has too many digits"),
         ("q1=-1", "prescribed multiplicities must be positive"),
+        ("q1=2,q1=3", "multiplicity of 'q1' given twice"),
     ],
-    ids=["full-width", "underscore", "superscript", "5000-digits", "negative"],
+    ids=["full-width", "underscore", "superscript", "5000-digits", "negative", "repeated"],
 )
 def test_bad_multiplicity_is_an_input_error(d1_file, capsys, alpha, message):
     code, out, err = run(capsys, "cartier", d1_file, "--at", "c0", "--alpha", alpha)

@@ -8,9 +8,11 @@ Core claims:
     - extend_point carries the proximity caches its source holds, equal to
       a fresh rebuild, and restricting to every point is the identity
     - proximity matrices transcribe the structure and invert integrally
-    - the dual graph is a tree obeying the intersection edge rule, and the
-      adjacency rows of an appended point derived by the local blow-up rule
-      equal fresh ones
+    - the dual graph is a tree obeying the intersection edge rule: replaying
+      the blow-ups point by point gives the graph of the static rule in the
+      oracle, and the adjacency rows of an appended point derived by the
+      local blow-up rule equal fresh ones
+    - extend_point names the occupant of a taken satellite position
     - chains are unique tree paths; the open variant drops endpoints
     - the infinitely-near order matches ancestry in the parent tree
     - maximal proximity follows the infinitely-near order
@@ -44,8 +46,13 @@ from sandwiched.oracle import (
     is_mK_proximate,
     is_mK_satellite,
     proximity_matrix,
+    random_minimal_graph_spec,
     random_skeleton,
+    static_dual_graph,
 )
+from sandwiched.synthesis import synthesize
+
+from conftest import make_dr
 
 
 def satellite_triangle() -> ClusterSkeleton:
@@ -195,7 +202,7 @@ def test_unknown_or_empty_verdict_is_not_passed_on(monkeypatch):
     assert len(calls) == 2
 
 
-CACHES = ("proximate_to", "tag_index", "satellite_pairs")
+CACHES = ("proximate_to", "tag_index")
 
 
 def test_extend_point_carries_the_caches_its_source_holds():
@@ -320,6 +327,36 @@ def test_extended_adjacency_is_the_adjacency_of_the_extension():
             assert adjacency == dual_graph(ext).adjacency
             extended[len(targets)] += 1
     assert min(extended.values()) > 300, extended
+
+
+def test_dual_graph_replays_the_static_rule():
+    # blowing the points up in order gives the graph of the static rule
+    rng = random.Random(67)
+    skeletons = [random_skeleton(rng, 10, 0.5) for _ in range(2000)]
+    skeletons += [make_dr(r, s).skeleton for r in range(1, 7) for s in (None, 0, 1, 6)]
+    skeletons += [synthesize(random_minimal_graph_spec(rng, 7, 6))[0].skeleton for _ in range(60)]
+    for sk in skeletons:
+        graph, reference = dual_graph(sk), static_dual_graph(sk)
+        assert graph == reference
+        assert graph.adjacency == reference.adjacency
+
+
+def test_extend_point_finds_the_occupant_of_a_satellite_position():
+    rng = random.Random(71)
+    seen = {True: 0, False: 0}
+    for _ in range(2000):
+        sk = random_skeleton(rng, 10, 0.5).require_valid()
+        p = rng.choice(list(sk.points))
+        for q in sk.proximities[p]:
+            occupants = [s for s in sk.points if sk.proximities[s] == {p, q}]
+            if occupants:
+                message = f"satellite position already occupied by point {sk.tags[occupants[0]]}"
+                with pytest.raises(ClusterError, match=f"^{message}$"):
+                    extend_point(sk, (q, p))
+            else:
+                extend_point(sk, (q, p))
+            seen[bool(occupants)] += 1
+    assert min(seen.values()) > 300, seen
 
 
 def test_dual_graph_is_tree_on_random_skeletons():

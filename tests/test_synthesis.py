@@ -102,6 +102,23 @@ def test_graph_file_errors_carry_position():
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("weight a=2\na b\nweight c=2\n\n# end\n", 2, "edge a-b uses an unknown vertex"),
+        ("weight a=2\nweight b=2\n\na a\n", 4, "loop edge at a"),
+        ("weight a=1\nweight b=2\na b\n", 1, "weight of a must be at least 2"),
+        ("weight c=2\nweight a=2\nweight b=2\nweight d=2\nc a\nc b\nc d\n", 1,
+         "weight of c is below its degree"),
+        ("weight a=2\nweight b=2\n# no edge\n", 3, "not a tree: wrong edge count"),
+    ],
+    ids=["unknown-vertex", "loop", "low-weight", "below-degree", "not-a-tree"],
+)
+def test_graph_errors_name_the_line_at_fault(text, line, message):
+    with pytest.raises(ParseError, match=f"^line {line}, column 1: {message}"):
+        parse_graph_spec(text)
+
+
 @pytest.mark.parametrize("digits", ["٣", "1_0"])  # int() reads them as 3 and 10
 def test_graph_weights_take_ascii_digits_only(digits):
     with pytest.raises(ParseError, match="not an integer"):
