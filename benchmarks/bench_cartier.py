@@ -12,11 +12,12 @@ through Q, about 8 alpha added points.
 
 On a shared machine the CPU speed swings by up to 2x for seconds at a
 time: raw medians of two runs of one tree were seen to differ by up to 60%
-at one size (Xeon vCPU, Python 3.11), with 5 rounds or 200.  So the
-pure-Python calibration loop of `perfbench/run.py` is timed before each
-round, and each round's time is scaled by the loop's reference time over
-its measured time; the median of the scaled times, `calibrated_median_s`
-in the extra info, is what the merge reports.
+at one size (Xeon vCPU, Python 3.11), with 5 rounds or 200.  So each size
+is timed by `bench_unload.calibrated`: the pure-Python calibration loop of
+`perfbench/run.py` is timed before each round, and each round's time is
+scaled by the loop's reference time over its measured time; the median of
+the scaled times, `calibrated_median_s` in the extra info, is what the
+merge reports.
 
 Kept outside `tests/` so the test suite does not pay for it.  From the root
 of a checkout:
@@ -30,19 +31,17 @@ and after the same run against the parent's source tree,
 """
 
 import random
-import statistics
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "benchmarks"))
 
+from bench_unload import calibrated  # noqa: E402
 from conftest import make_d1, make_dr  # noqa: E402
-from run import CALIBRATION_REF_NS, calibration_loop  # noqa: E402
 
 from sandwiched import Satellite, analyze, enumerate_singularities  # noqa: E402
 from sandwiched.cartier import CartierRequest, build  # noqa: E402
@@ -53,27 +52,10 @@ ALPHAS = (25, 50, 100, 200, 400)
 MANY_COMPONENT_ALPHAS = (5, 10, 25, 50)
 
 
-ROUNDS = 100
-
-
 def run_ladder(benchmark, K, report, alpha):
     request = CartierRequest(K, report, {p: alpha for p in report.Kplus_Q})
     benchmark.extra_info["alpha"] = alpha
-    calibrations = []
-
-    def setup():
-        start = time.perf_counter_ns()
-        calibration_loop()
-        calibrations.append(time.perf_counter_ns() - start)
-        return (request,), {}
-
-    result = benchmark.pedantic(build, setup=setup, rounds=ROUNDS, warmup_rounds=1)
-    # setup also ran before the warm-up round, so the last ROUNDS calibrations
-    # precede the timed rounds
-    benchmark.extra_info["calibrated_median_s"] = statistics.median(
-        t * CALIBRATION_REF_NS / c
-        for t, c in zip(benchmark.stats.stats.data, calibrations[-ROUNDS:])
-    )
+    result = calibrated(benchmark, build, request)
     assert result.certificate.passed
     benchmark.extra_info["added"] = len(result.added)
 

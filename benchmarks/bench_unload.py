@@ -2,7 +2,12 @@
 
 Two series at about 50, 100, 200 and 400 points: `unload` on the chain
 weighted (1, ..., 1, n), and `enumerate_singularities` on make_dr(r) (2r + 1
-points), whose time is almost all unloading.  Kept outside `tests/` so the
+points), whose time is almost all unloading.  The pure-Python calibration
+loop of `perfbench/run.py` is timed before each of the 100 rounds per size,
+and each round's time is scaled by the loop's reference time over its
+measured time (`calibrated`, which `bench_cartier.py` shares), so that the
+machine's speed swings do not show as a change; the median of the scaled
+times is recorded as `calibrated_median_s`.  Kept outside `tests/` so the
 test suite does not pay for it.  From the root of a checkout:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_unload.py \\
@@ -23,25 +28,53 @@ raw one.
 
 import json
 import math
+import statistics
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from conftest import make_dr  # noqa: E402
+from run import CALIBRATION_REF_NS, calibration_loop  # noqa: E402
 
 from sandwiched import WeightedCluster, chain_skeleton, enumerate_singularities, unload  # noqa: E402
 
 SIZES = (50, 100, 200, 400)
+ROUNDS = 100
+
+
+def calibrated(benchmark, target, *args):
+    """`target(*args)` timed for ROUNDS rounds, with the calibration loop
+    timed before each; records the median of the calibrated round times as
+    `calibrated_median_s` and returns the target's result."""
+    calibrations = []
+
+    def setup():
+        start = time.perf_counter_ns()
+        calibration_loop()
+        calibrations.append(time.perf_counter_ns() - start)
+        return args, {}
+
+    result = benchmark.pedantic(target, setup=setup, rounds=ROUNDS, warmup_rounds=1)
+    # setup also ran before the warm-up round, so the last ROUNDS calibrations
+    # precede the timed rounds
+    benchmark.extra_info["calibrated_median_s"] = statistics.median(
+        t * CALIBRATION_REF_NS / c
+        for t, c in zip(benchmark.stats.stats.data, calibrations[-ROUNDS:])
+    )
+    return result
 
 
 @pytest.mark.parametrize("points", SIZES)
 def test_chain_unload(benchmark, points):
     K = WeightedCluster(chain_skeleton(points), (1,) * (points - 1) + (points,))
     benchmark.extra_info["points"] = points
-    result = benchmark(unload, K)
+    result = calibrated(benchmark, unload, K)
     benchmark.extra_info["steps"] = len(result.steps)
 
 
@@ -49,7 +82,7 @@ def test_chain_unload(benchmark, points):
 def test_enumerate_make_dr(benchmark, points):
     K = make_dr(points // 2)
     benchmark.extra_info["points"] = len(K.skeleton)
-    reports = benchmark(enumerate_singularities, K)
+    reports = calibrated(benchmark, enumerate_singularities, K)
     assert [(r.mult, r.emdim) for r in reports] == [(points // 2 + 1, points // 2 + 2)]
 
 

@@ -117,8 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_export)
 
     p = sub.add_parser("selftest", help="run the randomized property suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clusters", type=int, default=120)
+    p.add_argument("--seed", default="0")
+    p.add_argument("--clusters", default="120")
     p.set_defaults(handler=_cmd_selftest)
 
     return parser
@@ -277,6 +277,14 @@ def _integer(digits: str, what: str) -> int:
         raise ClusterError(f"{what} has too many digits") from None
 
 
+def _option_integer(value: str, what: str) -> int:
+    """An integer option by the DSL's integer rule: ASCII digits, one optional
+    leading minus sign."""
+    if not dsl.INTEGER.fullmatch(value):
+        raise ClusterError(f"{what} {value!r} is not an integer")
+    return _integer(value, what)
+
+
 def _cmd_cartier(args) -> int:
     name, cluster = _load(args.file, args.name)
     report = analyze(cluster, _parse_at(args.at, cluster))
@@ -327,7 +335,11 @@ def _cmd_export(args) -> int:
 def _cmd_selftest(args) -> int:
     from .oracle import selftest  # only this subcommand pays for importing the oracle
 
-    report = selftest(seed=args.seed, clusters=args.clusters)
+    seed = _option_integer(args.seed, "seed")
+    clusters = _option_integer(args.clusters, "cluster count")
+    if clusters < 0:
+        raise ClusterError(f"cluster count {clusters} is negative")
+    report = selftest(seed=seed, clusters=clusters)
     print(
         f"selftest seed={report.seed}: {report.clusters} clusters, "
         f"{report.analyzed} boundary points analyzed, "

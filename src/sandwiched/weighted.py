@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .cluster import ClusterSkeleton, restrict
@@ -89,7 +88,7 @@ def self_intersection(cluster: WeightedCluster) -> int:
 # -- Unloading -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnloadStep:
     """One unloading at `point`: its value grew by `increment`.
 
@@ -125,10 +124,26 @@ def unload(cluster: WeightedCluster, *, cap: Optional[int] = None) -> UnloadResu
 
     The excesses are computed once.  A step at p changes them only at p, at
     its proximity targets, at the points proximate to p and at their targets,
-    and only those are updated, so a step costs O(r_p + log n): a heap yields
-    the lowest-index negative point.  The up-front skeleton check reads the
-    verdict stored on the skeleton, so only the first check of a skeleton
-    runs `validate`.
+    and only those are updated, so a step costs O(r_p + log n).
+
+    A min-heap of point indices is the only worklist.  Invariant: every point
+    with a negative excess has at least one entry.  A step leaves p with
+    excess >= 0.  It raises the excesses of the targets t != p of the points
+    proximate to p, then lowers those of the targets of p and of the points
+    proximate to p, visiting each changed point after its last raise (see the
+    loops below).  A point is pushed exactly when that lowering takes it from
+    >= 0 to below 0; a point negative before the step and still negative
+    after it kept its entry.  So the smallest entry whose point is still
+    negative is the lowest-index negative point.  An entry whose point has
+    excess >= 0 when popped is stale and is skipped: the point was unloaded
+    or raised out of the negatives since the push, and it is pushed again if
+    it falls back below 0.
+
+    Step records are frozen values, so equal steps of one call share one
+    record: a long trace repeats a few steps many times, and building a
+    record costs more than a step's arithmetic.  The up-front skeleton check
+    reads the verdict stored on the skeleton, so only the first check of a
+    skeleton runs `validate`.
     """
     sk = cluster.skeleton
     sk.require_valid()
@@ -139,40 +154,45 @@ def unload(cluster: WeightedCluster, *, cap: Optional[int] = None) -> UnloadResu
     if cap is None:
         cap = 10 * max(1, sum(abs(m) for m in cluster.nu)) * n_points * n_points
     rho = [nu[p] - sum(nu[q] for q in prox_to[p]) for p in sk.points]
-    negative = {p for p in sk.points if rho[p] < 0}
-    # min-heap over the negative points with lazy deletion: an entry whose
-    # point has since left `negative` is skipped when popped
-    queue = sorted(negative)
+    queue = [p for p in sk.points if rho[p] < 0]  # ascending, so already a heap
     steps: list[UnloadStep] = []
-    while negative:
+    records: dict[tuple[int, int, bool], UnloadStep] = {}
+    while queue:
         p = heappop(queue)
-        if p not in negative:
-            continue
         rho_p = rho[p]
-        r_p = len(prox_to[p])
-        inc = (-rho_p + r_p) // (r_p + 1)
+        if rho_p >= 0:
+            continue
+        proximate = prox_to[p]
+        r_p1 = len(proximate) + 1
+        inc = (r_p1 - 1 - rho_p) // r_p1
         nu[p] += inc
-        rho[p] += inc * (r_p + 1)
-        negative.discard(p)
+        rho[p] = rho_p + inc * r_p1
         # rho_x = nu_x - sum of nu over the points proximate to x.  Raising
         # nu_p and lowering nu_u for each u proximate to p moves rho only at
         # p, at the targets of p, at each u and at the targets t != p of each
         # u.  Such a u is a satellite proximate to p and t, so t is a target
-        # of p or proximate to p (satellite inheritance): the second loop
-        # visits every changed point after its last change.
-        for u in prox_to[p]:
+        # of p or proximate to p (satellite inheritance): the last two loops
+        # visit every changed point after its last change.
+        for u in proximate:
             nu[u] -= inc
             for t in prox[u]:
                 if t != p:
                     rho[t] += inc
-        for x in chain(prox[p], prox_to[p]):
-            rho[x] -= inc
-            if rho[x] >= 0:
-                negative.discard(x)
-            elif x not in negative:
-                negative.add(x)
+        for x in prox[p]:
+            r = rho[x]
+            rho[x] = r - inc
+            if r >= 0 > r - inc:
                 heappush(queue, x)
-        steps.append(UnloadStep(p, inc, inc == 1 and rho_p == -1))
+        for x in proximate:
+            r = rho[x]
+            rho[x] = r - inc
+            if r >= 0 > r - inc:
+                heappush(queue, x)
+        key = (p, inc, inc == 1 and rho_p == -1)
+        step = records.get(key)
+        if step is None:
+            step = records[key] = UnloadStep(*key)
+        steps.append(step)
         if len(steps) > cap:
             raise CapExceededError(
                 f"unloading exceeded the {cap}-step safety cap", trace=tuple(steps)

@@ -9,8 +9,9 @@ Core claims:
     - outputs are byte-identical across runs and re-parse
     - missing or undecodable files, a safety-cap overrun and running out of
       memory or recursion depth end in a one-line message and an exit code,
-      never a traceback; so does a weight, a component number or a
-      multiplicity that is not an ASCII integer or is too long to convert
+      never a traceback; so does a weight, a component number, a
+      multiplicity or a selftest seed or cluster count that is not an ASCII
+      integer or is too long to convert, and a negative cluster count
     - importing the package and every runtime module does not import the
       oracle (only `selftest` and the tests need it), and every name in
       `sandwiched.__all__` resolves
@@ -292,6 +293,31 @@ def test_bad_multiplicity_is_an_input_error(d1_file, capsys, alpha, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--clusters", "-3"), "cluster count -3 is negative"),
+        (("--clusters", "１"), "cluster count '１' is not an integer"),
+        (("--clusters", "1_0"), "cluster count '1_0' is not an integer"),
+        (("--clusters", " 3"), "cluster count ' 3' is not an integer"),
+        (("--clusters", "1" * 5000), "cluster count has too many digits"),
+        (("--seed", "²"), "seed '²' is not an integer"),
+    ],
+    ids=["negative", "full-width", "underscore", "space", "5000-digits", "superscript-seed"],
+)
+def test_bad_selftest_count_is_an_input_error(capsys, argv, message):
+    code, out, err = run(capsys, "selftest", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_selftest_accepts_a_negative_seed_and_zero_clusters(capsys):
+    code, out, _ = run(capsys, "selftest", "--seed", "-3", "--clusters", "0")
+    assert code == 0
+    assert out.startswith("selftest seed=-3: 0 clusters, 0 boundary points analyzed")
 
 
 def test_unload_cap_overrun_exits_3(tmp_path, capsys, monkeypatch):

@@ -8,8 +8,16 @@ Core claims:
     - under a small cap both raise CapExceededError with the same partial trace
     - whatever order the reference loop unloads in, it ends on the cluster
       `unload` reaches, and that cluster has no negative excess
+    - the heap is the only worklist: a point is pushed exactly when a step
+      takes its excess from >= 0 (after the step's raises) to below 0, so a
+      point raised out of the negatives and lowered back gets a second
+      entry, and the stale entries this leaves are skipped, step for step
+      as the reference loop unloads
+    - an `UnloadStep` is a frozen value: its fields cannot be assigned, its
+      repr names them, and it is not equal to the tuple of its fields
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -28,9 +36,10 @@ from sandwiched import (
     excesses,
     unload,
 )
-from sandwiched import oracle
+from sandwiched import oracle, weighted
 from sandwiched.analyzer import extend, zero_excess_components
-from sandwiched.oracle import GeneratorConfig, reference_unload
+from sandwiched.oracle import GeneratorConfig, random_skeleton, reference_unload
+from sandwiched.weighted import UnloadStep
 
 from conftest import make_dr
 
@@ -141,3 +150,70 @@ def test_result_is_independent_of_pick_order(K, choices):
     result = unload(K)
     assert reference_unload(K, pick=pick).cluster == result.cluster
     assert all(r >= 0 for r in excesses(result.cluster))
+
+
+def crossings(K, steps):
+    """Replay `steps` on K by the definition of a step and count, over all
+    steps, the points x next to the unloaded point p (a target of p or
+    proximate to p) whose excess after the step's raises is >= 0 and after
+    the step is < 0, and how many of those were negative before the step."""
+    sk = K.skeleton
+    nu = list(K.nu)
+    pushes = repushes = 0
+    for step in steps:
+        p, inc = step.point, step.increment
+        before = excesses(WeightedCluster(sk, tuple(nu)))
+        nu[p] += inc
+        for u in sk.proximate_to[p]:
+            nu[u] -= inc
+        after = excesses(WeightedCluster(sk, tuple(nu)))
+        for x in sk.proximities[p] | set(sk.proximate_to[p]):
+            raised = before[x] + inc * sum(
+                x in sk.proximities[u] for u in sk.proximate_to[p]
+            )
+            assert after[x] == raised - inc
+            if raised >= 0 > after[x]:
+                pushes += 1
+                repushes += before[x] < 0
+    return pushes, repushes
+
+
+def test_repushed_points_leave_stale_entries_that_are_skipped(monkeypatch):
+    rng = random.Random(20261018)
+    found = []
+    for _ in range(4000):
+        sk = random_skeleton(rng, 10, 0.6)
+        K = WeightedCluster(sk, tuple(rng.randint(-3, 5) for _ in sk.points))
+        pushes, repushes = crossings(K, reference_unload(K).steps)
+        if repushes:
+            found.append((K, pushes))
+    assert len(found) >= 500
+
+    pushed = []
+    heappush = weighted.heappush
+
+    def counting_push(queue, x):
+        pushed.append(x)
+        heappush(queue, x)
+
+    monkeypatch.setattr(weighted, "heappush", counting_push)
+    for K, pushes in found:
+        pushed.clear()
+        result = assert_same_unload(K)
+        assert len(pushed) == pushes
+        # every entry is popped once, as a step or skipped as stale
+        initial = sum(r < 0 for r in excesses(K))
+        assert initial + len(pushed) > len(result.steps)
+
+
+def test_unload_step_is_a_frozen_value():
+    step = UnloadStep(3, 1, True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.point = 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.tame = False
+    assert repr(step) == "UnloadStep(point=3, increment=1, tame=True)"
+    assert step != (3, 1, True)
+    assert step == UnloadStep(3, 1, True) and hash(step) == hash(UnloadStep(3, 1, True))
+    assert step != UnloadStep(3, 1, False)
+    assert not hasattr(step, "__dict__")
