@@ -3,13 +3,16 @@
 Attaching one extra point w of the exceptional divisor to a consistent
 cluster, with virtual multiplicity one, produces the codimension-one cluster
 K_w.  The corresponding point Q of the blown-up surface is singular exactly
-when K_w is not consistent, and in that case every invariant of Q is read off
-the unloading of K_w: the contracted components T_Q, the multiplicity-drop
-set B_Q, the dicritical components through Q, the fundamental cycle, the
-multiplicity, embedding dimension, branch count and minimality tests.
+when K_w is not consistent, i.e. when unloading K_w takes a step, and then
+every invariant of Q is read off that one unloading: the contracted
+components T_Q, the multiplicity-drop set B_Q, the dicritical components
+through Q, the fundamental cycle, the multiplicity, embedding dimension,
+branch count and minimality tests.
 
 Each invariant that admits two independent formulas is computed both ways and
-compared; a mismatch raises InternalCheckError (a bug, never bad input).
+compared; a mismatch raises InternalCheckError (a bug, never bad input).  The
+checks read the vectors the analysis already holds: the unloaded cluster must
+be consistent, by the excesses that also give the branch count.
 """
 
 from __future__ import annotations
@@ -19,15 +22,7 @@ from typing import Optional, Union
 
 from .cluster import DualGraph, bfs, dual_graph, extend_point
 from .errors import ClusterError, InternalCheckError
-from .weighted import (
-    WeightedCluster,
-    drop_zero_points,
-    excesses,
-    is_consistent,
-    self_intersection,
-    unload,
-    values,
-)
+from .weighted import WeightedCluster, excesses, self_intersection, unload, values
 
 
 @dataclass(frozen=True)
@@ -139,12 +134,12 @@ def _analyze(
     sk = cluster.skeleton
     if graph is None and isinstance(w, Satellite):
         graph = dual_graph(sk)
-    k_w = _extend(cluster, w, graph)
-    if is_consistent(k_w):
+    # unloading takes a step exactly when some excess of K_w is negative
+    result = unload(_extend(cluster, w, graph))
+    if not result.steps:
         return SingularityReport(w=w, smooth=True)
 
     n = len(sk)
-    result = unload(k_w)
     unloaded = result.cluster
 
     v_before = values(cluster)
@@ -185,7 +180,7 @@ def _analyze(
     if graph is None:
         graph = dual_graph(sk)
     kplus_q = tuple(
-        sorted(p for p in k_plus if any(t in graph.adjacency[p] for t in t_q))
+        sorted(p for p in k_plus if any(q in t_set for q in graph.adjacency[p]))
     )
 
     z = tuple(v_after[p] - v_before[p] for p in sk.points)
@@ -199,10 +194,10 @@ def _analyze(
     _check(mult == mult_by_self_intersection, "multiplicity formulas disagree")
     emdim = mult + 1
 
-    dropped = drop_zero_points(unloaded)
-    _check(not dropped.blocked, "unloaded cluster kept a structurally blocked zero point")
-
-    rho_after = excesses(WeightedCluster(sk, tuple(nu_after[:n])))
+    # consistency also rules out blocked zero points: with every nu >= 0, only
+    # zero points can be proximate to a zero point
+    rho_after = excesses(unloaded)
+    _check(min(rho_after) >= 0, "unloaded cluster is not consistent")
     b1_in_t = [p for p in b1_q if p in t_set]
     br = mult - len(b1_in_t)
     br_by_excess = sum(rho_after[p] for p in t_q)

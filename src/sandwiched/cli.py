@@ -134,20 +134,23 @@ def _read(path: str) -> str:
         ) from None
 
 
-def _load(path: str, name: Optional[str]):
+def _clusters(path: str, name: Optional[str]) -> dict:
+    """The clusters the file defines, or only the one called `name`."""
     clusters = dsl.parse(_read(path))
     if not clusters:
         raise ClusterError(f"{path}: no clusters defined")
     if name is None:
-        if len(clusters) > 1:
-            raise ClusterError(
-                f"{path} defines {len(clusters)} clusters; pick one with --name"
-            )
-        name, cluster = next(iter(clusters.items()))
-    elif name not in clusters:
+        return clusters
+    if name not in clusters:
         raise ClusterError(f"{path}: no cluster named {name!r}")
-    else:
-        cluster = clusters[name]
+    return {name: clusters[name]}
+
+
+def _load(path: str, name: Optional[str]):
+    clusters = _clusters(path, name)
+    if len(clusters) > 1:
+        raise ClusterError(f"{path} defines {len(clusters)} clusters; pick one with --name")
+    ((name, cluster),) = clusters.items()
     cluster.skeleton.require_valid()
     return name, cluster
 
@@ -165,13 +168,8 @@ def _json(payload) -> str:
 
 
 def _cmd_validate(args) -> int:
-    clusters = dsl.parse(_read(args.file))
-    if args.name is not None:
-        if args.name not in clusters:
-            raise ClusterError(f"{args.file}: no cluster named {args.name!r}")
-        clusters = {args.name: clusters[args.name]}
     status = EXIT_OK
-    for name, cluster in clusters.items():
+    for name, cluster in _clusters(args.file, args.name).items():
         problems = validate(cluster.skeleton)
         if problems:
             status = EXIT_INPUT
@@ -295,11 +293,7 @@ def _cmd_cartier(args) -> int:
         cluster.skeleton.index_of(args.seed_point) if args.seed_point else None
     )
     result = build(request, seed_point=seed_point)
-    text = dsl.serialize(f"{name}_cartier", result.cluster)
-    if args.emit_cluster:
-        _emit(text, args.emit_cluster)
-    else:
-        sys.stdout.write(text)
+    _emit(dsl.serialize(f"{name}_cartier", result.cluster), args.emit_cluster)
     sys.stdout.write(_json(dsl.certificate_json(result.certificate)))
     return EXIT_OK if result.certificate.passed else EXIT_INTERNAL
 
@@ -308,11 +302,7 @@ def _cmd_synthesize(args) -> int:
     spec = parse_graph_spec(_read(args.graphfile))
     cluster, boundary = synthesize(spec)
     report = analyze(cluster, boundary)
-    text = dsl.serialize("synthesized", cluster)
-    if args.emit_cluster:
-        _emit(text, args.emit_cluster)
-    else:
-        sys.stdout.write(text)
+    _emit(dsl.serialize("synthesized", cluster), args.emit_cluster)
     payload = dsl.report_json(cluster, report)
     payload["w"] = dsl.boundary_json(cluster.skeleton, boundary)
     sys.stdout.write(_json(payload))

@@ -21,7 +21,7 @@ from typing import Optional
 from .analyzer import FreeOn, Satellite, SingularityReport
 from .cluster import ClusterSkeleton, dual_graph
 from .errors import ClusterError, ParseError
-from .weighted import WeightedCluster, dicritical_set, excesses, values
+from .weighted import WeightedCluster, excesses, values
 
 
 # -- Tokenizer ----------------------------------------------------------------
@@ -319,7 +319,7 @@ def cluster_json(name: str, cluster: WeightedCluster) -> dict:
         "nu": {sk.tags[p]: cluster.nu[p] for p in sk.points},
         "v": {sk.tags[p]: v[p] for p in sk.points},
         "rho": {sk.tags[p]: rho[p] for p in sk.points},
-        "dicritical": [sk.tags[p] for p in sorted(dicritical_set(cluster))],
+        "dicritical": [sk.tags[p] for p in sk.points if rho[p] > 0],
     }
 
 

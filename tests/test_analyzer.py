@@ -7,6 +7,8 @@ Core claims:
       reproduces every report field
     - all boundary points on one zero-excess component give the same report
     - enumerate finds one singularity per zero-excess component
+    - an unloading of K_w that stops while some excess is negative raises
+      InternalCheckError
     - the excess-shift and fundamental-cycle verifications hold on random
       instances, as do the dicritical split facts
     - the resolution graph carries base-cluster weights and, on minimal
@@ -21,6 +23,7 @@ import pytest
 from sandwiched import (
     ClusterError,
     FreeOn,
+    InternalCheckError,
     Satellite,
     WeightedCluster,
     analyze,
@@ -30,8 +33,11 @@ from sandwiched import (
     enumerate_singularities,
     excesses,
     extend,
+    multiplicities_from_values,
     unload,
+    values,
 )
+from sandwiched import analyzer
 from sandwiched.analyzer import zero_excess_components
 from sandwiched.oracle import (
     GeneratorConfig,
@@ -41,6 +47,7 @@ from sandwiched.oracle import (
     verify_coef_fund,
     verify_difexcess,
 )
+from sandwiched.weighted import UnloadResult
 
 from conftest import make_dr
 
@@ -73,6 +80,21 @@ def test_analyze_rejects_inconsistent_and_zero_weight_input():
     bad = WeightedCluster(chain_skeleton(2), (1, 2))
     with pytest.raises(ClusterError):
         analyze(bad, FreeOn(0))
+
+
+def test_an_unloading_stopped_early_is_caught(d1, monkeypatch):
+    # after the first of its two steps the unloading of K_w on d1 passes every
+    # earlier check; only the consistency of the result tells it is unfinished
+    def first_step_only(cluster):
+        step = unload(cluster).steps[0]
+        v = list(values(cluster))
+        v[step.point] += step.increment
+        return UnloadResult(multiplicities_from_values(cluster.skeleton, v), (step,))
+
+    assert len(unload(extend(d1, FreeOn(1))).steps) == 2
+    monkeypatch.setattr(analyzer, "unload", first_step_only)
+    with pytest.raises(InternalCheckError, match="unloaded cluster is not consistent"):
+        analyze(d1, FreeOn(1))
 
 
 # -- the worked example -----------------------------------------------------------------

@@ -4,6 +4,7 @@ Core claims:
     - exit codes encode the outcome: 0 smooth/ok, 1 input error, 2 a
       singularity was found
     - analyze reproduces the worked example through the JSON surface
+    - a document that defines no cluster is an input error, for validate too
     - unload is the identity on consistent input
     - cartier emits the expected cluster and a passing certificate
     - outputs are byte-identical across runs and re-parse
@@ -28,6 +29,7 @@ import pytest
 import sandwiched
 from sandwiched import cli, unload
 from sandwiched.cli import main
+from sandwiched.synthesis import MinimalGraphSpec, serialize_graph_spec
 
 D1 = "cluster d1 { O ; p1 -> O ; q1 -> p1 }\nweights d1 { O=1 p1=1 q1=1 }\n"
 
@@ -57,6 +59,14 @@ def test_validate_reports_diagnostics(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(path))
     assert code == 1
     assert "satellite-inheritance" in out
+
+
+def test_validate_rejects_a_document_without_clusters(tmp_path, capsys):
+    path = tmp_path / "empty.cluster"
+    path.write_text("# nothing\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: no clusters defined\n"
 
 
 def test_operational_commands_reject_invalid_structure(tmp_path, capsys):
@@ -165,6 +175,15 @@ def test_synthesize(tmp_path, capsys):
     payload = json.loads(out.split("\n", 2)[2])
     assert payload["mult"] == 2
     assert len(payload["Kplus_Q"]) == 3
+
+
+def test_synthesize_a_vertex_named_weight(tmp_path, capsys):
+    spec = MinimalGraphSpec(("weight", "b"), (("weight", "b"),), (2, 2))
+    graph = tmp_path / "weight.graph"
+    graph.write_text(serialize_graph_spec(spec), encoding="utf-8")
+    code, out, err = run(capsys, "synthesize", str(graph))
+    assert code == 0, err
+    assert json.loads(out.split("\n", 2)[2])["T_Q"] == ["weight", "b"]
 
 
 def test_synthesize_long_path(tmp_path, capsys):

@@ -35,8 +35,10 @@ GRAPH_EDGE_FROM_WEIGHTS = "weight weights=2\nweight a=2\nweights a\n"
 NAMES = st.sampled_from(
     ["O", "p1", "q", "_x", "w2", "cluster", "weights", "weight", "ß", "d٣"]
 )
-# a line whose first word is `weight` declares a vertex, so no vertex can be
-# named `weight`
+# a line whose first word is `weight` declares a vertex, so an edge line
+# cannot start with a vertex named `weight` (`weight weight=2` is a valid
+# declaration); the documents below write edges either way round, so they
+# leave that name out
 GRAPH_NAMES = st.sampled_from(["O", "p1", "q", "_x", "a_b", "cluster", "weights", "ß", "d٣"])
 # vertex names that are not DSL names, which a synthesized cluster could not
 # carry as tags

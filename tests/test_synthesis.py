@@ -7,6 +7,9 @@ Core claims:
     - synthesized clusters self-certify: the analyzer reproduces the graph
       with weights, attains component count = embedding dimension, and
       reports a minimal singularity
+    - the self-check compares the resolution graph with the input by name,
+      so it rejects an isomorphic relabelling of the input, and it rejects
+      a smooth report with InternalCheckError
     - graph specs reject non-trees, low weights, and weight < degree
     - `synthesize` validates its spec once
     - the edge-list file format round-trips; a weight is ASCII digits, a
@@ -20,11 +23,20 @@ import random
 
 import pytest
 
-from sandwiched import ClusterError, ParseError, analyze, count_contracted_branches, synthesize
+from sandwiched import (
+    ClusterError,
+    InternalCheckError,
+    ParseError,
+    SingularityReport,
+    analyze,
+    count_contracted_branches,
+    synthesize,
+)
 from sandwiched import dsl
 from sandwiched.oracle import random_minimal_graph_spec
 from sandwiched.synthesis import (
     MinimalGraphSpec,
+    _certify,
     parse_graph_spec,
     serialize_graph_spec,
     weighted_trees_isomorphic,
@@ -96,6 +108,14 @@ def test_graph_file_round_trip():
     assert parse_graph_spec(text) == spec
 
 
+def test_graph_file_round_trip_with_a_vertex_named_weight():
+    spec = MinimalGraphSpec(("weight", "b"), (("weight", "b"),), (2, 2))
+    back = parse_graph_spec(serialize_graph_spec(spec))
+    assert back.vertices == spec.vertices
+    assert back.weights == spec.weights
+    assert set(map(frozenset, back.edges)) == set(map(frozenset, spec.edges))
+
+
 def test_graph_file_errors_carry_position():
     with pytest.raises(ClusterError) as err:
         parse_graph_spec("weight a\n")
@@ -158,6 +178,29 @@ def test_synthesized_clusters_reparse():
 def test_only_a_whole_first_word_declares_a_weight():
     spec = parse_graph_spec("weight weights=2\nweight a=2\nweights a\n")
     assert spec.edges == (("weights", "a"),)
+
+
+def test_certify_rejects_an_isomorphic_relabelling():
+    spec = MinimalGraphSpec(("a", "b", "c"), (("a", "b"), ("b", "c")), (2, 2, 3))
+    cluster, w = synthesize(spec)
+    report = analyze(cluster, w)
+    index = {v: cluster.skeleton.index_of(v) for v in spec.vertices}
+    _certify(spec, cluster, report, index, count_contracted_branches(spec))
+    swapped = MinimalGraphSpec(("c", "b", "a"), (("c", "b"), ("b", "a")), (2, 2, 3))
+    assert weighted_trees_isomorphic(
+        spec.vertices, spec.edges, dict(zip(spec.vertices, spec.weights)),
+        swapped.vertices, swapped.edges, dict(zip(swapped.vertices, swapped.weights)),
+    )
+    with pytest.raises(InternalCheckError, match="resolution graph is not the input graph"):
+        _certify(swapped, cluster, report, index, count_contracted_branches(swapped))
+
+
+def test_certify_rejects_a_smooth_report():
+    spec = MinimalGraphSpec(("a",), (), (2,))
+    cluster, w = synthesize(spec)
+    index = {"a": cluster.skeleton.index_of("a")}
+    with pytest.raises(InternalCheckError, match="synthesized point is smooth"):
+        _certify(spec, cluster, SingularityReport(w=w, smooth=True), index, 3)
 
 
 def test_tree_isomorphism_helper():

@@ -283,6 +283,11 @@ def test_drop_zero_points_matches_rescanning_reference():
         assert result.kept == tuple(sorted(alive))
         assert result.dropped == tuple(p for p in skeleton.points if p not in alive)
         with_blocked += bool(result.blocked)
+        # a consistent cluster has no negative multiplicity, so nothing but a
+        # zero point is proximate to a zero point: none is blocked
+        if is_consistent(K):
+            assert result.blocked == ()
+        assert drop_zero_points(unload(K).cluster).blocked == ()
     assert with_blocked > 100
 
 
