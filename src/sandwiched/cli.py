@@ -2,10 +2,14 @@
 
 Subcommands: validate, unload, analyze, singularities, cartier, synthesize,
 export, selftest.  Exit codes: 0 success (smooth / consistent / all passed),
-1 input or validation error (also an unreadable or non-UTF-8 file), 2 a
+1 input, validation or usage error (also an unreadable or non-UTF-8 file), 2 a
 singularity was found (for scripting), 3 an internal cross-check failed, a
 safety cap was exceeded, or the run ran out of memory or recursion depth (a
-bug, please report the input).
+bug, please report the input).  Every error is one line on stderr.
+
+Only `cartier` imports the Cartier builder, only `synthesize` the
+synthesizer and only `selftest` the oracle, so the other subcommands do not
+compile or run them at start-up.
 """
 
 from __future__ import annotations
@@ -23,10 +27,8 @@ from .analyzer import (
     enumerate_singularities,
     zero_excess_components,
 )
-from .cartier import CartierRequest, build
 from .cluster import validate
 from .errors import CapExceededError, ClusterError, InternalCheckError
-from .synthesis import parse_graph_spec, synthesize
 from .weighted import unload
 
 EXIT_OK = 0
@@ -36,9 +38,8 @@ EXIT_INTERNAL = 3
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except ClusterError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -59,8 +60,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INTERNAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors take the input-error path of `main` (exit 1, one line),
+    not argparse's exit 2, which here means that a singularity was found."""
+
+    def error(self, message):
+        raise ClusterError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sandwiched",
         description="Calculus of weighted clusters of infinitely near points and "
         "the singularities of blown-up complete ideals.",
@@ -284,6 +293,8 @@ def _option_integer(value: str, what: str) -> int:
 
 
 def _cmd_cartier(args) -> int:
+    from .cartier import CartierRequest, build  # only cartier loads the builder
+
     name, cluster = _load(args.file, args.name)
     report = analyze(cluster, _parse_at(args.at, cluster))
     if report.smooth:
@@ -295,10 +306,16 @@ def _cmd_cartier(args) -> int:
     result = build(request, seed_point=seed_point)
     _emit(dsl.serialize(f"{name}_cartier", result.cluster), args.emit_cluster)
     sys.stdout.write(_json(dsl.certificate_json(result.certificate)))
-    return EXIT_OK if result.certificate.passed else EXIT_INTERNAL
+    if result.certificate.passed:
+        return EXIT_OK
+    failed = ", ".join(result.certificate.failures)
+    print(f"internal cross-check failure: certificate failed: {failed}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 def _cmd_synthesize(args) -> int:
+    from .synthesis import parse_graph_spec, synthesize  # only synthesize loads it
+
     spec = parse_graph_spec(_read(args.graphfile))
     cluster, boundary = synthesize(spec)
     report = analyze(cluster, boundary)
@@ -338,7 +355,14 @@ def _cmd_selftest(args) -> int:
     )
     for failure in report.failures:
         print(f"FAIL {failure}")
-    return EXIT_OK if report.passed else EXIT_INTERNAL
+    if report.passed:
+        return EXIT_OK
+    failed = len(report.failures)
+    print(
+        f"internal cross-check failure: selftest seed={report.seed}: {failed} failed (FAIL lines above)",
+        file=sys.stderr,
+    )
+    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,8 +16,16 @@ Core claims:
     - importing the package and every runtime module does not import the
       oracle (only `selftest` and the tests need it), and every name in
       `sandwiched.__all__` resolves
+    - a usage error (no subcommand, a missing or invalid option, an unknown
+      subcommand) exits 1 with one line, not argparse's exit 2; `--help`
+      exits 0
+    - every exit 3 names its cause on stderr: the failed certificate checks
+      of `cartier`, the failure count of `selftest`
+    - a bare `import sandwiched` loads no submodule; `cartier` and
+      `synthesize` alone load the builder and the synthesizer
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -393,3 +401,120 @@ def test_import_leaves_oracle_unloaded():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
     )
     assert result.stdout == "True False\n[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "sandwiched: the following arguments are required: command"),
+        (["analyze", "{file}"], "sandwiched analyze: the following arguments are required: --at"),
+        (
+            ["export", "{file}", "--format", "xml"],
+            "sandwiched export: argument --format: invalid choice: 'xml' (choose from 'dot', 'dsl', 'json')",
+        ),
+        (["frobnicate", "{file}"], "sandwiched: argument command: invalid choice: 'frobnicate'"),
+    ],
+    ids=["no-subcommand", "missing-at", "bad-format", "unknown-subcommand"],
+)
+def test_usage_errors_exit_1_with_one_line(d1_file, capsys, argv, message):
+    code, out, err = run(capsys, *(arg.format(file=d1_file) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+    assert err.endswith("\n") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "--help"])
+    assert exit_info.value.code == 0
+    assert "--at" in capsys.readouterr().out
+
+
+def _failing_verify(monkeypatch):
+    real = sandwiched.cartier.verify
+
+    def failing(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), failures=("localization", "readout"))
+
+    monkeypatch.setattr(sandwiched.cartier, "verify", failing)
+
+
+def test_failed_certificate_exit_3_names_its_checks(d1_file, tmp_path, capsys, monkeypatch):
+    _failing_verify(monkeypatch)
+    emitted = tmp_path / "t.cluster"
+    code, out, err = run(
+        capsys, "cartier", d1_file, "--at", "c0", "--alpha", "q1=2", "--emit-cluster", str(emitted)
+    )
+    assert code == 3
+    assert json.loads(out)["passed"] is False
+    assert err == "internal cross-check failure: certificate failed: localization, readout\n"
+
+
+def test_failed_selftest_exit_3_counts_its_failures(capsys, monkeypatch):
+    _failing_verify(monkeypatch)
+    code, out, err = run(capsys, "selftest", "--clusters", "8")
+    failed = out.count("\nFAIL ")
+    assert code == 3 and failed > 0
+    assert err == f"internal cross-check failure: selftest seed=0: {failed} failed (FAIL lines above)\n"
+
+
+def _python(script: str, *argv: str) -> str:
+    """stdout of `script` run by a fresh interpreter on this source tree."""
+    source = str(Path(sandwiched.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    return result.stdout
+
+
+HEAVY = {"sandwiched.cartier", "sandwiched.synthesis", "sandwiched.oracle"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, absent",
+    [
+        (["validate", "{file}"], 0, HEAVY),
+        (["unload", "{file}", "--format", "json"], 0, HEAVY),
+        (["analyze", "{file}", "--at", "c0"], 2, HEAVY),
+        (["singularities", "{file}"], 2, HEAVY),
+        (["export", "{file}", "--format", "json"], 0, HEAVY),
+        (["cartier", "{file}", "--at", "c0", "--alpha", "q1=2"], 0, HEAVY - {"sandwiched.cartier"}),
+        (["synthesize", "{graph}"], 0, HEAVY - {"sandwiched.synthesis"}),
+    ],
+    ids=["validate", "unload", "analyze", "singularities", "export", "cartier", "synthesize"],
+)
+def test_each_subcommand_loads_only_what_it_runs(d1_file, tmp_path, argv, code, absent):
+    graph = tmp_path / "a1.graph"
+    graph.write_text("weight a=2\n", encoding="utf-8")
+    script = (
+        "import json, runpy, sys\n"
+        "sys.argv = ['sandwiched', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('sandwiched.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print()\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('sandwiched'))]))\n"
+    )
+    argv = [arg.format(file=d1_file, graph=graph) for arg in argv]
+    exit_code, loaded = json.loads(_python(script, *argv).splitlines()[-1])
+    assert exit_code == code
+    assert "sandwiched.analyzer" in loaded
+    assert not absent & set(loaded)
+
+
+def test_bare_import_is_lazy_and_complete():
+    script = (
+        "import sys, sandwiched\n"
+        "print(sorted(m for m in sys.modules if m.startswith('sandwiched')))\n"
+        "print([n for n in sandwiched.__all__ if getattr(sandwiched, n, None) is None])\n"
+        "runtime = ('analyzer', 'cartier', 'cli', 'cluster', 'dsl', 'errors', 'synthesis', 'weighted')\n"
+        "print([n for n in runtime if getattr(sandwiched, n) is not sys.modules['sandwiched.' + n]])\n"
+        "print(set(sandwiched.__all__) <= set(dir(sandwiched)), 'sandwiched.oracle' in sys.modules)\n"
+    )
+    assert _python(script) == "['sandwiched']\n[]\n[]\nTrue False\n"
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        sandwiched.no_such_name  # noqa: B018 - the access is the test
+    assert sandwiched.analyze is sandwiched.analyzer.analyze
