@@ -5,7 +5,7 @@ child process per subcommand, on seeded files of 10 and 100 points, and of
 Each child is timed between two bare interpreter starts (`python -S -c
 pass`) and scaled by perfbench's reference start time over the mean of the
 two, as perfbench scales its `cli` workload; the median of the scaled times
-over the rounds is recorded.  Two modes:
+over the ROUNDS rounds is recorded.  Two modes:
 
 - `nocache`: bytecode writes off (PYTHONDONTWRITEBYTECODE=1), so every child
   compiles each package module it imports from source;
@@ -13,21 +13,24 @@ over the rounds is recorded.  Two modes:
   (nothing lands in the source tree), filled by one untimed round.
 
 The tree to time is named by its `src` directory.  The input files are made
-by this checkout's package, so two trees are timed on the same bytes, and
-each child's exit code and output digest are recorded, so a merge refuses
-runs whose outputs differ.  A tree that holds a `__pycache__` is refused,
-because a stale cache would let `nocache` read bytecode.  From the root of a
+by this checkout's package, so two trees are timed on the same bytes.  A
+tree that holds a `__pycache__` is refused, because a stale cache would let
+`nocache` read bytecode.  A run is written in the layout of pytest-benchmark's
+JSON, so `bench_unload.py` merges it like the other files here: one series
+per mode and subcommand (`nocache_analyze`, `cache_import`, ...), sized by
+`points` (0 for the bare import, which reads no file), with the scaled median
+as `calibrated_median_s`, and each child's exit code and stdout digest as
+counts that the merge requires to agree across runs.  From the root of a
 checkout, with the parent commit's tree at PARENT:
 
-    python benchmarks/bench_startup.py PARENT/src --label parent > parent1.json
-    python benchmarks/bench_startup.py src --label change > change1.json
-    python benchmarks/bench_startup.py src --label change > change2.json
-    python benchmarks/bench_startup.py PARENT/src --label parent > parent2.json
-    python benchmarks/bench_startup.py --merge parent1.json change1.json \\
+    python benchmarks/bench_startup.py PARENT/src > parent1.json
+    python benchmarks/bench_startup.py src > change1.json
+    python benchmarks/bench_startup.py src > change2.json
+    python benchmarks/bench_startup.py PARENT/src > parent2.json
+    PYTHONPATH=src python benchmarks/bench_unload.py parent1.json change1.json \\
         change2.json parent2.json > BENCH_N.json
 """
 
-import argparse
 import hashlib
 import json
 import os
@@ -39,6 +42,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+import cpuinfo
 
 sys.dont_write_bytecode = True  # the trees timed must stay free of caches
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,9 +62,9 @@ MODES = ("nocache", "cache")
 
 
 def inputs(workdir: Path) -> list:
-    """(name, points, argv, exit code) of every timed child; writes its files."""
+    """(kind, points, argv, exit code) of every timed child; writes its files."""
     rng = random.Random(SEED)
-    ops = [("import", None, ["-c", "import sandwiched.cli"], 0)]
+    ops = [("import", 0, ["-c", "import sandwiched.cli"], 0)]
     for n in SIZES:
         cluster = sized_cluster(sandwiched, rng, n)
         (workdir / f"k{n}.cluster").write_text(sandwiched.dsl.serialize(f"k{n}", cluster), encoding="utf-8")
@@ -77,7 +82,7 @@ def inputs(workdir: Path) -> list:
             ("export_dot", ["export", f"k{n}.cluster", "--view", "dual", "--format", "dot"], 0),
             ("export_json", ["export", f"k{n}.cluster", "--format", "json"], 0),
         )
-        ops += [(f"{kind}@{n}", n, ["-m", "sandwiched.cli", *argv], code) for kind, argv, code in commands]
+        ops += [(kind, n, ["-m", "sandwiched.cli", *argv], code) for kind, argv, code in commands]
     return ops
 
 
@@ -97,7 +102,8 @@ def bare_ns() -> int:
     return time.perf_counter_ns() - start
 
 
-def time_mode(src: Path, mode: str, ops: list, workdir: Path, rounds: int) -> dict:
+def time_mode(src: Path, mode: str, ops: list, workdir: Path) -> list:
+    """One pytest-benchmark record per op, timed ROUNDS times in `mode`."""
     with tempfile.TemporaryDirectory(prefix="pycache-") as prefix:
         env = child_env(src, mode, prefix)
 
@@ -107,46 +113,40 @@ def time_mode(src: Path, mode: str, ops: list, workdir: Path, rounds: int) -> di
         if mode == "cache":
             for _, _, argv, _ in ops:  # fills the prefix; untimed
                 child(argv)
-        raw = {name: [] for name, *_ in ops}
-        scaled = {name: [] for name, *_ in ops}
-        outcome = {}
+        raw = {(kind, points): [] for kind, points, *_ in ops}
+        scaled = {(kind, points): [] for kind, points, *_ in ops}
+        digest = {}
         before = bare_ns()
-        for _ in range(rounds):
-            for name, _, argv, code in ops:
+        for _ in range(ROUNDS):
+            for kind, points, argv, code in ops:
                 start = time.perf_counter_ns()
                 proc = child(argv)
                 ns = time.perf_counter_ns() - start
                 if proc.returncode != code:
-                    raise SystemExit(f"{name}: exit {proc.returncode}, expected {code}: {proc.stderr.decode()}")
-                outcome[name] = (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()[:16])
+                    raise SystemExit(f"{kind}: exit {proc.returncode}, expected {code}: {proc.stderr.decode()}")
+                digest[kind, points] = hashlib.sha256(proc.stdout).hexdigest()[:16]
                 after = bare_ns()
-                raw[name].append(ns)
-                scaled[name].append(ns * CLI_CALIBRATION_REF_NS / ((before + after) / 2))
+                raw[kind, points].append(ns / 1e9)
+                scaled[kind, points].append(ns * CLI_CALIBRATION_REF_NS / ((before + after) / 2) / 1e9)
                 before = after
-    return {
-        name: {
-            "points": points,
-            "exit": outcome[name][0],
-            "stdout_sha256": outcome[name][1],
-            "median_ms": round(statistics.median(scaled[name]) / 1e6, 2),
-            "raw_median_ms": round(statistics.median(raw[name]) / 1e6, 2),
-        }
-        for name, points, *_ in ops
-    }
+    records = []
+    for kind, points, _, code in ops:
+        name = f"{mode}_{kind}[{points}]"
+        records.append({
+            "name": name,
+            "fullname": f"benchmarks/bench_startup.py::{name}",
+            "stats": {"median": statistics.median(raw[kind, points])},
+            "extra_info": {
+                "points": points,
+                "calibrated_median_s": statistics.median(scaled[kind, points]),
+                "exit": code,
+                "stdout_sha256": digest[kind, points],
+            },
+        })
+    return records
 
 
-def cpu_name() -> str:
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as handle:
-            for line in handle:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor()
-
-
-def run(src: Path, label: str, rounds: int) -> dict:
+def run(src: Path) -> dict:
     src = src.resolve()
     if not (src / "sandwiched" / "__init__.py").is_file():
         raise SystemExit(f"{src}: no sandwiched package")
@@ -155,83 +155,14 @@ def run(src: Path, label: str, rounds: int) -> dict:
         raise SystemExit(f"remove the bytecode caches first: {' '.join(stale)}")
     with tempfile.TemporaryDirectory(prefix="bench-startup-") as workdir:
         ops = inputs(Path(workdir))
-        modes = {mode: time_mode(src, mode, ops, Path(workdir), rounds) for mode in MODES}
+        benchmarks = [record for mode in MODES for record in time_mode(src, mode, ops, Path(workdir))]
     return {
-        "label": label,
-        "machine": {"cpu": cpu_name(), "python": platform.python_version()},
-        "rounds": rounds,
-        "modes": modes,
+        "machine_info": {"cpu": cpuinfo.get_cpu_info(), "python_version": platform.python_version()},
+        "benchmarks": benchmarks,
     }
-
-
-def merge(runs: list) -> dict:
-    """Per mode and op: each side's median of its runs' medians, the runs
-    themselves, and the speed-up; per mode, the sum over the CLI ops."""
-    sides = {"parent": [r for r in runs if r["label"] == "parent"], "change": [r for r in runs if r["label"] == "change"]}
-    if not all(sides.values()):
-        raise SystemExit("need at least one run labelled parent and one labelled change")
-    series = {}
-    for mode in MODES:
-        ops = runs[0]["modes"][mode]
-        for r in runs:
-            got = {name: (op["exit"], op["stdout_sha256"]) for name, op in r["modes"][mode].items()}
-            if got != {name: (op["exit"], op["stdout_sha256"]) for name, op in ops.items()}:
-                raise SystemExit(f"{mode}: outputs or exit codes differ between runs")
-        out = {}
-        for name in ops:
-            runs_ms = {side: [r["modes"][mode][name]["median_ms"] for r in rs] for side, rs in sides.items()}
-            parent, change = (statistics.median(runs_ms[side]) for side in ("parent", "change"))
-            out[name] = {
-                "points": ops[name]["points"],
-                "parent_median_ms": round(parent, 2),
-                "change_median_ms": round(change, 2),
-                "speedup": round(parent / change, 3),
-                "parent_runs_ms": runs_ms["parent"],
-                "change_runs_ms": runs_ms["change"],
-            }
-        cli = [op for name, op in out.items() if name != "import"]
-        parent_total = sum(op["parent_median_ms"] for op in cli)
-        change_total = sum(op["change_median_ms"] for op in cli)
-        series[mode] = {
-            "ops": out,
-            "cli_total_ms": {
-                "parent": round(parent_total, 1),
-                "change": round(change_total, 1),
-                "speedup": round(parent_total / change_total, 3),
-            },
-        }
-    return {
-        "benchmark": ["benchmarks/bench_startup.py"],
-        "machine": runs[0]["machine"],
-        "method": (
-            f"scaled medians over {runs[0]['rounds']} rounds per op; runs in the order "
-            + ", ".join(r["label"] for r in runs)
-            + "; no tree held a __pycache__ (a run refuses one)"
-        ),
-        "series": series,
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("src", nargs="?", type=Path, help="the src directory of the tree to time")
-    parser.add_argument("--label", default="change", help="parent or change")
-    parser.add_argument("--rounds", type=int, default=ROUNDS)
-    parser.add_argument("--merge", nargs="+", metavar="RUN", help="merge run files into one record")
-    args = parser.parse_args(argv)
-    if args.merge:
-        runs = []
-        for path in args.merge:
-            with open(path, encoding="utf-8") as handle:
-                runs.append(json.load(handle))
-        result = merge(runs)
-    elif args.src is not None:
-        result = run(args.src, args.label, args.rounds)
-    else:
-        parser.error("give a src directory or --merge")
-    print(json.dumps(result, indent=2))
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: bench_startup.py SRC")
+    print(json.dumps(run(Path(sys.argv[1])), indent=2))

@@ -19,11 +19,15 @@ Run it once more against the source tree of the parent commit, then
 
 merges the two runs: median time per size on each side, the speed-up, and
 the growth exponent of each side (the least-squares slope of log time
-against log points).  It merges runs of any file in `benchmarks/`; a
-benchmark that records `calls` in its extra info is reported per call, one
-that records `alpha` instead of `points` is laid out by alpha, and one that
-records `calibrated_median_s` is reported by that median rather than the
-raw one.
+against log points).  More runs are given in the order parent, change,
+change, parent (and so on, repeating), and each side's median is then the
+median of its runs' medians; every run's median is listed as well.  It
+merges runs of any file in `benchmarks/`; a benchmark that records `calls`
+in its extra info is reported per call, one that records `alpha` instead of
+`points` is laid out by alpha, and one that records `calibrated_median_s` is
+reported by that median rather than the raw one.  Recorded counts (`steps`,
+`calls`, `added`, and `bench_startup.py`'s `exit` and `stdout_sha256`) must
+agree across all runs.
 """
 
 import json
@@ -87,19 +91,23 @@ def test_enumerate_make_dr(benchmark, points):
 
 
 def growth_exponent(points, seconds):
+    """Least-squares slope of log time against log size; None for one size."""
+    if len(points) < 2:
+        return None
     xs = [math.log(n) for n in points]
     ys = [math.log(t) for t in seconds]
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+    return round(sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs), 2)
 
 
-COUNTS = ("steps", "calls", "added")
+COUNTS = ("steps", "calls", "added", "exit", "stdout_sha256")
 SIZE_KEYS = ("points", "alpha")  # the first of these a benchmark records is its size
 
 
-def merge(parent: dict, change: dict) -> dict:
-    """Median time per size on each side (per call when a benchmark records
-    `calls`), the speed-up and each side's growth exponent, per series."""
+def merge(parents: list, changes: list) -> dict:
+    """Per series: each side's median over its runs of the median time per
+    size (per call when a benchmark records `calls`), every run's median, the
+    speed-up and each side's growth exponent."""
     size_of = {}
 
     def medians(run):
@@ -116,25 +124,33 @@ def merge(parent: dict, change: dict) -> dict:
                     counts.setdefault(series, {}).setdefault(key, {})[points] = info[key]
         return out, counts
 
-    (before, old_counts), (after, new_counts) = medians(parent), medians(change)
-    if old_counts != new_counts:
-        raise SystemExit(f"step or call counts differ: {old_counts} vs {new_counts}")
+    def ms(seconds):
+        return float(f"{seconds * 1e3:.4g}")
+
+    before, after = [medians(run) for run in parents], [medians(run) for run in changes]
+    counts = before[0][1]
+    for _, other in before + after:
+        if other != counts:
+            raise SystemExit(f"recorded counts differ between runs: {counts} vs {other}")
     merged = {}
-    for series, old in before.items():
-        points = sorted(old)
-        new = after[series]
+    for series, sizes in before[0][0].items():
+        points = sorted(sizes)
+        runs = {"parent": [run[series] for run, _ in before], "change": [run[series] for run, _ in after]}
+        old, new = ({n: statistics.median(r[n] for r in rs) for n in points} for rs in runs.values())
         merged[series] = {
             size_of[series]: points,
-            **{key: [c[n] for n in points] for key, c in new_counts.get(series, {}).items()},
-            "parent_median_ms": [float(f"{old[n] * 1e3:.4g}") for n in points],
-            "change_median_ms": [float(f"{new[n] * 1e3:.4g}") for n in points],
+            **{key: [c[n] for n in points] for key, c in counts.get(series, {}).items()},
+            "parent_median_ms": [ms(old[n]) for n in points],
+            "change_median_ms": [ms(new[n]) for n in points],
             "speedup": [round(old[n] / new[n], 2) for n in points],
-            "parent_growth_exponent": round(growth_exponent(points, [old[n] for n in points]), 2),
-            "change_growth_exponent": round(growth_exponent(points, [new[n] for n in points]), 2),
+            "parent_runs_ms": [[ms(r[n]) for r in runs["parent"]] for n in points],
+            "change_runs_ms": [[ms(r[n]) for r in runs["change"]] for n in points],
+            "parent_growth_exponent": growth_exponent(points, [old[n] for n in points]),
+            "change_growth_exponent": growth_exponent(points, [new[n] for n in points]),
         }
-    info = change["machine_info"]
+    info = changes[0]["machine_info"]
     return {
-        "benchmark": sorted({b["fullname"].split("::")[0] for b in change["benchmarks"]}),
+        "benchmark": sorted({b["fullname"].split("::")[0] for run in changes for b in run["benchmarks"]}),
         "machine": {
             "cpu": info.get("cpu", {}).get("brand_raw"),
             "python": info.get("python_version"),
@@ -144,5 +160,13 @@ def merge(parent: dict, change: dict) -> dict:
 
 
 if __name__ == "__main__":
-    with open(sys.argv[1]) as a, open(sys.argv[2]) as b:
-        print(json.dumps(merge(json.load(a), json.load(b)), indent=2))
+    if len(sys.argv) < 3:
+        raise SystemExit("usage: bench_unload.py PARENT CHANGE [CHANGE PARENT ...]")
+    runs = []
+    for path in sys.argv[1:]:
+        with open(path) as handle:
+            runs.append(json.load(handle))
+    # the runs come in the order parent, change, change, parent, repeating
+    parents = [run for i, run in enumerate(runs) if i % 4 in (0, 3)]
+    changes = [run for i, run in enumerate(runs) if i % 4 in (1, 2)]
+    print(json.dumps(merge(parents, changes), indent=2))
