@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .cluster import DualGraph, bfs, dual_graph, extend_point
+from .cluster import ClusterSkeleton, DualGraph, bfs, dual_graph, extend_point
 from .errors import ClusterError, InternalCheckError
 from .weighted import WeightedCluster, excesses, self_intersection, unload, values
 
@@ -75,6 +75,26 @@ class SingularityReport:
 def _check(condition: bool, message: str):
     if not condition:
         raise InternalCheckError(message)
+
+
+def _all_infinitely_near(sk: ClusterSkeleton, points, q: int) -> bool:
+    """True if every one of `points` is infinitely near or equal to q.
+
+    Each walk down the parents stops at a point already known to be
+    infinitely near q, or below q, since parents precede their children.
+    Every point of a walk that reaches q is remembered, so no point is
+    walked twice.
+    """
+    near = {q}
+    for p in points:
+        walked = []
+        while p is not None and p > q and p not in near:
+            walked.append(p)
+            p = sk.parents[p]
+        if p not in near:
+            return False
+        near.update(walked)
+    return True
 
 
 def _require_base_cluster(cluster: WeightedCluster) -> tuple[int, ...]:
@@ -156,7 +176,7 @@ def _analyze(
 
     # t_q ascends and predecessors come first: a unique minimal point must be t_q[0]
     o_q = t_q[0]
-    _check(all(sk.geq(p, o_q) for p in t_q), "contracted set has no unique minimal point")
+    _check(_all_infinitely_near(sk, t_q, o_q), "contracted set has no unique minimal point")
 
     eps = tuple(nu_after[p] - cluster.nu[p] for p in sk.points)
     _check(eps[o_q] == 1, "multiplicity at the minimal contracted point did not grow by 1")

@@ -7,15 +7,20 @@ transform that is a Cartier divisor, meets the exceptional locus only at Q,
 and realizes exactly the prescribed intersections.
 
 The construction starts from the weighted sum of the simple clusters of the
-components through Q, attaches a free point over the minimal contracted
-point, and then grows satellite chains on each dicritical component toward
-its contracted neighbour until all the relevant excesses are used up,
-unloading and discarding zero points along the way.  Each stage of the
-construction is a weighted cluster whose points keep one admissible order:
-the points of the base cluster present, in base order, then the added
-points in creation order.  A stage drops points or appends one at the end,
-and a base point that comes back is re-attached among the base points, so
-no stage re-sorts, and every tag names the same point throughout.
+components through Q.  One loop in `build` runs every stage: the first
+attaches a free point over the minimal contracted point, and each later one
+grows the satellite chain of a dicritical component toward its contracted
+neighbour, until all the relevant excesses are used up, unloading and
+discarding zero points along the way.  The loop checks every stage in one
+place: the interior excess between the prescribed dicriticals, the excesses
+the first stage leaves, the drop in prescribed excess at each later stage,
+and a safety cap on the points appended plus the unloading steps taken.
+Each stage of the construction is a weighted cluster whose points keep one
+admissible order: the points of the base cluster present, in base order,
+then the added points in creation order.  A stage drops points or appends
+one at the end, and a base point that comes back is re-attached among the
+base points, so no stage re-sorts, and every tag names the same point
+throughout.
 
 Each stage carries forward what it does not change.  The skeleton of an
 appended point keeps the proximity lists and tag index of the previous one,
@@ -23,8 +28,8 @@ updated for the new point (`cluster.extend_point`).  The builder keeps the
 tags of each chain it grows, and the stage's excess vector: appending a
 point of multiplicity 1 lowers the excess of each of its targets by 1 and
 gives the point excess 1.  From the first stage with two prescribed
-dicriticals on, it also carries the adjacency rows of the stage's dual
-graph, all that the interior-excess check reads of it; the new point
+dicriticals on, the loop also carries the adjacency rows of the stage's
+dual graph, all that the interior-excess check reads of it; the new point
 changes only its targets' rows (`cluster.extend_adjacency`), and an
 unloading, which renumbers the points, or a rebuild drops them until the
 check needs them again.  Only an unloading makes a multiplicity zero.  The
@@ -110,6 +115,16 @@ class CartierCertificate:
 
 @dataclass(frozen=True)
 class CartierResult:
+    """The built cluster, the points it added, every stage and the certificate.
+
+    `trace` holds every stage of the construction in order: the start (the
+    weighted sum of simple clusters) first, then one stage per appended
+    point, and last the result, the final stage with every base point
+    re-attached.  When the builder's safety cap is exceeded, the
+    `CapExceededError` carries instead the stages done before the overrun,
+    the start first.
+    """
+
     cluster: WeightedCluster
     added: tuple[AddedPoint, ...]
     trace: tuple[WeightedCluster, ...]
@@ -152,40 +167,24 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
     # per prescribed dicritical: its anchor's tag, then the satellites appended for
     # it; each is proximate to the one before, so the tags present are a prefix
     chains = {p: [sk.tags[neighbor[p]]] for p in dicriticals}
+    # the adjacency rows of the stage's dual graph, or None until two prescribed
+    # dicriticals are present, and again after an unloading or a rebuild
+    adjacency = None
 
-    def stage(
-        cluster: WeightedCluster,
-        rho: list,
-        adjacency: Optional[dict],
-        anchor: int,
-        dicritical: Optional[int],
-        label: str,
-    ):
-        """Re-attach the base point `anchor` and append a point of
-        multiplicity 1: free over the anchor, or the next satellite of
-        `dicritical` on the chain toward it.  The excess drops by 1 at each
-        target and is 1 at the point, and the adjacency rows of the stage's
-        dual graph, when carried, are blown up at the point.  Every stage
-        starts consistent, so only a target's excess can turn negative; if
-        one does, unload (never at an original dicritical) and drop the zero
-        points.  Appends the stage to the trace and checks its interior
-        excess.  Returns the stage, its excesses, its adjacency rows (None
-        until two prescribed dicriticals are present, and again after an
-        unloading or a rebuild) and the excess at each prescribed dicritical
-        present (an absent one has excess 0).
-
-        The re-attachment has never been seen to rebuild here.  The seed
-        point t is in the start: the points infinitely near t span a
-        connected subtree of the dual graph that reaches a maximal point,
-        which is dicritical, and the first dicritical on the way is
-        prescribed, so its simple cluster is positive at t.  A growth
-        anchor is a predecessor of its pending dicritical, so present with
-        it, or else proximate to it, a case with no such argument; but no
-        seeded search (82,613 builds from every contracted seed point,
-        alpha up to 20) reached the rebuild.  It stays as a guard and
-        drops the carried rows.
-        """
-        nonlocal micro
+    # The first stage appends a point free over the seed; each growth stage the
+    # next satellite of the first dicritical with positive excess, on its chain
+    # toward its contracted neighbour.
+    dicritical, anchor, label = None, seed_point, "first stage"
+    while True:
+        # The re-attachment has never been seen to rebuild here.  The seed
+        # point t is in the start: the points infinitely near t span a connected
+        # subtree of the dual graph that reaches a maximal point, which is
+        # dicritical, and the first dicritical on the way is prescribed, so its
+        # simple cluster is positive at t.  A growth anchor is a predecessor of
+        # its pending dicritical, so present with it, or else proximate to it, a
+        # case with no such argument; but no seeded search (82,613 builds from
+        # every contracted seed point, alpha up to 20) reached the rebuild.  It
+        # stays as a guard and drops the carried rows.
         grown = _reattach(cluster, sk, (anchor,))
         if grown is not cluster:
             cluster, rho, adjacency = grown, list(excesses(grown)), None
@@ -203,6 +202,7 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
             rho[q] -= 1
         rho.append(1)
         micro += 1
+        # every stage starts consistent, so only a target's excess can turn negative
         if any(rho[q] < 0 for q in targets):
             result = unload(cluster)
             micro += len(result.steps)
@@ -219,30 +219,28 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
             raise CapExceededError(
                 f"builder exceeded the {cap}-step safety cap", trace=tuple(trace)
             )
-        index = cluster.skeleton.tag_index
-        at = {p: rho[index[sk.tags[p]]] for p in dicriticals if sk.tags[p] in index}
         trace.append(cluster)
+        index = cluster.skeleton.tag_index
+        # the excess at each prescribed dicritical present; an absent one has excess 0
+        at = {p: rho[index[sk.tags[p]]] for p in dicriticals if sk.tags[p] in index}
         present = [sk.tags[p] for p in at]
-        adjacency = check_interior_excess(label, cluster.skeleton, adjacency, rho, present)
-        return cluster, rho, adjacency, at
-
-    # first stage: one free point over the seed
-    cluster, rho, adjacency, at = stage(cluster, rho, None, seed_point, None, "first stage")
-    for p in dicriticals:
-        got = at.get(p, 0)
-        if got != alpha[p] - 1:
-            raise InternalCheckError(
-                f"first stage: excess {got} at {sk.tags[p]}, expected {alpha[p] - 1}"
-            )
-
-    # growth loop: satellite chains on each dicritical toward its neighbour
-    while pending := [p for p in dicriticals if at.get(p, 0) > 0]:
-        total_before = sum(at.values())
-        cluster, rho, adjacency, at = stage(
-            cluster, rho, adjacency, neighbor[pending[0]], pending[0], "growth loop"
-        )
-        if sum(at.values()) >= total_before:
+        if adjacency is None and len(present) > 1:
+            adjacency = dual_graph(cluster.skeleton).adjacency
+        check_interior_excess(label, cluster.skeleton, adjacency, rho, present)
+        if dicritical is None:
+            for p in dicriticals:
+                got = at.get(p, 0)
+                if got != alpha[p] - 1:
+                    raise InternalCheckError(
+                        f"first stage: excess {got} at {sk.tags[p]}, expected {alpha[p] - 1}"
+                    )
+        elif sum(at.values()) >= total_before:
             raise InternalCheckError("growth loop: total prescribed excess did not drop")
+        pending = [p for p in dicriticals if at.get(p, 0) > 0]
+        if not pending:
+            break
+        dicritical, anchor, label = pending[0], neighbor[pending[0]], "growth loop"
+        total_before = sum(at.values())
 
     # finalize: every base point comes back, at multiplicity zero if absent
     final = _reattach(cluster, sk, sk.points)
@@ -261,21 +259,17 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
 
 def check_interior_excess(
     label: str, skeleton: ClusterSkeleton, adjacency: Optional[dict], rho, tags
-) -> Optional[dict]:
-    """Between any two of the prescribed dicriticals `tags` (those present,
-    in order) some interior point of their chain keeps positive excess; this
-    is what makes the growth loop sound.
+) -> None:
+    """Raise InternalCheckError unless, between any two of the prescribed
+    dicriticals `tags` (those present, in order), some interior point of
+    their chain keeps positive excess; this is what makes the growth loop
+    sound.  `adjacency` holds the rows of the skeleton's dual graph, read
+    only when two dicriticals are present.
 
     The dual graph is a tree, so the chain from a to b is the path through
     the breadth-first parents from a: one search per dicritical but the last
-    reads the chains to every later one.  Returns the adjacency rows of the
-    stage's dual graph: `adjacency`, or fresh rows when it is None and two
-    dicriticals are present.
+    reads the chains to every later one.
     """
-    if len(tags) < 2:
-        return adjacency
-    if adjacency is None:
-        adjacency = dual_graph(skeleton).adjacency
     present = [skeleton.tag_index[t] for t in tags]
     for i, a in enumerate(present[:-1]):
         _, parent = bfs(adjacency, a)
@@ -288,7 +282,6 @@ def check_interior_excess(
                     f"{label}: no positive excess between "
                     f"{skeleton.tags[a]} and {skeleton.tags[b]}"
                 )
-    return adjacency
 
 
 def _reattach(
@@ -305,8 +298,14 @@ def _reattach(
     cur = cluster.skeleton
     if all(base.tags[p] in cur.tag_index for p in points):
         return cluster
-    needed = set().union(*(base.predecessors(p) for p in points))
-    needed.update(base.tag_index[t] for t in cur.tags if t in base.tag_index)
+    # the base points present are predecessor-closed, and so is the set after
+    # each walk down the parents, which stops at the first point already needed:
+    # every point is walked at most once
+    needed = {base.tag_index[t] for t in cur.tags if t in base.tag_index}
+    for p in points:
+        while p is not None and p not in needed:
+            needed.add(p)
+            p = base.parents[p]
     skeleton, _ = restrict(base, needed)
     for p, tag in enumerate(cur.tags):
         if tag not in base.tag_index:

@@ -23,7 +23,11 @@ class InternalCheckError(RuntimeError):
 
 
 class CapExceededError(RuntimeError):
-    """An iteration safety cap was exceeded; carries the partial trace."""
+    """An iteration safety cap was exceeded; carries the partial trace.
+
+    `trace` holds the unloading steps taken, or, from the Cartier builder,
+    the stages done before the overrun, the start first.
+    """
 
     def __init__(self, message: str, trace=None):
         super().__init__(message)

@@ -17,6 +17,8 @@ Core claims:
       last has positive multiplicities; re-attaching rebuilds a stage exactly
       when a requested base point is missing
     - every stage of a build is consistent
+    - a build that exceeds the safety cap raises with the cap in its message
+      and carries the stages done before the overrun, the start first
     - a growth stage attaches where a walk along the satellites of its
       dicritical from the anchor ends, also after an unloading dropped the
       satellite the builder appended last
@@ -28,6 +30,7 @@ Core claims:
       elimination, singular and non-integral systems included
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -56,7 +59,7 @@ from sandwiched.cartier import (
     verify,
 )
 from sandwiched.cluster import dual_graph, extend_point, restrict
-from sandwiched.errors import InternalCheckError
+from sandwiched.errors import CapExceededError, InternalCheckError
 from sandwiched.oracle import GeneratorConfig, _random_cluster, random_skeleton
 from sandwiched.analyzer import contracted_neighbor, enumerate_singularities
 from sandwiched.synthesis import MinimalGraphSpec, synthesize
@@ -134,6 +137,33 @@ def test_trace_starts_at_combination_and_ends_at_result(d1, d1_report):
     result = build(CartierRequest(d1, d1_report, {2: 2}))
     assert result.trace[0].nu == (2, 2, 2)  # twice the simple cluster
     assert result.trace[-1] == result.cluster
+
+
+def test_cap_overrun_carries_the_stages_before_it(monkeypatch):
+    cluster, w = synthesize(MinimalGraphSpec(("a",), (), (3,)))
+    report = analyze(cluster, w)
+    alpha = {p: 3 for p in report.Kplus_Q}
+    request = CartierRequest(cluster, report, alpha)
+    stages = build(request).trace
+    cap = 4 * sum(alpha.values()) * len(cluster.skeleton) ** 2
+    real = cartier.unload
+    unloaded = []
+
+    def repeating(stage):
+        # the real steps; from the second unloading on, repeated past the cap
+        result = real(stage)
+        unloaded.append(result)
+        return dataclasses.replace(result, steps=result.steps * (cap if len(unloaded) > 1 else 1))
+
+    monkeypatch.setattr(cartier, "unload", repeating)
+    with pytest.raises(CapExceededError) as raised:
+        build(request)
+    assert str(raised.value) == f"builder exceeded the {cap}-step safety cap"
+    done = raised.value.trace
+    assert len(unloaded) == 2 and len(done) > 2
+    # the start first, then every stage up to the one whose unloading overran
+    assert done == stages[: len(done)]
+    assert stages[len(done)] == drop_zero_points(unloaded[-1].cluster).cluster
 
 
 def test_random_requests_always_certify():
@@ -367,14 +397,17 @@ def _failure(check, *args):
 
 def _checked_stages(monkeypatch, corpus):
     """Every stage the builder checks on the multi-component corpus requests,
-    and whether it carried the adjacency rows of the stage's dual graph,
-    asserting that carried rows are the stage's."""
+    and whether the check got the rows it got at the stage before, carried
+    and extended in place, asserting that the rows are the stage's."""
     stages = []
+    last = [None]
 
     def recording(label, skeleton, adjacency, rho, tags):
-        if adjacency is not None:
+        if adjacency is not None or len(tags) > 1:
             assert adjacency == dual_graph(skeleton).adjacency
-        stages.append((label, skeleton, list(rho), tags, adjacency is not None))
+        carried = adjacency is not None and adjacency is last[0]
+        last[0] = adjacency
+        stages.append((label, skeleton, list(rho), tags, carried))
         return check_interior_excess(label, skeleton, adjacency, rho, tags)
 
     monkeypatch.setattr(cartier, "check_interior_excess", recording)
@@ -392,17 +425,16 @@ def test_interior_excess_search_agrees_with_the_pairwise_chains(monkeypatch, cor
     outcomes = {"passed": 0, "failed": 0, "carried": 0}
     for label, skeleton, rho, tags, carried in stages:
         outcomes["carried"] += carried
+        adjacency = dual_graph(skeleton).adjacency
         # the stage's own excesses, then some positive ones set to zero
         for trial in range(3):
             if trial:
                 rho = [0 if r > 0 and rng.random() < 0.5 else r for r in rho]
             expected = _failure(_interior_excess_by_pairs, label, skeleton, rho, tags)
-            assert _failure(check_interior_excess, label, skeleton, None, rho, tags) == expected
+            got = _failure(check_interior_excess, label, skeleton, adjacency, rho, tags)
+            assert got == expected
             if len(tags) > 1:
                 outcomes["failed" if expected else "passed"] += 1
-        adjacency = check_interior_excess(label, skeleton, None, [1] * len(skeleton), tags)
-        assert (adjacency is None) == (len(tags) < 2)
-        assert adjacency is None or adjacency == dual_graph(skeleton).adjacency
     assert min(outcomes.values()) > 500, outcomes
 
 

@@ -361,6 +361,21 @@ def test_unload_cap_overrun_exits_3(tmp_path, capsys, monkeypatch):
     assert err == "internal error: unloading exceeded the 1-step safety cap\n"
 
 
+def test_builder_cap_overrun_exits_3(d1_file, capsys, monkeypatch):
+    real = sandwiched.cartier.unload
+
+    def repeating(cluster):
+        # the real steps, repeated past the builder's cap of 4 * 2 * 3^2
+        result = real(cluster)
+        return dataclasses.replace(result, steps=result.steps * 72)
+
+    monkeypatch.setattr(sandwiched.cartier, "unload", repeating)
+    code, out, err = run(capsys, "cartier", d1_file, "--at", "c0", "--alpha", "q1=2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: builder exceeded the 72-step safety cap\n"
+
+
 @pytest.mark.parametrize(
     "callee, argv, error, message",
     [
