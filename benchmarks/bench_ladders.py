@@ -1,0 +1,283 @@
+"""Size ladders of the paper's constructions, timed with pytest-benchmark.
+
+Seven series, each a pytest-benchmark test:
+
+- `chain_unload`: `unload` on the chain weighted (1, ..., 1, n), at 50, 100,
+  200 and 400 points; records the step count `steps`.
+- `enumerate_make_dr`: `enumerate_singularities(make_dr(r))` at 2r + 1
+  points for about the same sizes; its time is almost all unloading.
+- `analyze_small` and `enumerate_small`: `analyze` at every boundary point
+  that `random_boundary_points` picks on 200 seeded generator clusters of at
+  most 4, 6, 8 and 10 points, and `enumerate_singularities` on the same
+  clusters.  They are cold: every round runs on fresh copies of the
+  skeletons, so no stored validity verdict or cached proximity data carries
+  over between rounds.  Their `points` is the mean cluster size, and they
+  record the number of `calls` per round, so the merge reports them per call.
+- `build_d1` and `build_make_dr`: `cartier.build` with alpha 25, 50, 100,
+  200 and 400 on every component through Q, on d1 (origin, p1, q1) at
+  Satellite(0, 1) and on the one singularity of make_dr(5).  The builder
+  adds about alpha points, one stage each, so the growth exponent in alpha
+  is the cost of a stage plus one.  Both have one component through Q, so
+  they never run the interior-excess check between prescribed dicriticals.
+- `build_many_components`: alpha 5, 10, 25 and 50 on the synthesized
+  minimal singularity of random_minimal_graph_spec(Random(5), 6, 5): 13
+  points and 8 components through Q, about 8 alpha added points.  The
+  build series record the number of points `added`.
+
+On a shared machine the CPU speed swings by up to 2x for seconds at a
+time: raw medians of two runs of one tree were seen to differ by up to 60%
+at one size (Xeon vCPU, Python 3.11).  So every series is timed by
+`calibrated`, for ROUNDS rounds after one warm-up: each round's set-up makes
+the arguments and then times the pure-Python calibration loop of
+`perfbench/run.py`, and the round's time is scaled by the loop's reference
+time over its measured time.  The median of the scaled times is recorded as
+`calibrated_median_s`.  Under `--benchmark-disable` each series runs once
+and records its counts but no time.
+
+Kept outside `tests/` so the test suite does not pay for it.  From the root
+of a checkout:
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_ladders.py \\
+        --benchmark-json=change.json
+
+(`-k chain_unload` and the like restrict it to some series).  Run it once
+more against the source tree of the parent commit, then
+
+    PYTHONPATH=src python benchmarks/bench_ladders.py parent.json change.json > BENCH_N.json
+
+merges the two runs: median time per size on each side, the speed-up, and
+the growth exponent of each side (the least-squares slope of log time
+against log size).  More runs are given in the order parent, change,
+change, parent (and so on, repeating), and each side's median is then the
+median of its runs' medians; every run's median is listed as well.  It
+merges runs of any file in `benchmarks/`; a benchmark that records `calls`
+in its extra info is reported per call, one that records `alpha` instead of
+`points` is laid out by alpha, and one that records `calibrated_median_s` is
+reported by that median rather than the raw one.  Recorded counts (`steps`,
+`calls`, `added`, and `bench_startup.py`'s `exit` and `stdout_sha256`) must
+agree across all runs.
+"""
+
+import json
+import math
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from conftest import make_d1, make_dr  # noqa: E402
+from run import CALIBRATION_REF_NS, calibration_loop  # noqa: E402
+
+from sandwiched import ClusterSkeleton, Satellite, WeightedCluster, analyze, chain_skeleton  # noqa: E402
+from sandwiched import enumerate_singularities, unload  # noqa: E402
+from sandwiched.cartier import CartierRequest, build  # noqa: E402
+from sandwiched.oracle import GeneratorConfig, _random_cluster, random_boundary_points  # noqa: E402
+from sandwiched.oracle import random_minimal_graph_spec  # noqa: E402
+from sandwiched.synthesis import synthesize  # noqa: E402
+
+ROUNDS = 100
+SIZES = (50, 100, 200, 400)
+MAX_POINTS = (4, 6, 8, 10)
+CLUSTERS = 200
+ALPHAS = (25, 50, 100, 200, 400)
+MANY_COMPONENT_ALPHAS = (5, 10, 25, 50)
+
+
+def calibrated(benchmark, target, arguments):
+    """`target(*arguments())` timed for ROUNDS rounds, `arguments()` called
+    and the calibration loop timed in each round's set-up; records the
+    median of the calibrated round times as `calibrated_median_s` and
+    returns the target's result.  With pytest-benchmark disabled, the
+    target runs once and nothing is recorded."""
+    calibrations = []
+
+    def setup():
+        args = arguments()
+        start = time.perf_counter_ns()
+        calibration_loop()
+        calibrations.append(time.perf_counter_ns() - start)
+        return args, {}
+
+    result = benchmark.pedantic(target, setup=setup, rounds=ROUNDS, warmup_rounds=1)
+    if benchmark.enabled:
+        # setup also ran before the warm-up round, so the last ROUNDS
+        # calibrations precede the timed rounds
+        benchmark.extra_info["calibrated_median_s"] = statistics.median(
+            t * CALIBRATION_REF_NS / c
+            for t, c in zip(benchmark.stats.stats.data, calibrations[-ROUNDS:])
+        )
+    return result
+
+
+@pytest.mark.parametrize("points", SIZES)
+def test_chain_unload(benchmark, points):
+    K = WeightedCluster(chain_skeleton(points), (1,) * (points - 1) + (points,))
+    benchmark.extra_info["points"] = points
+    result = calibrated(benchmark, unload, lambda: (K,))
+    benchmark.extra_info["steps"] = len(result.steps)
+
+
+@pytest.mark.parametrize("points", SIZES)
+def test_enumerate_make_dr(benchmark, points):
+    K = make_dr(points // 2)
+    benchmark.extra_info["points"] = len(K.skeleton)
+    reports = calibrated(benchmark, enumerate_singularities, lambda: (K,))
+    assert [(r.mult, r.emdim) for r in reports] == [(points // 2 + 1, points // 2 + 2)]
+
+
+def corpus(max_points):
+    """Seeded clusters and, per cluster, its boundary points."""
+    rng = random.Random(5000 + max_points)
+    config = GeneratorConfig(max_points=max_points, satellite_probability=0.4)
+    clusters = [_random_cluster(rng, config) for _ in range(CLUSTERS)]
+    return [(K, random_boundary_points(K, rng)) for K in clusters]
+
+
+def fresh(K):
+    sk = K.skeleton
+    return WeightedCluster(ClusterSkeleton(sk.parents, sk.proximities, sk.tags), K.nu)
+
+
+def run_cold(benchmark, items, body, calls):
+    benchmark.extra_info["points"] = round(sum(len(K.skeleton) for K, _ in items) / len(items), 2)
+    benchmark.extra_info["calls"] = calls
+    calibrated(benchmark, body, lambda: ([(fresh(K), ws) for K, ws in items],))
+
+
+@pytest.mark.parametrize("max_points", MAX_POINTS)
+def test_analyze_small(benchmark, max_points):
+    def body(items):
+        for K, ws in items:
+            for w in ws:
+                analyze(K, w)
+
+    items = corpus(max_points)
+    run_cold(benchmark, items, body, sum(len(ws) for _, ws in items))
+
+
+@pytest.mark.parametrize("max_points", MAX_POINTS)
+def test_enumerate_small(benchmark, max_points):
+    def body(items):
+        for K, _ in items:
+            enumerate_singularities(K)
+
+    items = corpus(max_points)
+    run_cold(benchmark, items, body, len(items))
+
+
+def run_build(benchmark, K, report, alpha):
+    request = CartierRequest(K, report, {p: alpha for p in report.Kplus_Q})
+    benchmark.extra_info["alpha"] = alpha
+    result = calibrated(benchmark, build, lambda: (request,))
+    assert result.certificate.passed
+    benchmark.extra_info["added"] = len(result.added)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_build_d1(benchmark, alpha):
+    K = make_d1()
+    run_build(benchmark, K, analyze(K, Satellite(0, 1)), alpha)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_build_make_dr(benchmark, alpha):
+    K = make_dr(5)
+    (report,) = enumerate_singularities(K)
+    run_build(benchmark, K, report, alpha)
+
+
+@pytest.mark.parametrize("alpha", MANY_COMPONENT_ALPHAS)
+def test_build_many_components(benchmark, alpha):
+    K, w = synthesize(random_minimal_graph_spec(random.Random(5), 6, 5))
+    report = analyze(K, w)
+    assert (len(K.skeleton), len(report.Kplus_Q)) == (13, 8)
+    run_build(benchmark, K, report, alpha)
+
+
+def growth_exponent(points, seconds):
+    """Least-squares slope of log time against log size; None for one size."""
+    if len(points) < 2:
+        return None
+    xs = [math.log(n) for n in points]
+    ys = [math.log(t) for t in seconds]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return round(sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs), 2)
+
+
+COUNTS = ("steps", "calls", "added", "exit", "stdout_sha256")
+SIZE_KEYS = ("points", "alpha")  # the first of these a benchmark records is its size
+
+
+def merge(parents: list, changes: list) -> dict:
+    """Per series: each side's median over its runs of the median time per
+    size (per call when a benchmark records `calls`), every run's median, the
+    speed-up and each side's growth exponent."""
+    size_of = {}
+
+    def medians(run):
+        out, counts = {}, {}
+        for bench in run["benchmarks"]:
+            series = bench["name"].split("[")[0].removeprefix("test_")
+            info = bench["extra_info"]
+            size_of[series] = next(key for key in SIZE_KEYS if key in info)
+            points = info[size_of[series]]
+            median = info.get("calibrated_median_s", bench["stats"]["median"])
+            out.setdefault(series, {})[points] = median / info.get("calls", 1)
+            for key in COUNTS:
+                if key in info:
+                    counts.setdefault(series, {}).setdefault(key, {})[points] = info[key]
+        return out, counts
+
+    def ms(seconds):
+        return float(f"{seconds * 1e3:.4g}")
+
+    before, after = [medians(run) for run in parents], [medians(run) for run in changes]
+    counts = before[0][1]
+    for _, other in before + after:
+        if other != counts:
+            raise SystemExit(f"recorded counts differ between runs: {counts} vs {other}")
+    merged = {}
+    for series, sizes in before[0][0].items():
+        points = sorted(sizes)
+        runs = {"parent": [run[series] for run, _ in before], "change": [run[series] for run, _ in after]}
+        old, new = ({n: statistics.median(r[n] for r in rs) for n in points} for rs in runs.values())
+        merged[series] = {
+            size_of[series]: points,
+            **{key: [c[n] for n in points] for key, c in counts.get(series, {}).items()},
+            "parent_median_ms": [ms(old[n]) for n in points],
+            "change_median_ms": [ms(new[n]) for n in points],
+            "speedup": [round(old[n] / new[n], 2) for n in points],
+            "parent_runs_ms": [[ms(r[n]) for r in runs["parent"]] for n in points],
+            "change_runs_ms": [[ms(r[n]) for r in runs["change"]] for n in points],
+            "parent_growth_exponent": growth_exponent(points, [old[n] for n in points]),
+            "change_growth_exponent": growth_exponent(points, [new[n] for n in points]),
+        }
+    info = changes[0]["machine_info"]
+    return {
+        "benchmark": sorted({b["fullname"].split("::")[0] for run in changes for b in run["benchmarks"]}),
+        "machine": {
+            "cpu": info.get("cpu", {}).get("brand_raw"),
+            "python": info.get("python_version"),
+        },
+        "series": merged,
+    }
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 3:
+        raise SystemExit("usage: bench_ladders.py PARENT CHANGE [CHANGE PARENT ...]")
+    runs = []
+    for path in sys.argv[1:]:
+        with open(path) as handle:
+            runs.append(json.load(handle))
+    # the runs come in the order parent, change, change, parent, repeating
+    parents = [run for i, run in enumerate(runs) if i % 4 in (0, 3)]
+    changes = [run for i, run in enumerate(runs) if i % 4 in (1, 2)]
+    print(json.dumps(merge(parents, changes), indent=2))

@@ -16,7 +16,7 @@ The tree to time is named by its `src` directory.  The input files are made
 by this checkout's package, so two trees are timed on the same bytes.  A
 tree that holds a `__pycache__` is refused, because a stale cache would let
 `nocache` read bytecode.  A run is written in the layout of pytest-benchmark's
-JSON, so `bench_unload.py` merges it like the other files here: one series
+JSON, so `bench_ladders.py` merges it like its own ladders: one series
 per mode and subcommand (`nocache_analyze`, `cache_import`, ...), sized by
 `points` (0 for the bare import, which reads no file), with the scaled median
 as `calibrated_median_s`, and each child's exit code and stdout digest as
@@ -27,7 +27,7 @@ checkout, with the parent commit's tree at PARENT:
     python benchmarks/bench_startup.py src > change1.json
     python benchmarks/bench_startup.py src > change2.json
     python benchmarks/bench_startup.py PARENT/src > parent2.json
-    PYTHONPATH=src python benchmarks/bench_unload.py parent1.json change1.json \\
+    PYTHONPATH=src python benchmarks/bench_ladders.py parent1.json change1.json \\
         change2.json parent2.json > BENCH_N.json
 """
 

@@ -270,9 +270,10 @@ def _parse_alpha(spec: str, cluster) -> dict:
             raise ClusterError(f"bad multiplicity entry {part!r}; expected TAG=N")
         if not dsl.INTEGER.fullmatch(value):
             raise ClusterError(f"multiplicity {value!r} is not an integer")
-        if cluster.skeleton.index_of(tag) in alpha:
+        p = cluster.skeleton.index_of(tag)
+        if p in alpha:
             raise ClusterError(f"multiplicity of {tag!r} given twice")
-        alpha[cluster.skeleton.index_of(tag)] = _integer(value, f"multiplicity of {tag!r}")
+        alpha[p] = _integer(value, f"multiplicity of {tag!r}")
     return alpha
 
 
@@ -297,8 +298,6 @@ def _cmd_cartier(args) -> int:
 
     name, cluster = _load(args.file, args.name)
     report = analyze(cluster, _parse_at(args.at, cluster))
-    if report.smooth:
-        raise ClusterError("the chosen point is smooth; nothing to build")
     request = CartierRequest(cluster, report, _parse_alpha(args.alpha, cluster))
     seed_point = (
         cluster.skeleton.index_of(args.seed_point) if args.seed_point else None

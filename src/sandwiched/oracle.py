@@ -111,12 +111,11 @@ def _random_cluster(rng: random.Random, config: GeneratorConfig) -> WeightedClus
     return dropped
 
 
-def random_boundary_points(
-    cluster: WeightedCluster, rng: random.Random, per_component: int = 2
-) -> list:
+def random_boundary_points(cluster: WeightedCluster, rng: random.Random) -> list:
     """Boundary points that hit singularities: free points on zero-excess
-    components and satellites on dual-graph edges touching them, plus the
-    occasional smooth pick."""
+    components and satellites on dual-graph edges touching them, twice as many
+    as there are zero-excess components at most (two if there are none), plus
+    the occasional smooth pick."""
     rho = excesses(cluster)
     graph = dual_graph(cluster.skeleton)
     out = []
@@ -127,7 +126,7 @@ def random_boundary_points(
         if rho[u] == 0 or rho[v] == 0:
             out.append(Satellite(u, v))
     rng.shuffle(out)
-    out = out[: per_component * max(1, len(zero))]
+    out = out[: 2 * max(1, len(zero))]
     dicriticals = sorted(dicritical_set(cluster))
     if dicriticals and rng.random() < 0.3:
         out.append(FreeOn(rng.choice(dicriticals)))

@@ -6,7 +6,8 @@ Core claims:
     - analyze reproduces the worked example through the JSON surface
     - a document that defines no cluster is an input error, for validate too
     - unload is the identity on consistent input
-    - cartier emits the expected cluster and a passing certificate
+    - cartier emits the expected cluster and a passing certificate; at a
+      smooth point it is an input error, reported by the request's own check
     - outputs are byte-identical across runs and re-parse
     - missing or undecodable files, a safety-cap overrun and running out of
       memory or recursion depth end in a one-line message and an exit code,
@@ -172,6 +173,12 @@ def test_cartier_emits_cluster_and_certificate(d1_file, tmp_path, capsys):
     assert "O=3 p1=2 q1=1" in emitted
     code2, out2, _ = run(capsys, "validate", str(out_path))
     assert code2 == 0
+
+
+def test_cartier_at_a_smooth_point_is_an_input_error(d1_file, capsys):
+    code, out, err = run(capsys, "cartier", d1_file, "--at", "free:q1", "--alpha", "q1=1")
+    assert (code, out) == (1, "")
+    assert err == "error: the chosen point is smooth: nothing to prescribe\n"
 
 
 def test_synthesize(tmp_path, capsys):

@@ -1,16 +1,20 @@
 """Work linear in the number of points, counted rather than timed.
 
 Core claims:
-    - `enumerate_singularities`, and `cartier.build` at alpha 1 on the last
-      point at the singularity with the most contracted points, visit at most 4n points through `ClusterSkeleton.geq` and
-      `ClusterSkeleton.predecessors` on a 20,000-point chain and on a
-      20,000-point satellite fan; a walk per point of the contracted set in
-      the o_Q check, or one predecessor set per base point in the closing
-      re-attachment, passes that bound within a few calls
+    - `enumerate_singularities`, and `cartier.build` at alpha 1 on every
+      component through the singularity with the most contracted points,
+      read `parents` at most 4n times on a 20,000-point chain, a
+      20,000-point satellite fan and a 19,999-point fork; an o_Q check that
+      walks every point of the contracted set down to o_Q, or a closing
+      re-attachment that walks every point down to the origin, passes that
+      bound within a few calls
+    - on the fork, whose build keeps one branch and re-attaches the whole
+      other one, the re-attachment's walk is metered too
     - each build's traced allocation peak stays under 100 MB
 
-No clock is read: the counts and the allocation peak do not depend on the
-machine's speed.
+Every read of the base skeleton's `parents` goes through `CountedParents`,
+a tuple whose `__getitem__` counts.  No clock is read: the counts and the
+allocation peak do not depend on the machine's speed.
 """
 
 import tracemalloc
@@ -27,12 +31,33 @@ POINTS = 20_000
 PEAK_BYTES = 100 * 2**20
 
 
-def _chain(n: int) -> WeightedCluster:
+class CountedParents(tuple):
+    """A parents tuple that counts its reads through `[]` and fails the test
+    once the count passes `limit`; counts nothing while `limit` is None."""
+
+    reads = 0
+    limit = None
+
+    def __getitem__(self, key):
+        if CountedParents.limit is not None:
+            CountedParents.reads += 1
+            if CountedParents.reads > CountedParents.limit:
+                pytest.fail(f"read parents more than {CountedParents.limit} times")
+        return super().__getitem__(key)
+
+
+def _counted(skeleton: ClusterSkeleton) -> ClusterSkeleton:
+    """The skeleton with counted parents, validated before any count starts."""
+    sk = ClusterSkeleton(CountedParents(skeleton.parents), skeleton.proximities, skeleton.tags)
+    return sk.require_valid()
+
+
+def _chain(n: int) -> tuple:
     """n free points, each over the previous, every multiplicity 1."""
-    return WeightedCluster(chain_skeleton(n), (1,) * n)
+    return WeightedCluster(_counted(chain_skeleton(n)), (1,) * n), (n - 1,)
 
 
-def _satellite_fan(n: int) -> WeightedCluster:
+def _satellite_fan(n: int) -> tuple:
     """Origin O, p1 free over O, then each point a satellite of the previous
     point and O; weighted as the simple cluster of its last point."""
     b = SkeletonBuilder()
@@ -40,60 +65,54 @@ def _satellite_fan(n: int) -> WeightedCluster:
     prev = b.free(o)
     for _ in range(2, n):
         prev = b.satellite(prev, o)
-    skeleton = b.build()
-    return WeightedCluster(skeleton, simple_multiplicities(skeleton, n - 1))
+    skeleton = _counted(b.build())
+    return WeightedCluster(skeleton, simple_multiplicities(skeleton, n - 1)), (n - 1,)
+
+
+def _fork(n: int) -> tuple:
+    """Origin of weight 3 and two free chains over it of (n - 1) // 2 points
+    each, every multiplicity 1: one singularity per chain."""
+    b = SkeletonBuilder()
+    o = b.origin()
+    ends = []
+    for _ in range(2):
+        prev = o
+        for _ in range((n - 1) // 2):
+            prev = b.free(prev)
+        ends.append(prev)
+    skeleton = _counted(b.build())
+    return WeightedCluster(skeleton, (3,) + (1,) * (len(skeleton) - 1)), (0, ends[0])
 
 
 @pytest.fixture
 def metered(monkeypatch):
-    """Sum the points `geq` and `predecessors` visit, and fail the test once
-    the sum passes the limit; returns a function that restarts the count
-    with a new limit."""
-    real_geq, real_predecessors = ClusterSkeleton.geq, ClusterSkeleton.predecessors
-    meter = {"visited": 0, "limit": 0}
-
-    def charge(points):
-        meter["visited"] += points
-        if meter["visited"] > meter["limit"]:
-            pytest.fail(f"visited more than {meter['limit']} points")
-
-    def geq(self, p, q):
-        u, visited = p, 1
-        while u is not None and u > q:
-            u, visited = self.parents[u], visited + 1
-        charge(visited)
-        return real_geq(self, p, q)
-
-    def predecessors(self, p):
-        result = real_predecessors(self, p)
-        charge(len(result))
-        return result
-
-    monkeypatch.setattr(ClusterSkeleton, "geq", geq)
-    monkeypatch.setattr(ClusterSkeleton, "predecessors", predecessors)
+    """A function that restarts the count of `parents` reads with a new limit."""
 
     def restart(limit):
-        meter.update(visited=0, limit=limit)
+        monkeypatch.setattr(CountedParents, "reads", 0)
+        monkeypatch.setattr(CountedParents, "limit", limit)
 
     return restart
 
 
-@pytest.mark.parametrize("shape", [_chain, _satellite_fan], ids=["chain", "satellite-fan"])
+@pytest.mark.parametrize("shape", [_chain, _satellite_fan, _fork], ids=["chain", "satellite-fan", "fork"])
 def test_enumerate_and_build_visit_linearly_many_points(metered, shape):
-    cluster = shape(POINTS)
-    last = POINTS - 1
+    cluster, kplus_q = shape(POINTS)
+    n = len(cluster.skeleton)
 
-    metered(4 * POINTS)
-    # the fan also contracts E_O alone; build on the long contracted chain
+    metered(4 * n)
+    # the fan also contracts E_O alone; build on the long contracted chain,
+    # and on the fork at the first of its two equal singularities
     report = max(enumerate_singularities(cluster), key=lambda r: len(r.T_Q))
-    assert report.Kplus_Q == (last,)
+    assert report.Kplus_Q == kplus_q
 
-    metered(4 * POINTS)
+    metered(4 * n)
     tracemalloc.start()
     try:
-        result = build(CartierRequest(cluster, report, {last: 1}))
+        result = build(CartierRequest(cluster, report, dict.fromkeys(kplus_q, 1)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert result.certificate.passed
+    assert set(cluster.skeleton.tags) <= set(result.cluster.skeleton.tags)
     assert peak < PEAK_BYTES, f"peak {peak / 2**20:.1f} MB"
