@@ -350,6 +350,7 @@ def _cmd_selftest(args) -> int:
         f"selftest seed={report.seed}: {report.clusters} clusters, "
         f"{report.analyzed} boundary points analyzed, "
         f"{report.unload_oracle_checked} exhaustive unload checks, "
+        f"{report.cartier_built} Cartier builds, {report.synthesized} syntheses, "
         f"{report.elapsed:.2f}s"
     )
     for failure in report.failures:

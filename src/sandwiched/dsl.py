@@ -1,6 +1,9 @@
 """Text formats: the cluster DSL, DOT export, and JSON views.
 
-The DSL is line-oriented UTF-8; `#` starts a comment.  A cluster block lists
+The DSL is line-oriented UTF-8; `#` starts a comment that runs to the end of
+the line, and a block may span lines.  One token pattern reads each line: a
+name is a letter or `_` then word characters, an integer is ASCII digits with
+an optional `-`, and the symbols are `-> { } ; , =`.  A cluster block lists
 points in admissible order, the first proximity target being the parent:
 
     cluster d1 { O ; p1 -> O ; q1 -> p1 ; w -> q1, p1 }
@@ -15,7 +18,6 @@ second proximity target) and the dual-graph view (vertex weights as labels).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .analyzer import FreeOn, Satellite, SingularityReport
@@ -24,21 +26,17 @@ from .errors import ClusterError, ParseError
 from .weighted import WeightedCluster, excesses, values
 
 
-# -- Tokenizer ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'name', 'int', or a literal symbol
-    text: str
-    line: int
-    column: int
-
+# -- Reader ------------------------------------------------------------------
 
 # ASCII digits only, with an optional minus sign: `int` also reads other
 # scripts' digits and underscores, and str.isdigit() accepts superscripts
 INTEGER = re.compile(r"-?[0-9]+")
 _WORD = re.compile(r"\w+")  # what str.isalnum() accepts, and `_`
+# tried at each column in this order; a word is a token only if it is a name
+_TOKEN = re.compile(
+    r"(?P<blank>\s+)|(?P<symbol>->|[{};,=])"
+    f"|(?P<int>{INTEGER.pattern})|(?P<name>{_WORD.pattern})"
+)
 
 
 def is_name(text: str) -> bool:
@@ -46,62 +44,40 @@ def is_name(text: str) -> bool:
     return _WORD.fullmatch(text) is not None and (text[0].isalpha() or text[0] == "_")
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokens(text: str) -> list:
+    """(kind, text, line, column) tuples in reverse order, so that the next
+    token is at the end of the list, after an end token of kind None at the
+    last token's position.  A symbol's kind is its text."""
     tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         col = 0
         while col < len(line):
-            ch = line[col]
-            if ch.isspace():
-                col += 1
-                continue
-            if line.startswith("->", col):
-                tokens.append(_Token("->", "->", lineno, col + 1))
-                col += 2
-                continue
-            if ch in "{};,=":
-                tokens.append(_Token(ch, ch, lineno, col + 1))
-                col += 1
-                continue
-            if is_name(ch):
-                end = _WORD.match(line, col).end()
-                tokens.append(_Token("name", line[col:end], lineno, col + 1))
-                col = end
-                continue
-            integer = INTEGER.match(line, col)
-            if integer:
-                tokens.append(_Token("int", integer.group(), lineno, col + 1))
-                col = integer.end()
-                continue
-            raise ParseError(f"unexpected character {ch!r}", lineno, col + 1)
-    return tokens
+            match = _TOKEN.match(line, col)
+            kind = match and match.lastgroup
+            if kind is None or (kind == "name" and not is_name(match.group())):
+                raise ParseError(f"unexpected character {line[col]!r}", lineno, col + 1)
+            if kind != "blank":
+                word = match.group()
+                tokens.append((word if kind == "symbol" else kind, word, lineno, col + 1))
+            col = match.end()
+    end = (None, "", *tokens[-1][2:]) if tokens else (None, "", 1, 1)
+    return [end] + tokens[::-1]
 
 
-class _Cursor:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.column)
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.column)
-        return tok
+def _peek(tokens: list) -> Optional[str]:
+    """The next token's kind; None at the end."""
+    return tokens[-1][0]
 
 
-# -- Parser ------------------------------------------------------------------
+def _take(tokens: list, kind: Optional[str] = None) -> tuple:
+    """Consume the next token, which must exist and, if given, be of `kind`."""
+    token = tokens[-1]
+    if token[0] is None:
+        raise ParseError("unexpected end of input", *token[2:])
+    if kind is not None and token[0] != kind:
+        raise ParseError(f"expected {kind!r}, found {token[1]!r}", *token[2:])
+    return tokens.pop()
 
 
 def parse(text: str) -> dict:
@@ -109,37 +85,24 @@ def parse(text: str) -> dict:
 
     A cluster with no weights block has all multiplicities zero.
     """
-    cursor = _Cursor(_tokenize(text))
+    tokens = _tokens(text)
     skeletons: dict = {}
     weight_maps: dict = {}
-    while cursor.peek() is not None:
-        head = cursor.expect("name")
-        if head.text == "cluster":
-            name_tok = cursor.expect("name")
-            if name_tok.text in skeletons:
-                raise ParseError(
-                    f"cluster {name_tok.text!r} defined twice", name_tok.line, name_tok.column
-                )
-            skeletons[name_tok.text] = _parse_cluster_block(cursor)
-        elif head.text == "weights":
-            name_tok = cursor.expect("name")
-            if name_tok.text not in skeletons:
-                raise ParseError(
-                    f"weights for unknown cluster {name_tok.text!r}",
-                    name_tok.line,
-                    name_tok.column,
-                )
-            if name_tok.text in weight_maps:
-                raise ParseError(
-                    f"weights for {name_tok.text!r} defined twice",
-                    name_tok.line,
-                    name_tok.column,
-                )
-            weight_maps[name_tok.text] = _parse_weights_block(cursor, skeletons[name_tok.text])
+    while _peek(tokens) is not None:
+        _, head, *where = _take(tokens, "name")
+        if head not in ("cluster", "weights"):
+            raise ParseError(f"expected 'cluster' or 'weights', found {head!r}", *where)
+        _, name, *where = _take(tokens, "name")
+        if head == "cluster":
+            if name in skeletons:
+                raise ParseError(f"cluster {name!r} defined twice", *where)
+            skeletons[name] = _cluster_block(tokens)
+        elif name not in skeletons:
+            raise ParseError(f"weights for unknown cluster {name!r}", *where)
+        elif name in weight_maps:
+            raise ParseError(f"weights for {name!r} defined twice", *where)
         else:
-            raise ParseError(
-                f"expected 'cluster' or 'weights', found {head.text!r}", head.line, head.column
-            )
+            weight_maps[name] = _weights_block(tokens, skeletons[name])
     out: dict = {}
     for name, skeleton in skeletons.items():
         nu = weight_maps.get(name, {})
@@ -149,94 +112,67 @@ def parse(text: str) -> dict:
     return out
 
 
-def _parse_cluster_block(cursor: _Cursor) -> ClusterSkeleton:
-    opener = cursor.expect("{")
+def _cluster_block(tokens: list) -> ClusterSkeleton:
+    opener = _take(tokens, "{")
     parents: list[Optional[int]] = []
     prox: list[frozenset[int]] = []
-    tags: list[str] = []
-    index: dict = {}
-    while True:
-        tok = cursor.next()
-        if tok.kind == "}":
-            break
-        if tok.kind != "name":
-            raise ParseError(f"expected a point name, found {tok.text!r}", tok.line, tok.column)
-        if tok.text in index:
-            raise ParseError(f"point {tok.text!r} declared twice", tok.line, tok.column)
-        point = len(tags)
-        index[tok.text] = point
-        tags.append(tok.text)
-        nxt = cursor.peek()
-        if nxt is not None and nxt.kind == "->":
-            cursor.next()
-            targets = [_resolve(cursor.expect("name"), index)]
-            if cursor.peek() is not None and cursor.peek().kind == ",":
-                cursor.next()
-                second = cursor.expect("name")
-                if _resolve(second, index) == targets[0]:
-                    raise ParseError(
-                        f"proximity target {second.text!r} repeated", second.line, second.column
-                    )
-                targets.append(_resolve(second, index))
-            parents.append(targets[0])
-            prox.append(frozenset(targets))
-            nxt = cursor.peek()
-        else:
-            if point != 0:
+    index: dict = {}  # tag -> point, in declaration order
+    while (token := _take(tokens))[0] != "}":
+        kind, tag, *where = token
+        if kind != "name":
+            raise ParseError(f"expected a point name, found {tag!r}", *where)
+        if tag in index:
+            raise ParseError(f"point {tag!r} declared twice", *where)
+        # indexed before its targets are read: `p -> p` is left to validate()
+        index[tag] = len(index)
+        targets: list[int] = []
+        separator = "->"
+        while len(targets) < 2 and _peek(tokens) == separator:
+            _take(tokens)
+            _, target, *at = _take(tokens, "name")
+            if target not in index:
                 raise ParseError(
-                    f"point {tok.text!r} needs proximity targets (only the origin has none)",
-                    tok.line,
-                    tok.column,
+                    f"proximity target {target!r} is not a previously declared point", *at
                 )
-            parents.append(None)
-            prox.append(frozenset())
-        if nxt is not None and nxt.kind == ";":
-            cursor.next()
-            continue
-        if nxt is not None and nxt.kind == "}":
-            continue
-        where = nxt if nxt is not None else tok
-        raise ParseError(
-            f"expected ';' or '}}', found {where.text!r}", where.line, where.column
-        )
-    if not tags:
-        raise ParseError("empty cluster", opener.line, opener.column)
-    # syntax only; structural rules are the job of validate()
-    return ClusterSkeleton(tuple(parents), tuple(prox), tuple(tags))
-
-
-def _resolve(tok: _Token, index: dict) -> int:
-    if tok.text not in index:
-        raise ParseError(
-            f"proximity target {tok.text!r} is not a previously declared point",
-            tok.line,
-            tok.column,
-        )
-    return index[tok.text]
-
-
-def _parse_weights_block(cursor: _Cursor, skeleton: ClusterSkeleton) -> dict:
-    cursor.expect("{")
-    weights: dict = {}
-    while True:
-        tok = cursor.next()
-        if tok.kind == "}":
-            break
-        if tok.kind != "name":
-            raise ParseError(f"expected a point name, found {tok.text!r}", tok.line, tok.column)
-        if tok.text not in skeleton.tag_index:
-            raise ParseError(f"unknown point {tok.text!r}", tok.line, tok.column)
-        point = skeleton.tag_index[tok.text]
-        if point in weights:
-            raise ParseError(f"weight of {tok.text!r} set twice", tok.line, tok.column)
-        cursor.expect("=")
-        value = cursor.expect("int")
-        try:
-            weights[point] = int(value.text)
-        except ValueError:  # longer than the interpreter's integer-string limit
+            if index[target] in targets:
+                raise ParseError(f"proximity target {target!r} repeated", *at)
+            targets.append(index[target])
+            separator = ","
+        if not targets and len(index) > 1:
             raise ParseError(
-                f"weight of {tok.text!r} has too many digits", value.line, value.column
-            ) from None
+                f"point {tag!r} needs proximity targets (only the origin has none)", *where
+            )
+        parents.append(targets[0] if targets else None)
+        prox.append(frozenset(targets))
+        if _peek(tokens) == ";":
+            _take(tokens)
+        elif _peek(tokens) != "}":
+            _, found, *at = tokens[-1] if _peek(tokens) is not None else token
+            raise ParseError(f"expected ';' or '}}', found {found!r}", *at)
+    if not index:
+        raise ParseError("empty cluster", *opener[2:])
+    # syntax only; structural rules are the job of validate()
+    return ClusterSkeleton(tuple(parents), tuple(prox), tuple(index))
+
+
+def _weights_block(tokens: list, skeleton: ClusterSkeleton) -> dict:
+    _take(tokens, "{")
+    weights: dict = {}
+    while (token := _take(tokens))[0] != "}":
+        kind, tag, *where = token
+        if kind != "name":
+            raise ParseError(f"expected a point name, found {tag!r}", *where)
+        if tag not in skeleton.tag_index:
+            raise ParseError(f"unknown point {tag!r}", *where)
+        point = skeleton.tag_index[tag]
+        if point in weights:
+            raise ParseError(f"weight of {tag!r} set twice", *where)
+        _take(tokens, "=")
+        _, value, *at = _take(tokens, "int")
+        try:
+            weights[point] = int(value)
+        except ValueError:  # longer than the interpreter's integer-string limit
+            raise ParseError(f"weight of {tag!r} has too many digits", *at) from None
     return weights
 
 

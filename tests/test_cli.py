@@ -22,6 +22,8 @@ Core claims:
       exits 0
     - every exit 3 names its cause on stderr: the failed certificate checks
       of `cartier`, the failure count of `selftest`
+    - `selftest` counts what it ran, Cartier builds and syntheses included,
+      before the elapsed time
     - a bare `import sandwiched` loads no submodule; `cartier` and
       `synthesize` alone load the builder and the synthesizer
 """
@@ -29,6 +31,7 @@ Core claims:
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -233,6 +236,11 @@ def test_selftest_runs(capsys):
     code, out, _ = run(capsys, "selftest", "--seed", "5", "--clusters", "25")
     assert code == 0
     assert "selftest seed=5" in out
+    # what it ran, before the elapsed time: some builds and syntheses
+    assert re.search(
+        r"\d+ exhaustive unload checks, [1-9]\d* Cartier builds, [1-9]\d* syntheses, \d+\.\d\ds$",
+        out.splitlines()[0],
+    )
 
 
 def test_missing_name_on_multi_cluster_file(tmp_path, capsys):

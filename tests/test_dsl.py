@@ -3,7 +3,10 @@
 Core claims:
     - the documented format parses, including comments and multi-line blocks
     - serialize/parse is a bit-exact round trip on arbitrary clusters
-    - syntax and semantic errors carry line and column
+    - syntax and semantic errors carry line and column; every reader error
+      has a pinned message and position
+    - a point may name itself as a target: the parser resolves it and
+      validate() reports it
     - DOT output is stable and distinguishes satellite children
     - JSON views carry multiplicities, values, excesses and dicritical points
       in point order
@@ -154,3 +157,66 @@ def test_report_json_smooth(d1):
 
     payload = report_json(d1, analyze(d1, FreeOn(2)))
     assert payload == {"schema": 1, "w": {"kind": "free", "on": "q1"}, "smooth": True}
+
+
+# one document per reader error, with its exact message and position
+PARSE_ERRORS = [
+    ("cluster a { O ; p1 -> O $ }", 1, 25, "unexpected character '$'"),
+    ("cluster a { O ;\n  p1 ->", 2, 6, "unexpected end of input"),
+    ("cluster a { O }\nweights a { O 1 }", 2, 15, "expected '=', found '1'"),
+    ("cluster a { O }\nweight a { O=1 }", 2, 1, "expected 'cluster' or 'weights', found 'weight'"),
+    ("cluster a { O }\n# again\ncluster a { O }", 3, 9, "cluster 'a' defined twice"),
+    ("weights a { O=1 }", 1, 9, "weights for unknown cluster 'a'"),
+    ("cluster a { O }\nweights a { O=1 }\nweights a { O=2 }", 3, 9, "weights for 'a' defined twice"),
+    ("cluster a { O ; 5 -> O }", 1, 17, "expected a point name, found '5'"),
+    ("cluster a { O }\nweights a { O=1 ; }", 2, 17, "expected a point name, found ';'"),
+    ("cluster a { O ; O -> O }", 1, 17, "point 'O' declared twice"),
+    ("cluster a { O ; p1 -> zz }", 1, 23, "proximity target 'zz' is not a previously declared point"),
+    ("cluster a { O ; p1 -> O ; w -> p1, p1 }", 1, 36, "proximity target 'p1' repeated"),
+    ("cluster a { O ; p1 }", 1, 17, "point 'p1' needs proximity targets (only the origin has none)"),
+    ("cluster a {\n  O ; p1 -> O q1 -> p1\n}", 2, 15, "expected ';' or '}', found 'q1'"),
+    ("cluster a { }", 1, 11, "empty cluster"),
+    ("cluster a { O }\nweights a { O=1 q=2 }", 2, 17, "unknown point 'q'"),
+    ("cluster a { O ; p1 -> O }\nweights a {\n  O=1 p1=1 O=2 }", 3, 12, "weight of 'O' set twice"),
+    ("cluster a { O }\nweights a { O=" + "1" * 5000 + " }", 2, 15, "weight of 'O' has too many digits"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    PARSE_ERRORS,
+    ids=[
+        "unexpected-character",
+        "end-of-input",
+        "expected-symbol",
+        "expected-block",
+        "cluster-twice",
+        "weights-unknown-cluster",
+        "weights-twice",
+        "cluster-point-name",
+        "weights-point-name",
+        "point-twice",
+        "target-undeclared",
+        "target-repeated",
+        "needs-targets",
+        "expected-separator",
+        "empty-cluster",
+        "unknown-point",
+        "weight-twice",
+        "too-many-digits",
+    ],
+)
+def test_parse_error_messages_and_positions(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_parse_leaves_a_self_target_to_validate():
+    # a point is declared before its targets are read, so it resolves itself
+    from sandwiched import validate
+
+    skeleton = parse("cluster a { O ; p1 -> p1 }")["a"].skeleton
+    assert skeleton.parents == (None, 1)
+    assert [d.rule for d in validate(skeleton)] == ["admissible-order"]
