@@ -124,6 +124,9 @@ def _extend(
     if isinstance(w, FreeOn):
         targets = (w.point,)
     elif isinstance(w, Satellite):
+        for q in (w.p, w.q):
+            if not 0 <= q < len(sk):
+                raise ClusterError(f"proximity target {q} is not a point of the cluster")
         if graph is None:
             graph = dual_graph(sk)
         if not graph.are_adjacent(w.p, w.q):

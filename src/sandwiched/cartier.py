@@ -18,29 +18,26 @@ and a safety cap on the points appended plus the unloading steps taken.
 Each stage of the construction is a weighted cluster whose points keep one
 admissible order: the points of the base cluster present, in base order,
 then the added points in creation order.  A stage drops points or appends
-one at the end, and a base point that comes back is re-attached among the
-base points, so no stage re-sorts, and every tag names the same point
-throughout.
+one at the end, and only the result re-attaches the missing base points,
+among the base points, so no stage re-sorts, and every tag names the same
+point throughout.  The satellites grown for a dicritical are the added
+points proximate to it, each proximate to the one before, so the next one
+attaches to the last of them in the stage's `proximate_to` row, or to the
+anchor when none is left.
 
-Each stage carries forward what it does not change.  The skeleton of an
-appended point keeps the proximity lists and tag index of the previous one,
-updated for the new point (`cluster.extend_point`).  The builder keeps the
-tags of each chain it grows, and the stage's excess vector: appending a
+The loop carries two things from stage to stage, each because recomputing
+it at every stage cost throughput.  The excess vector `rho`: appending a
 point of multiplicity 1 lowers the excess of each of its targets by 1 and
-gives the point excess 1.  From the first stage with two prescribed
-dicriticals on, the loop also carries the adjacency rows of the stage's
-dual graph, all that the interior-excess check reads of it; the new point
-changes only its targets' rows (`cluster.extend_adjacency`), and an
-unloading, which renumbers the points, or a rebuild drops them until the
-check needs them again.  Only an unloading makes a multiplicity zero.  The
-start has positive multiplicities, and every stage is predecessor-closed,
-so a base point comes back only when the new point's target is missing; it
-is re-attached at multiplicity 0 with its missing predecessors, the
-target's excess drops to -1 and an unloading follows.  So zero points are
-dropped, and the excesses recomputed, only after an unloading, which runs
-only when some carried excess is negative.  A re-attachment restricts the
-base and appends the added points again, so it inherits the base's verdict:
-no stage runs `validate`.
+gives the point excess 1, and only an unloading, which runs only when some
+carried excess is negative, drops zero points and recomputes it (about 10%
+of the `cartier` benchmark's throughput on a 2-core AMD EPYC vCPU).  And
+from the first stage with two prescribed dicriticals on, the adjacency rows
+of the stage's dual graph, all that the interior-excess check reads of it:
+the new point changes only its targets' rows (`cluster.extend_adjacency`),
+and an unloading, which renumbers the points, drops them until the check
+needs them again (about 17%).  Every stage is built from the validated base
+by the cluster operations, so it inherits the base's verdict: no stage runs
+`validate`.
 
 A result is never trusted on construction: `verify` re-checks it from
 scratch (value identities, localization of the dicritical points, vanishing
@@ -85,6 +82,8 @@ class CartierRequest:
             raise ClusterError(
                 "multiplicities must be prescribed exactly on the components through Q"
             )
+        if any(isinstance(a, bool) or not isinstance(a, int) for a in self.alpha.values()):
+            raise ClusterError("prescribed multiplicities must be integers")
         if any(a <= 0 for a in self.alpha.values()):
             raise ClusterError("prescribed multiplicities must be positive")
         return self
@@ -142,7 +141,7 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
     base = request.base
     report = request.report
     sk = base.skeleton
-    alpha = {p: int(a) for p, a in request.alpha.items()}
+    alpha = request.alpha
     base_graph = dual_graph(sk)
     dicriticals = sorted(report.Kplus_Q)
     neighbor = {p: contracted_neighbor(base_graph, report, p) for p in dicriticals}
@@ -164,11 +163,8 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
     cluster = WeightedCluster(start, tuple(combined[q] for q in kept))
     rho = list(excesses(cluster))
     trace = [cluster]
-    # per prescribed dicritical: its anchor's tag, then the satellites appended for
-    # it; each is proximate to the one before, so the tags present are a prefix
-    chains = {p: [sk.tags[neighbor[p]]] for p in dicriticals}
     # the adjacency rows of the stage's dual graph, or None until two prescribed
-    # dicriticals are present, and again after an unloading or a rebuild
+    # dicriticals are present, and again after an unloading
     adjacency = None
 
     # The first stage appends a point free over the seed; each growth stage the
@@ -176,27 +172,17 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
     # toward its contracted neighbour.
     dicritical, anchor, label = None, seed_point, "first stage"
     while True:
-        # The re-attachment has never been seen to rebuild here.  The seed
-        # point t is in the start: the points infinitely near t span a connected
-        # subtree of the dual graph that reaches a maximal point, which is
-        # dicritical, and the first dicritical on the way is prescribed, so its
-        # simple cluster is positive at t.  A growth anchor is a predecessor of
-        # its pending dicritical, so present with it, or else proximate to it, a
-        # case with no such argument; but no seeded search (82,613 builds from
-        # every contracted seed point, alpha up to 20) reached the rebuild.  It
-        # stays as a guard and drops the carried rows.
-        grown = _reattach(cluster, sk, (anchor,))
-        if grown is not cluster:
-            cluster, rho, adjacency = grown, list(excesses(grown)), None
         cur = cluster.skeleton
+        if sk.tags[anchor] not in cur.tag_index:
+            raise InternalCheckError(f"{label}: anchor {sk.tags[anchor]} is not in the stage")
         tag = next(fresh_tags)
         targets = (cur.tag_index[sk.tags[anchor]],)
         if dicritical is not None:
-            chain = chains[dicritical]
-            while chain[-1] not in cur.tag_index:
-                chain.pop()
-            targets = (cur.tag_index[chain[-1]], cur.tag_index[sk.tags[dicritical]])
-            chain.append(tag)
+            d = cur.tag_index[sk.tags[dicritical]]
+            # the added points proximate to d are its satellites, each on the one before
+            row = cur.proximate_to[d]
+            tail = row[-1] if row and cur.tags[row[-1]] not in sk.tag_index else targets[0]
+            targets = (tail, d)
         cluster = WeightedCluster(extend_point(cur, targets, tag), cluster.nu + (1,))
         for q in targets:
             rho[q] -= 1
@@ -243,7 +229,7 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
         total_before = sum(at.values())
 
     # finalize: every base point comes back, at multiplicity zero if absent
-    final = _reattach(cluster, sk, sk.points)
+    final = _reattach(cluster, sk)
     trace.append(final)
     certificate = verify(base, report, alpha, final)
     # the points past the base ones were added, in creation order
@@ -284,29 +270,18 @@ def check_interior_excess(
                 )
 
 
-def _reattach(
-    cluster: WeightedCluster, base: ClusterSkeleton, points
-) -> WeightedCluster:
-    """Re-attach base `points` and their predecessors at multiplicity 0.
+def _reattach(cluster: WeightedCluster, base: ClusterSkeleton) -> WeightedCluster:
+    """Re-attach every base point the stage lacks, at multiplicity 0.
 
-    Every stage is predecessor-closed, so a stage holding the points holds
-    their predecessors and is returned as it is.  Otherwise the skeleton is
-    rebuilt by the cluster operations: the base restricted to the points
-    needed, then the added points appended again in their current order.
-    A base satellite whose position an added point took raises ClusterError.
+    A stage holding every base point is returned as it is.  Otherwise the
+    skeleton is rebuilt by the cluster operations: the base, then the added
+    points appended again in their current order.  A base satellite whose
+    position an added point took raises ClusterError.
     """
     cur = cluster.skeleton
-    if all(base.tags[p] in cur.tag_index for p in points):
+    if all(t in cur.tag_index for t in base.tags):
         return cluster
-    # the base points present are predecessor-closed, and so is the set after
-    # each walk down the parents, which stops at the first point already needed:
-    # every point is walked at most once
-    needed = {base.tag_index[t] for t in cur.tags if t in base.tag_index}
-    for p in points:
-        while p is not None and p not in needed:
-            needed.add(p)
-            p = base.parents[p]
-    skeleton, _ = restrict(base, needed)
+    skeleton = base
     for p, tag in enumerate(cur.tags):
         if tag not in base.tag_index:
             targets = (skeleton.tag_index[cur.tags[q]] for q in cur.proximities[p])

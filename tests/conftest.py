@@ -33,6 +33,12 @@ class Instance:
     report: SingularityReport
 
 
+# O of weight 3 and two free chains over it; the singularity at a1 has
+# components O and a2 through it, and no stage of a build there holds the b
+# branch
+FORK = "cluster k { O ; a1 -> O ; a2 -> a1 ; b1 -> O ; b2 -> b1 }\nweights k { O=3 a1=1 a2=1 b1=1 b2=1 }\n"
+
+
 def make_d1() -> WeightedCluster:
     b = SkeletonBuilder()
     o = b.origin()

@@ -3,6 +3,8 @@
 Core claims:
     - attaching a one-unit point detects singularity exactly when the
       extension is inconsistent; smooth points get first-class reports
+    - a free or satellite point over an index outside the cluster is a
+      ClusterError naming that index, never a KeyError
     - the basic worked example (chain of three, satellite at the bottom)
       reproduces every report field
     - all boundary points on one zero-excess component give the same report
@@ -71,6 +73,22 @@ def test_extend_free(d1):
 def test_extend_rejects_nonadjacent_satellite(d1):
     with pytest.raises(ClusterError):
         extend(d1, Satellite(0, 2))
+
+
+@pytest.mark.parametrize(
+    "operation, w, index",
+    [
+        (analyze, Satellite(9, 0), 9),
+        (extend, Satellite(-1, 0), -1),
+        (extend, Satellite(0, 3), 3),
+        (analyze, FreeOn(-1), -1),
+        (extend, FreeOn(9), 9),
+    ],
+)
+def test_a_boundary_point_outside_the_cluster_is_an_input_error(d1, operation, w, index):
+    with pytest.raises(ClusterError) as err:
+        operation(d1, w)
+    assert str(err.value) == f"proximity target {index} is not a point of the cluster"
 
 
 def test_analyze_rejects_inconsistent_and_zero_weight_input():

@@ -4,7 +4,8 @@ Core claims:
     - the worked chain-of-three example reproduces the expected clusters for
       multiplicities 1 and 2
     - certificates verify independently of the builder and catch tampering
-    - requests are validated (domain and positivity of the prescription)
+    - requests are validated (domain, integrality and positivity of the
+      prescription)
     - the seed-point override changes the start but never the certificate
     - mixed prescriptions over several components build and certify
     - the builder's whole output (cluster, added points, trace, certificate)
@@ -14,11 +15,14 @@ Core claims:
       `excesses` recomputed: dropping zero points, appending a point of
       multiplicity 1, re-attaching base points
     - only an unloading makes a multiplicity zero, so every stage but the
-      last has positive multiplicities; re-attaching rebuilds a stage exactly
-      when a requested base point is missing
+      last has positive multiplicities; the closing re-attachment rebuilds a
+      stage exactly when a base point is missing, and puts every base point
+      first, in base order
     - every stage of a build is consistent
     - a build that exceeds the safety cap raises with the cap in its message
       and carries the stages done before the overrun, the start first
+    - a growth anchor missing from the stage raises a named check rather
+      than being re-attached
     - a growth stage attaches where a walk along the satellites of its
       dicritical from the anchor ends, also after an unloading dropped the
       satellite the builder appended last
@@ -49,7 +53,7 @@ from sandwiched import (
     excesses,
     values,
 )
-from sandwiched import cartier
+from sandwiched import cartier, dsl
 from sandwiched.cartier import (
     CartierRequest,
     _reattach,
@@ -63,6 +67,8 @@ from sandwiched.errors import CapExceededError, InternalCheckError
 from sandwiched.oracle import GeneratorConfig, _random_cluster, random_skeleton
 from sandwiched.analyzer import contracted_neighbor, enumerate_singularities
 from sandwiched.synthesis import MinimalGraphSpec, synthesize
+
+from conftest import FORK
 
 
 @pytest.fixture
@@ -111,6 +117,13 @@ def test_request_validation(d1, d1_report):
     smooth = analyze(d1, FreeOn(2))
     with pytest.raises(ClusterError):
         build(CartierRequest(d1, smooth, {2: 1}))
+
+
+@pytest.mark.parametrize("a", [1.5, "2", True, Fraction(2)], ids=["float", "str", "bool", "fraction"])
+def test_a_prescription_that_is_not_an_integer_is_rejected(d1, d1_report, a):
+    with pytest.raises(ClusterError) as err:
+        build(CartierRequest(d1, d1_report, {2: a}))
+    assert str(err.value) == "prescribed multiplicities must be integers"
 
 
 def test_seed_point_override(d1, d1_report):
@@ -284,13 +297,12 @@ def test_reattached_points_have_excess_zero_and_move_no_other():
             except ClusterError:
                 pass
         cluster = _weighted(rng, sk)
-        points = rng.sample(list(base.points), min(3, len(base)))
         try:
-            grown = _reattach(cluster, base, points)
+            grown = _reattach(cluster, base)
         except ClusterError:  # a base satellite's position is taken by an added one
             continue
-        present = all(base.tags[p] in sk.tag_index for p in points)
-        assert (grown is cluster) == present
+        assert (grown is cluster) == all(t in sk.tag_index for t in base.tags)
+        assert grown.skeleton.tags[: len(base)] == base.tags
         before = dict(zip(sk.tags, excesses(cluster)))
         after = dict(zip(grown.skeleton.tags, excesses(grown)))
         assert after == {tag: before.get(tag, 0) for tag in grown.skeleton.tags}
@@ -318,6 +330,17 @@ def test_every_stage_is_consistent(corpus):
     for request in _corpus_requests(corpus):
         for stage in build(request).trace:
             assert min(excesses(stage)) >= 0
+
+
+def test_a_growth_anchor_missing_from_the_stage_is_named(monkeypatch):
+    fork = dsl.parse(FORK)["k"]
+    request = CartierRequest(fork, analyze(fork, FreeOn(1)), {0: 2, 2: 2})
+    assert all("b1" not in stage.skeleton.tag_index for stage in build(request).trace[:-1])
+    # name b1 as the contracted neighbour of every component through a1
+    monkeypatch.setattr(cartier, "contracted_neighbor", lambda graph, report, p: 3)
+    with pytest.raises(InternalCheckError) as err:
+        build(request)
+    assert str(err.value) == "growth loop: anchor b1 is not in the stage"
 
 
 def _partner_by_walk(skeleton, anchor, dicritical):

@@ -21,7 +21,8 @@ Core claims:
       subcommand) exits 1 with one line, not argparse's exit 2; `--help`
       exits 0
     - every exit 3 names its cause on stderr: the failed certificate checks
-      of `cartier`, the failure count of `selftest`
+      of `cartier`, a failed check inside the builder, the failure count of
+      `selftest`
     - `selftest` counts what it ran, Cartier builds and syntheses included,
       before the elapsed time
     - a bare `import sandwiched` loads no submodule; `cartier` and
@@ -42,6 +43,8 @@ import sandwiched
 from sandwiched import cli, unload
 from sandwiched.cli import main
 from sandwiched.synthesis import MinimalGraphSpec, serialize_graph_spec
+
+from conftest import FORK
 
 D1 = "cluster d1 { O ; p1 -> O ; q1 -> p1 }\nweights d1 { O=1 p1=1 q1=1 }\n"
 
@@ -478,6 +481,17 @@ def test_failed_certificate_exit_3_names_its_checks(d1_file, tmp_path, capsys, m
     assert code == 3
     assert json.loads(out)["passed"] is False
     assert err == "internal cross-check failure: certificate failed: localization, readout\n"
+
+
+def test_builder_check_exit_3_names_it(tmp_path, capsys, monkeypatch):
+    # the anchor check of the builder, forced as in test_cartier
+    path = tmp_path / "fork.cluster"
+    path.write_text(FORK, encoding="utf-8")
+    monkeypatch.setattr(sandwiched.cartier, "contracted_neighbor", lambda graph, report, p: 3)
+    code, out, err = run(capsys, "cartier", str(path), "--at", "free:a1", "--alpha", "O=2,a2=2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal cross-check failure: growth loop: anchor b1 is not in the stage\n"
 
 
 def test_failed_selftest_exit_3_counts_its_failures(capsys, monkeypatch):

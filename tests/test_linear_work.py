@@ -9,7 +9,8 @@ Core claims:
       re-attachment that walks every point down to the origin, passes that
       bound within a few calls
     - on the fork, whose build keeps one branch and re-attaches the whole
-      other one, the re-attachment's walk is metered too
+      other one, the closing re-attachment is metered too: it appends the
+      added points onto the base itself and reads no `parents`
     - each build's traced allocation peak stays under 100 MB
 
 Every read of the base skeleton's `parents` goes through `CountedParents`,
