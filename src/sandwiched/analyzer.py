@@ -12,7 +12,8 @@ branch count and minimality tests.
 Each invariant that admits two independent formulas is computed both ways and
 compared; a mismatch raises InternalCheckError (a bug, never bad input).  The
 checks read the vectors the analysis already holds: the unloaded cluster must
-be consistent, by the excesses that also give the branch count.
+be consistent, by the excesses the unloading ends with, which also give the
+branch count.
 """
 
 from __future__ import annotations
@@ -124,7 +125,14 @@ def _extend(
     if isinstance(w, FreeOn):
         targets = (w.point,)
     elif isinstance(w, Satellite):
-        for q in (w.p, w.q):
+        targets = (w.p, w.q)
+    else:
+        raise ClusterError(f"not a boundary point spec: {w!r}")
+    for q in targets:
+        if isinstance(q, bool) or not isinstance(q, int):
+            raise ClusterError(f"boundary point index {q!r} is not an integer")
+    if isinstance(w, Satellite):
+        for q in targets:
             if not 0 <= q < len(sk):
                 raise ClusterError(f"proximity target {q} is not a point of the cluster")
         if graph is None:
@@ -134,38 +142,38 @@ def _extend(
                 f"{sk.tags[w.p]} and {sk.tags[w.q]} are not adjacent: their "
                 "components do not meet"
             )
-        targets = (w.p, w.q)
-    else:
-        raise ClusterError(f"not a boundary point spec: {w!r}")
     extended = extend_point(sk, targets)
     return WeightedCluster(extended, cluster.nu + (1,))
 
 
 def analyze(cluster: WeightedCluster, w: BoundaryPoint) -> SingularityReport:
     """Full report for the point of the blow-up determined by w."""
-    return _analyze(cluster, w, _require_base_cluster(cluster), None)
+    return _analyze(cluster, w, _require_base_cluster(cluster), None, None)
 
 
 def _analyze(
     cluster: WeightedCluster,
     w: BoundaryPoint,
     rho_before: tuple[int, ...],
+    v_before: Optional[tuple[int, ...]],
     graph: Optional[DualGraph],
 ) -> SingularityReport:
-    """`analyze` on a checked base cluster with excesses `rho_before`; the dual
-    graph is built at most once, unless `graph` already is it."""
+    """`analyze` on a checked base cluster with excesses `rho_before`; its
+    values and its dual graph are each computed at most once, unless
+    `v_before` and `graph` already are them."""
     sk = cluster.skeleton
     if graph is None and isinstance(w, Satellite):
         graph = dual_graph(sk)
     # unloading takes a step exactly when some excess of K_w is negative
-    result = unload(_extend(cluster, w, graph))
-    if not result.steps:
+    result = unload(_extend(cluster, w, graph), trace=False)
+    if not result.step_count:
         return SingularityReport(w=w, smooth=True)
 
     n = len(sk)
     unloaded = result.cluster
 
-    v_before = values(cluster)
+    if v_before is None:
+        v_before = values(cluster)
     v_after = values(unloaded)
     nu_after = unloaded.nu
     _check(nu_after[n] == 0, "attached point kept nonzero multiplicity after unloading")
@@ -208,8 +216,10 @@ def _analyze(
 
     z = tuple(v_after[p] - v_before[p] for p in sk.points)
     _check(all(z[p] >= 1 for p in t_q), "fundamental cycle not >= 1 on the contracted set")
-    for p in sk.points:
-        recursion = eps[p] + sum(z[q] for q in sk.proximities[p])
+    for p, targets in enumerate(sk.proximities):
+        recursion = eps[p]
+        for q in targets:
+            recursion += z[q]
         _check(z[p] == recursion, "fundamental cycle fails its proximity recursion")
 
     mult = 1 + len(b_q)
@@ -219,7 +229,7 @@ def _analyze(
 
     # consistency also rules out blocked zero points: with every nu >= 0, only
     # zero points can be proximate to a zero point
-    rho_after = excesses(unloaded)
+    rho_after = result.rho
     _check(min(rho_after) >= 0, "unloaded cluster is not consistent")
     b1_in_t = [p for p in b1_q if p in t_set]
     br = mult - len(b1_in_t)
@@ -315,10 +325,11 @@ def enumerate_singularities(cluster: WeightedCluster) -> list[SingularityReport]
     component.
     """
     rho = _require_base_cluster(cluster)
+    v = values(cluster)
     graph = dual_graph(cluster.skeleton)
     reports = []
     for component in _zero_excess_components(rho, graph):
-        report = _analyze(cluster, FreeOn(component[0]), rho, graph)
+        report = _analyze(cluster, FreeOn(component[0]), rho, v, graph)
         _check(not report.smooth, "zero-excess component analyzed as smooth")
         _check(
             report.T_Q == component,

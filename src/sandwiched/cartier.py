@@ -28,15 +28,17 @@ anchor when none is left.
 The loop carries two things from stage to stage, each because recomputing
 it at every stage cost throughput.  The excess vector `rho`: appending a
 point of multiplicity 1 lowers the excess of each of its targets by 1 and
-gives the point excess 1, and only an unloading, which runs only when some
-carried excess is negative, drops zero points and recomputes it (about 10%
-of the `cartier` benchmark's throughput on a 2-core AMD EPYC vCPU).  And
-from the first stage with two prescribed dicriticals on, the adjacency rows
-of the stage's dual graph, all that the interior-excess check reads of it:
-the new point changes only its targets' rows (`cluster.extend_adjacency`),
-and an unloading, which renumbers the points, drops them until the check
-needs them again (about 17%).  Every stage is built from the validated base
-by the cluster operations, so it inherits the base's verdict: no stage runs
+gives the point excess 1.  Only an unloading, which runs only when some
+carried excess is negative, replaces it, by the excesses the unloading ends
+with at the points kept after zero points are dropped: a dropped point has
+multiplicity 0, so dropping it changes no kept excess (about 10% of the
+`cartier` benchmark's throughput on a 2-core AMD EPYC vCPU).  And from the
+first stage with two prescribed dicriticals on, the adjacency rows of the
+stage's dual graph, all that the interior-excess check reads of it: the new
+point changes only its targets' rows (`cluster.extend_adjacency`), and an
+unloading, which renumbers the points, drops them until the check needs
+them again (about 17%).  Every stage is built from the validated base by the
+cluster operations, so it inherits the base's verdict: no stage runs
 `validate`.
 
 A result is never trusted on construction: `verify` re-checks it from
@@ -114,14 +116,15 @@ class CartierCertificate:
 
 @dataclass(frozen=True)
 class CartierResult:
-    """The built cluster, the points it added, every stage and the certificate.
+    """The built cluster, the points it added, its stages and the certificate.
 
-    `trace` holds every stage of the construction in order: the start (the
-    weighted sum of simple clusters) first, then one stage per appended
-    point, and last the result, the final stage with every base point
-    re-attached.  When the builder's safety cap is exceeded, the
+    By default `trace` holds every stage of the construction in order: the
+    start (the weighted sum of simple clusters) first, then one stage per
+    appended point, and last the result, the final stage with every base
+    point re-attached.  When the builder's safety cap is exceeded, the
     `CapExceededError` carries instead the stages done before the overrun,
-    the start first.
+    the start first.  A build with `trace=False` keeps no stage: its `trace`
+    holds the result alone, and its `CapExceededError.trace` is `()`.
     """
 
     cluster: WeightedCluster
@@ -130,12 +133,17 @@ class CartierResult:
     certificate: CartierCertificate
 
 
-def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierResult:
+def build(
+    request: CartierRequest, seed_point: Optional[int] = None, *, trace: bool = True
+) -> CartierResult:
     """Run the construction; the returned certificate is verified independently.
 
     `seed_point` overrides where the first free point is attached (default:
     the minimal contracted point); any contracted point is acceptable and
-    the certificate, not the choice, guarantees correctness.
+    the certificate, not the choice, guarantees correctness.  `trace=False`
+    keeps no stage but the one being built, so memory stays linear in the
+    result instead of quadratic in alpha; the cluster, the added points and
+    the certificate are those of a traced build (see `CartierResult`).
     """
     request = request.validated()
     base = request.base
@@ -162,7 +170,7 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
     start, kept = restrict(sk, (q for q in sk.points if combined[q] > 0))
     cluster = WeightedCluster(start, tuple(combined[q] for q in kept))
     rho = list(excesses(cluster))
-    trace = [cluster]
+    stages = [cluster] if trace else []
     # the adjacency rows of the stage's dual graph, or None until two prescribed
     # dicriticals are present, and again after an unloading
     adjacency = None
@@ -190,22 +198,24 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
         micro += 1
         # every stage starts consistent, so only a target's excess can turn negative
         if any(rho[q] < 0 for q in targets):
-            result = unload(cluster)
-            micro += len(result.steps)
-            for step in result.steps:
-                if cluster.skeleton.tags[step.point] in kplus_tags:
-                    raise InternalCheckError(
-                        f"{label}: unloading touched a dicritical point of the base cluster"
-                    )
-            cluster = drop_zero_points(result.cluster).cluster
-            rho, adjacency = list(excesses(cluster)), None
+            result = unload(cluster, trace=False)
+            micro += result.step_count
+            tags = cluster.skeleton.tags
+            if any(tags[p] in kplus_tags for p in result.touched):
+                raise InternalCheckError(
+                    f"{label}: unloading touched a dicritical point of the base cluster"
+                )
+            dropped = drop_zero_points(result.cluster)
+            cluster = dropped.cluster
+            rho, adjacency = [result.rho[p] for p in dropped.kept], None
         elif adjacency is not None:
             extend_adjacency(adjacency, targets)
         if micro > cap:
             raise CapExceededError(
-                f"builder exceeded the {cap}-step safety cap", trace=tuple(trace)
+                f"builder exceeded the {cap}-step safety cap", trace=tuple(stages)
             )
-        trace.append(cluster)
+        if trace:
+            stages.append(cluster)
         index = cluster.skeleton.tag_index
         # the excess at each prescribed dicritical present; an absent one has excess 0
         at = {p: rho[index[sk.tags[p]]] for p in dicriticals if sk.tags[p] in index}
@@ -230,7 +240,7 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
 
     # finalize: every base point comes back, at multiplicity zero if absent
     final = _reattach(cluster, sk)
-    trace.append(final)
+    stages.append(final)
     certificate = verify(base, report, alpha, final)
     # the points past the base ones were added, in creation order
     fsk = final.skeleton
@@ -240,7 +250,7 @@ def build(request: CartierRequest, seed_point: Optional[int] = None) -> CartierR
         )
         for p in fsk.points[len(sk) :]
     )
-    return CartierResult(final, added, tuple(trace), certificate)
+    return CartierResult(final, added, tuple(stages), certificate)
 
 
 def check_interior_excess(

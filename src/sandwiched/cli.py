@@ -191,7 +191,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_unload(args) -> int:
     name, cluster = _load(args.file, args.name)
-    result = unload(cluster)
+    # only the JSON view prints the step trace
+    result = unload(cluster, trace=args.format == "json")
     if args.format == "dsl":
         _emit(dsl.serialize(name, result.cluster), args.output)
     else:
@@ -302,7 +303,7 @@ def _cmd_cartier(args) -> int:
     seed_point = (
         cluster.skeleton.index_of(args.seed_point) if args.seed_point else None
     )
-    result = build(request, seed_point=seed_point)
+    result = build(request, seed_point=seed_point, trace=False)  # the stages are not printed
     _emit(dsl.serialize(f"{name}_cartier", result.cluster), args.emit_cluster)
     sys.stdout.write(_json(dsl.certificate_json(result.certificate)))
     if result.certificate.passed:

@@ -287,7 +287,10 @@ def reference_unload(
             raise CapExceededError(
                 f"unloading exceeded the {cap}-step safety cap", trace=tuple(steps)
             )
-    return UnloadResult(WeightedCluster(sk, tuple(nu)), tuple(steps))
+    unloaded = WeightedCluster(sk, tuple(nu))
+    return UnloadResult(
+        unloaded, tuple(steps), excesses(unloaded), len(steps), frozenset(s.point for s in steps)
+    )
 
 
 # -- Paper checks ------------------------------------------------------------------

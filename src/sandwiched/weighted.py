@@ -36,10 +36,11 @@ class WeightedCluster:
 
 def values(cluster: WeightedCluster) -> tuple[int, ...]:
     """v_p = nu_p + sum of v_q over the points q that p is proximate to."""
-    sk = cluster.skeleton
     v: list[int] = []
-    for p in sk.points:
-        v.append(cluster.nu[p] + sum(v[q] for q in sk.proximities[p]))
+    for m, targets in zip(cluster.nu, cluster.skeleton.proximities):
+        for q in targets:
+            m += v[q]
+        v.append(m)
     return tuple(v)
 
 
@@ -60,16 +61,27 @@ def multiplicities_from_excesses(
     if len(rho) != len(skeleton):
         raise ClusterError(f"{len(rho)} excesses for {len(skeleton)} points")
     nu = [0] * len(skeleton)
+    proximate_to = skeleton.proximate_to
     for p in reversed(skeleton.points):
-        nu[p] = rho[p] + sum(nu[q] for q in skeleton.proximate_to[p])
+        m = rho[p]
+        for q in proximate_to[p]:
+            m += nu[q]
+        nu[p] = m
     return WeightedCluster(skeleton, tuple(nu))
 
 
 def excesses(cluster: WeightedCluster) -> tuple[int, ...]:
-    sk = cluster.skeleton
-    return tuple(
-        cluster.nu[p] - sum(cluster.nu[q] for q in sk.proximate_to[p]) for p in sk.points
-    )
+    return tuple(_excesses(cluster.nu, cluster.skeleton.proximate_to))
+
+
+def _excesses(nu: Sequence[int], proximate_to) -> list[int]:
+    """rho_p = nu_p minus nu over the row of points proximate to p."""
+    rho: list[int] = []
+    for m, row in zip(nu, proximate_to):
+        for q in row:
+            m -= nu[q]
+        rho.append(m)
+    return rho
 
 
 def is_consistent(cluster: WeightedCluster) -> bool:
@@ -103,15 +115,23 @@ class UnloadStep:
 
 @dataclass(frozen=True)
 class UnloadResult:
+    """The unloaded cluster, its excesses `rho` and what the unloading did.
+
+    `step_count` is the number of steps and `touched` the set of points
+    unloaded at least once, in both modes.  `steps` holds one record per step
+    for a traced call, and is empty for an untraced one.
+    """
+
     cluster: WeightedCluster
     steps: tuple[UnloadStep, ...]
+    rho: tuple[int, ...]
+    step_count: int
+    touched: frozenset[int]
 
-    @property
-    def touched(self) -> frozenset[int]:
-        return frozenset(s.point for s in self.steps)
 
-
-def unload(cluster: WeightedCluster, *, cap: Optional[int] = None) -> UnloadResult:
+def unload(
+    cluster: WeightedCluster, *, cap: Optional[int] = None, trace: bool = True
+) -> UnloadResult:
     """Unload until no excess is negative.
 
     Works in value form: a step at p raises v_p by n = ceil(-rho_p/(r_p + 1)),
@@ -122,9 +142,15 @@ def unload(cluster: WeightedCluster, *, cap: Optional[int] = None) -> UnloadResu
     any order, and the tests compare the two).  The cap is a bug trap only:
     termination is guaranteed.
 
+    `trace=False` builds no step records: the result's `steps` is empty, and
+    its `step_count`, `touched`, `rho` and cluster are those of a traced
+    call.  The cap counts steps in both modes, and a `CapExceededError`
+    carries the steps taken as its `trace` when traced, and `()` when not.
+
     The excesses are computed once.  A step at p changes them only at p, at
     its proximity targets, at the points proximate to p and at their targets,
-    and only those are updated, so a step costs O(r_p + log n).
+    and only those are updated, so a step costs O(r_p + log n).  The vector
+    the loop ends with is the result's `rho`.
 
     A min-heap of point indices is the only worklist.  Invariant: every point
     with a negative excess has at least one entry.  A step leaves p with
@@ -141,9 +167,10 @@ def unload(cluster: WeightedCluster, *, cap: Optional[int] = None) -> UnloadResu
 
     Step records are frozen values, so equal steps of one call share one
     record: a long trace repeats a few steps many times, and building a
-    record costs more than a step's arithmetic.  The up-front skeleton check
-    reads the verdict stored on the skeleton, so only the first check of a
-    skeleton runs `validate`.
+    record costs more than a step's arithmetic.  The shared records also
+    name every touched point, so a traced call reads `touched` from them.
+    The up-front skeleton check reads the verdict stored on the skeleton, so
+    only the first check of a skeleton runs `validate`.
     """
     sk = cluster.skeleton
     sk.require_valid()
@@ -153,10 +180,12 @@ def unload(cluster: WeightedCluster, *, cap: Optional[int] = None) -> UnloadResu
     prox_to = sk.proximate_to
     if cap is None:
         cap = 10 * max(1, sum(abs(m) for m in cluster.nu)) * n_points * n_points
-    rho = [nu[p] - sum(nu[q] for q in prox_to[p]) for p in sk.points]
+    rho = _excesses(nu, prox_to)
     queue = [p for p in sk.points if rho[p] < 0]  # ascending, so already a heap
     steps: list[UnloadStep] = []
     records: dict[tuple[int, int, bool], UnloadStep] = {}
+    touched: set[int] = set()
+    count = 0
     while queue:
         p = heappop(queue)
         rho_p = rho[p]
@@ -188,16 +217,21 @@ def unload(cluster: WeightedCluster, *, cap: Optional[int] = None) -> UnloadResu
             rho[x] = r - inc
             if r >= 0 > r - inc:
                 heappush(queue, x)
-        key = (p, inc, inc == 1 and rho_p == -1)
-        step = records.get(key)
-        if step is None:
-            step = records[key] = UnloadStep(*key)
-        steps.append(step)
-        if len(steps) > cap:
+        count += 1
+        if trace:
+            key = (p, inc, inc == 1 and rho_p == -1)
+            step = records.get(key)
+            if step is None:
+                step = records[key] = UnloadStep(*key)
+            steps.append(step)
+        else:
+            touched.add(p)
+        if count > cap:
             raise CapExceededError(
                 f"unloading exceeded the {cap}-step safety cap", trace=tuple(steps)
             )
-    return UnloadResult(WeightedCluster(sk, tuple(nu)), tuple(steps))
+    points = frozenset(p for p, _, _ in records) if trace else frozenset(touched)
+    return UnloadResult(WeightedCluster(sk, tuple(nu)), tuple(steps), tuple(rho), count, points)
 
 
 # -- Dropping zero points ----------------------------------------------------------

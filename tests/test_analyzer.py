@@ -4,7 +4,8 @@ Core claims:
     - attaching a one-unit point detects singularity exactly when the
       extension is inconsistent; smooth points get first-class reports
     - a free or satellite point over an index outside the cluster is a
-      ClusterError naming that index, never a KeyError
+      ClusterError naming that index, never a KeyError; so is an index that
+      is not an int, or is a bool
     - the basic worked example (chain of three, satellite at the bottom)
       reproduces every report field
     - all boundary points on one zero-excess component give the same report
@@ -91,6 +92,23 @@ def test_a_boundary_point_outside_the_cluster_is_an_input_error(d1, operation, w
     assert str(err.value) == f"proximity target {index} is not a point of the cluster"
 
 
+@pytest.mark.parametrize(
+    "w, index",
+    [
+        (FreeOn("a"), "'a'"),
+        (Satellite("a", 0), "'a'"),
+        (Satellite(1.0, 0), "1.0"),
+        (FreeOn(True), "True"),
+        (Satellite(True, 0), "True"),
+    ],
+)
+def test_a_boundary_point_index_that_is_not_an_int_is_an_input_error(d1, w, index):
+    for operation in (analyze, extend):
+        with pytest.raises(ClusterError) as err:
+            operation(d1, w)
+        assert str(err.value) == f"boundary point index {index} is not an integer"
+
+
 def test_analyze_rejects_inconsistent_and_zero_weight_input():
     K = WeightedCluster(chain_skeleton(2), (0, 1))
     with pytest.raises(ClusterError):
@@ -103,11 +121,13 @@ def test_analyze_rejects_inconsistent_and_zero_weight_input():
 def test_an_unloading_stopped_early_is_caught(d1, monkeypatch):
     # after the first of its two steps the unloading of K_w on d1 passes every
     # earlier check; only the consistency of the result tells it is unfinished
-    def first_step_only(cluster):
+    def first_step_only(cluster, *, trace=True):
         step = unload(cluster).steps[0]
         v = list(values(cluster))
         v[step.point] += step.increment
-        return UnloadResult(multiplicities_from_values(cluster.skeleton, v), (step,))
+        stopped = multiplicities_from_values(cluster.skeleton, v)
+        steps = (step,) if trace else ()
+        return UnloadResult(stopped, steps, excesses(stopped), 1, frozenset({step.point}))
 
     assert len(unload(extend(d1, FreeOn(1))).steps) == 2
     monkeypatch.setattr(analyzer, "unload", first_step_only)

@@ -20,7 +20,12 @@ Core claims:
       first, in base order
     - every stage of a build is consistent
     - a build that exceeds the safety cap raises with the cap in its message
-      and carries the stages done before the overrun, the start first
+      and carries the stages done before the overrun, the start first; an
+      untraced build's overrun carries no stage
+    - an untraced build gives the cluster, added points and certificate of
+      the traced one and keeps the result alone as its trace, on the 600
+      benchmark-style requests and on the worked example up to alpha 400;
+      on the worked example at alpha 10,000 its traced peak stays under 20 MB
     - a growth anchor missing from the stage raises a named check rather
       than being re-attached
     - a growth stage attaches where a walk along the satellites of its
@@ -38,6 +43,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -162,11 +168,14 @@ def test_cap_overrun_carries_the_stages_before_it(monkeypatch):
     real = cartier.unload
     unloaded = []
 
-    def repeating(stage):
+    def repeating(stage, *, trace=True):
         # the real steps; from the second unloading on, repeated past the cap
-        result = real(stage)
+        result = real(stage, trace=trace)
         unloaded.append(result)
-        return dataclasses.replace(result, steps=result.steps * (cap if len(unloaded) > 1 else 1))
+        times = cap if len(unloaded) > 1 else 1
+        return dataclasses.replace(
+            result, steps=result.steps * times, step_count=result.step_count * times
+        )
 
     monkeypatch.setattr(cartier, "unload", repeating)
     with pytest.raises(CapExceededError) as raised:
@@ -177,6 +186,12 @@ def test_cap_overrun_carries_the_stages_before_it(monkeypatch):
     # the start first, then every stage up to the one whose unloading overran
     assert done == stages[: len(done)]
     assert stages[len(done)] == drop_zero_points(unloaded[-1].cluster).cluster
+
+    unloaded.clear()
+    with pytest.raises(CapExceededError) as raised:
+        build(request, trace=False)
+    assert str(raised.value) == f"builder exceeded the {cap}-step safety cap"
+    assert raised.value.trace == ()
 
 
 def test_random_requests_always_certify():
@@ -330,6 +345,32 @@ def test_every_stage_is_consistent(corpus):
     for request in _corpus_requests(corpus):
         for stage in build(request).trace:
             assert min(excesses(stage)) >= 0
+
+
+def test_an_untraced_build_keeps_only_the_result(corpus, d1, d1_report):
+    requests = _corpus_requests(corpus)
+    requests += [CartierRequest(d1, d1_report, {2: a}) for a in (1, 2, 7, 50, 400)]
+    for request in requests:
+        traced = build(request)
+        untraced = build(request, trace=False)
+        assert untraced.cluster == traced.cluster
+        assert untraced.added == traced.added
+        assert untraced.certificate == traced.certificate
+        assert untraced.trace == (untraced.cluster,)
+
+
+def test_an_untraced_build_at_alpha_10000_stays_small(d1, d1_report):
+    # a traced build keeps one stage per added point, O(alpha^2) in all: it
+    # peaks at 326 MB at alpha 3,000 and ran out of memory at 10,000
+    tracemalloc.start()
+    try:
+        result = build(CartierRequest(d1, d1_report, {2: 10_000}), trace=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.certificate.passed
+    assert len(result.added) == 9_999
+    assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_a_growth_anchor_missing_from_the_stage_is_named(monkeypatch):

@@ -372,7 +372,7 @@ def test_unload_cap_overrun_exits_3(tmp_path, capsys, monkeypatch):
         "weights i { O=1 p1=1 q1=1 w=1 }\n",
         encoding="utf-8",
     )
-    monkeypatch.setattr(cli, "unload", lambda cluster: unload(cluster, cap=1))
+    monkeypatch.setattr(cli, "unload", lambda cluster, **kwargs: unload(cluster, cap=1, **kwargs))
     code, out, err = run(capsys, "unload", str(path))
     assert code == 3
     assert out == ""
@@ -382,10 +382,12 @@ def test_unload_cap_overrun_exits_3(tmp_path, capsys, monkeypatch):
 def test_builder_cap_overrun_exits_3(d1_file, capsys, monkeypatch):
     real = sandwiched.cartier.unload
 
-    def repeating(cluster):
+    def repeating(cluster, *, trace=True):
         # the real steps, repeated past the builder's cap of 4 * 2 * 3^2
-        result = real(cluster)
-        return dataclasses.replace(result, steps=result.steps * 72)
+        result = real(cluster, trace=trace)
+        return dataclasses.replace(
+            result, steps=result.steps * 72, step_count=result.step_count * 72
+        )
 
     monkeypatch.setattr(sandwiched.cartier, "unload", repeating)
     code, out, err = run(capsys, "cartier", d1_file, "--at", "c0", "--alpha", "q1=2")

@@ -6,6 +6,11 @@ Core claims:
       raw weightings the generator unloads), on the codimension-one
       extensions of the make_dr family and on chains weighted (1, ..., 1, n)
     - under a small cap both raise CapExceededError with the same partial trace
+    - `unload(K, trace=False)` keeps no step record and otherwise agrees with
+      the traced call on every instance above and on weights up to 10^40: the
+      same cluster, `step_count == len(steps)`, the same touched points, and
+      in both modes `rho` is the excess vector of the result; under a small
+      cap it raises at the same step as the traced call, with an empty trace
     - whatever order the reference loop unloads in, it ends on the cluster
       `unload` reaches, and that cluster has no negative excess
     - the heap is the only worklist: a point is pushed exactly when a step
@@ -52,6 +57,15 @@ def assert_same_unload(K, **kwargs):
     return got
 
 
+def assert_untraced_agrees(K, traced, **kwargs):
+    untraced = unload(K, trace=False, **kwargs)
+    assert untraced.cluster == traced.cluster
+    assert untraced.steps == ()
+    assert untraced.step_count == traced.step_count == len(traced.steps)
+    assert untraced.touched == traced.touched == frozenset(s.point for s in traced.steps)
+    assert untraced.rho == traced.rho == excesses(traced.cluster)
+
+
 def test_matches_reference_on_generator_instances(monkeypatch):
     raw = []
     real = oracle.unload
@@ -74,6 +88,7 @@ def test_matches_reference_on_generator_instances(monkeypatch):
     nontame = 0
     for K in raw + noisy:
         result = assert_same_unload(K)
+        assert_untraced_agrees(K, result)
         nontame += any(not s.tame for s in result.steps)
     assert nontame > 100  # the non-tame branch is exercised, not just tame steps
 
@@ -88,13 +103,15 @@ def test_matches_reference_on_make_dr_extensions():
             spots += [FreeOn(p) for p in K.skeleton.points]
             spots += [Satellite(u, v) for u, v in dual_graph(K.skeleton).edges]
         for w in spots:
-            assert_same_unload(extend(K, w))
+            K_w = extend(K, w)
+            assert_untraced_agrees(K_w, assert_same_unload(K_w))
 
 
 def test_matches_reference_on_weighted_chains():
     for n in range(1, 61):
         K = WeightedCluster(chain_skeleton(n), (1,) * (n - 1) + (n,))
         result = assert_same_unload(K)
+        assert_untraced_agrees(K, result)
         assert all(r >= 0 for r in excesses(result.cluster))
 
 
@@ -112,6 +129,42 @@ def test_cap_overrun_has_the_reference_partial_trace(cap):
         assert str(got.value) == str(want.value)
         assert got.value.trace == want.value.trace
         assert len(got.value.trace) == cap + 1
+
+
+def test_untraced_unloading_agrees_at_weights_up_to_10_40():
+    rng = random.Random(20261019)
+    config = GeneratorConfig(max_points=10, max_multiplicity=5, satellite_probability=0.4)
+    steps = 0
+    for k in (3, 10, 20, 40):
+        scale = 10**k
+        for _ in range(100):
+            K = oracle._random_cluster(rng, config)
+            nu = (m * scale + rng.randint(-3, 1) * rng.randint(1, scale) for m in K.nu)
+            big = WeightedCluster(K.skeleton, tuple(nu))
+            traced = unload(big, cap=20_000)
+            assert_untraced_agrees(big, traced, cap=20_000)
+            steps += traced.step_count
+    assert steps > 5_000  # the big weights are unloaded, not just consistent
+
+
+def test_untraced_cap_overrun_comes_at_the_same_step():
+    instances = [
+        WeightedCluster(chain_skeleton(12), (1,) * 11 + (12,)),
+        extend(make_dr(6), FreeOn(0)),
+        extend(make_dr(2), FreeOn(0)),
+    ]
+    for K in instances:
+        needed = unload(K).step_count
+        for cap in range(needed):
+            with pytest.raises(CapExceededError) as traced:
+                unload(K, cap=cap)
+            with pytest.raises(CapExceededError) as untraced:
+                unload(K, cap=cap, trace=False)
+            assert str(untraced.value) == str(traced.value)
+            assert len(traced.value.trace) == cap + 1
+            assert untraced.value.trace == ()
+        # a cap the unloading just reaches raises in neither mode
+        assert_untraced_agrees(K, unload(K, cap=needed), cap=needed)
 
 
 @st.composite
