@@ -1,6 +1,6 @@
 """Size ladders of the paper's constructions, timed with pytest-benchmark.
 
-Seven series, each a pytest-benchmark test:
+Eight series, each a pytest-benchmark test:
 
 - `chain_unload`: `unload` on the chain weighted (1, ..., 1, n), at 50, 100,
   200 and 400 points; records the step count `steps`.
@@ -23,6 +23,11 @@ Seven series, each a pytest-benchmark test:
   minimal singularity of random_minimal_graph_spec(Random(5), 6, 5): 13
   points and 8 components through Q, about 8 alpha added points.  The
   build series record the number of points `added`.
+- `verify_sized`: `cartier.verify` alone on the build at alpha 1 on every
+  component through the first singularity of perfbench's
+  `sized_cluster(Random(3), n)`, at 50, 100, 200 and 400 points; the base
+  has about half as many dicriticals as points, all of which the
+  certificate's readout solves for.
 
 On a shared machine the CPU speed swings by up to 2x for seconds at a
 time: raw medians of two runs of one tree were seen to differ by up to 60%
@@ -74,10 +79,12 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from conftest import make_d1, make_dr  # noqa: E402
 from run import CALIBRATION_REF_NS, calibration_loop  # noqa: E402
+from workloads import sized_cluster  # noqa: E402
 
+import sandwiched  # noqa: E402
 from sandwiched import ClusterSkeleton, Satellite, WeightedCluster, analyze, chain_skeleton  # noqa: E402
 from sandwiched import enumerate_singularities, unload  # noqa: E402
-from sandwiched.cartier import CartierRequest, build  # noqa: E402
+from sandwiched.cartier import CartierRequest, build, verify  # noqa: E402
 from sandwiched.oracle import GeneratorConfig, _random_cluster, random_boundary_points  # noqa: E402
 from sandwiched.oracle import random_minimal_graph_spec  # noqa: E402
 from sandwiched.synthesis import synthesize  # noqa: E402
@@ -199,6 +206,17 @@ def test_build_many_components(benchmark, alpha):
     report = analyze(K, w)
     assert (len(K.skeleton), len(report.Kplus_Q)) == (13, 8)
     run_build(benchmark, K, report, alpha)
+
+
+@pytest.mark.parametrize("points", SIZES)
+def test_verify_sized(benchmark, points):
+    K = sized_cluster(sandwiched, random.Random(3), points)
+    report = enumerate_singularities(K)[0]
+    alpha = dict.fromkeys(report.Kplus_Q, 1)
+    candidate = build(CartierRequest(K, report, alpha), trace=False).cluster
+    benchmark.extra_info["points"] = points
+    certificate = calibrated(benchmark, verify, lambda: (K, report, alpha, candidate))
+    assert certificate.passed
 
 
 def growth_exponent(points, seconds):

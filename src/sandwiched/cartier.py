@@ -43,14 +43,16 @@ cluster operations, so it inherits the base's verdict: no stage runs
 
 A result is never trusted on construction: `verify` re-checks it from
 scratch (value identities, localization of the dicritical points, vanishing
-excesses off the contracted set, and an exact linear readout of the
-intersection multiplicities).
+excesses off the contracted set, and an exact readout of the intersection
+multiplicities by one integer solve on the base's dual tree, linear in the
+number of points).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
+from math import gcd, lcm
 from typing import Optional
 
 from .analyzer import SingularityReport, contracted_neighbor
@@ -63,7 +65,6 @@ from .weighted import (
     embed_indices,
     excesses,
     multiplicities_from_excesses,
-    simple_multiplicities,
     unload,
     values,
 )
@@ -312,9 +313,12 @@ def verify(
     prescribed combination of simple-cluster values; (2) every dicritical
     point of the candidate is contracted to Q or added over Q; (3) the
     candidate has excess zero at every base point off the contracted set;
-    (4) solving the value identities for the multiplicities returns exactly
-    the prescription.
+    (4) the multiplicities that one integer solve on the base's dual tree
+    reads off the values at the base dicriticals are the prescription.
+    Keys of `alpha` off the base dicriticals are ignored; an invalid
+    candidate skeleton raises ClusterError.
     """
+    candidate.skeleton.require_valid()
     failures = []
     sk = base.skeleton
     try:
@@ -329,17 +333,14 @@ def verify(
     if not consistent:
         failures.append("consistency")
 
-    dicriticals = sorted(dicritical_set(base))
-    simple_values = {
-        q: values(WeightedCluster(sk, simple_multiplicities(sk, q)))
-        for q in dicriticals
-    }
+    dicritical = dicritical_set(base)
+    dicriticals = sorted(dicritical)
+    # by linearity, the sum of alpha_q simple(q) has excess alpha_q at each q, 0 elsewhere
+    prescribed = [alpha.get(p, 0) if p in dicritical else 0 for p in sk.points]
+    expected = values(multiplicities_from_excesses(sk, prescribed))
     v_candidate = values(candidate)
-    value_condition = all(
-        v_candidate[mapping[p]]
-        == sum(alpha.get(q, 0) * simple_values[q][p] for q in dicriticals)
-        for p in dicriticals
-    )
+    on_dicriticals = [v_candidate[mapping[p]] for p in dicriticals]
+    value_condition = on_dicriticals == [expected[p] for p in dicriticals]
     if not value_condition:
         failures.append("value-condition")
 
@@ -368,9 +369,9 @@ def verify(
     if not off_excess_zero:
         failures.append("off-excess-zero")
 
-    readout, readout_matches = _read_multiplicities(
-        dicriticals, simple_values, v_candidate, mapping, alpha, sk
-    )
+    x = _read_multiplicities(dual_graph(sk), dict(zip(dicriticals, on_dicriticals)))
+    readout = () if x is None else tuple((sk.tags[q], x[q]) for q in dicriticals)
+    readout_matches = x is not None and all(x[q] == alpha.get(q, 0) for q in dicriticals)
     if not readout_matches:
         failures.append("readout")
 
@@ -385,42 +386,39 @@ def verify(
     )
 
 
-def _read_multiplicities(dicriticals, simple_values, v_candidate, mapping, alpha, sk):
-    """Solve sum_q x_q * v_p(simple(q)) = v_p(candidate) over the dicriticals.
+def _read_multiplicities(graph, v: dict) -> Optional[dict]:
+    """The multiplicities x with sum_q x_q * v(simple(q)) = v on the keys D
+    of `v` (the base dicriticals, with the candidate's values), or None when
+    x is not integral; `v` is extended in place to the other points N.
 
-    Exact: fraction-free (Bareiss) elimination in integers, pivoting on the
-    first nonzero entry of each column, then fraction-free back substitution
-    for det * x_q, and one exact division by det per unknown.  The
-    simple-cluster value matrix is invertible, so the multiplicities are
-    determined by the values alone.
+    Excesses are A·v, A minus the intersection matrix of the dual tree
+    (A_pp = r_p + 1, A_pq = -1 for neighbours), so x = (A·v)_D for the v
+    with excess zero on N: A_NN·v_N = -A_ND·v_D.  A_NN is positive definite
+    on a forest.  Leaves first, each point u of a tree of N keeps
+    P·v_u = Q·v_parent + B in integers; root first, v is read back by exact
+    division.  A is unimodular, so v is integral exactly when x is, and a
+    remainder means x is not.
     """
-    m = len(dicriticals)
-    rows = [
-        [simple_values[q][p] for q in dicriticals] + [v_candidate[mapping[p]]]
-        for p in dicriticals
-    ]
-    # every entry below the pivot rows is a minor of the matrix, so each
-    # division by the previous pivot is exact; the last pivot is +-det
-    det = 1
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][col] != 0), None)
-        if pivot is None:
-            return (), False
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col]
-        for r in range(col + 1, m):
-            row = rows[r]
-            rows[r] = [(top[col] * a - row[col] * b) // det for a, b in zip(row, top)]
-        det = top[col]
-    # det * x is integral (Cramer), so every division here is exact too
-    scaled = [0] * m
-    for i in reversed(range(m)):
-        row = rows[i]
-        rest = sum(row[j] * scaled[j] for j in range(i + 1, m))
-        scaled[i] = (det * row[m] - rest) // row[i]
-    solution = [divmod(x, det) for x in scaled]
-    if any(remainder for _, remainder in solution):
-        return (), False
-    readout = tuple((sk.tags[q], x) for q, (x, _) in zip(dicriticals, solution))
-    matches = all(x == alpha.get(q, 0) for q, (x, _) in zip(dicriticals, solution))
-    return readout, matches
+    adjacency, weights = graph.adjacency, graph.weights
+    rest = {p: tuple(q for q in adjacency[p] if q not in v) for p in adjacency if p not in v}
+    for root in rest:
+        if root in v:
+            continue
+        order, parent = bfs(rest, root)
+        relation = {}
+        for u in reversed(order):
+            children = [relation[c] for c in rest[u] if c != parent[u]]
+            scale = lcm(*(Pc for Pc, _, _ in children))
+            P = weights[u] * scale
+            B = scale * sum(v[d] for d in adjacency[u] if d not in rest)
+            for Pc, Qc, Bc in children:
+                P -= Qc * (scale // Pc)
+                B += Bc * (scale // Pc)
+            g = gcd(P, scale, B)
+            relation[u] = (P // g, scale // g, B // g)
+        for u in order:
+            P, Q, B = relation[u]
+            v[u], remainder = divmod(B if parent[u] is None else Q * v[parent[u]] + B, P)
+            if remainder:
+                return None
+    return {d: weights[d] * v[d] - sum(v[q] for q in adjacency[d]) for d in v if d not in rest}

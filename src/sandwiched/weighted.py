@@ -273,21 +273,16 @@ def drop_zero_points(cluster: WeightedCluster) -> DropResult:
 # -- Simple clusters and linear combinations -----------------------------------------
 
 
-def simple_multiplicities(skeleton: ClusterSkeleton, p: int) -> tuple[int, ...]:
-    """Multiplicities of the simple cluster of p, as a full-length vector:
-    excess 1 at p and 0 elsewhere.  Proximity targets are predecessors, so
-    the vector is zero outside the predecessors of p."""
-    rho = [0] * len(skeleton)
-    rho[p] = 1
-    return multiplicities_from_excesses(skeleton, rho).nu
-
-
 def simple_cluster(skeleton: ClusterSkeleton, p: int) -> WeightedCluster:
     """The weighted cluster of the simple ideal of p: support is the
-    predecessors of p, excess 1 at p and 0 below."""
+    predecessors of p, excess 1 at p and 0 below.  Proximity targets are
+    predecessors, so the multiplicities with excess 1 at p and 0 elsewhere
+    vanish off the predecessors of p."""
     if not 0 <= p < len(skeleton):
         raise ClusterError(f"point {p} is not in the cluster")
-    full = simple_multiplicities(skeleton, p)
+    rho = [0] * len(skeleton)
+    rho[p] = 1
+    full = multiplicities_from_excesses(skeleton, rho).nu
     sub, kept = restrict(skeleton, skeleton.predecessors(p))
     return WeightedCluster(sub, tuple(full[old] for old in kept))
 

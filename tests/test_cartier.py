@@ -35,8 +35,12 @@ Core claims:
       ones at every stage it is checked, and the interior-excess check, one
       search per dicritical, agrees with one chain per pair of dicriticals,
       message for message
-    - the integer readout agrees with exact rational Gauss-Jordan
-      elimination, singular and non-integral systems included
+    - the readout, one integer solve on the base's dual tree, agrees with
+      exact rational Gauss-Jordan elimination over the simple-cluster values
+      on the criterion-6 builds from every contracted seed point and on
+      one-point perturbations of them: matching, mismatching and
+      non-integral readouts, each at least 200 times
+    - a candidate whose skeleton is invalid raises a one-line ClusterError
 """
 
 import dataclasses
@@ -63,16 +67,16 @@ from sandwiched import cartier, dsl
 from sandwiched.cartier import (
     CartierRequest,
     _reattach,
-    _read_multiplicities,
     build,
     check_interior_excess,
     verify,
 )
-from sandwiched.cluster import dual_graph, extend_point, restrict
+from sandwiched.cluster import ClusterSkeleton, dual_graph, extend_point, restrict
 from sandwiched.errors import CapExceededError, InternalCheckError
 from sandwiched.oracle import GeneratorConfig, _random_cluster, random_skeleton
 from sandwiched.analyzer import contracted_neighbor, enumerate_singularities
 from sandwiched.synthesis import MinimalGraphSpec, synthesize
+from sandwiched.weighted import dicritical_set, embed_indices, multiplicities_from_excesses
 
 from conftest import FORK
 
@@ -551,35 +555,48 @@ def _read_by_gauss_jordan(dicriticals, simple_values, v_candidate, mapping, alph
     return readout, matches
 
 
-def test_integer_readout_matches_rational_gauss_jordan():
-    rng = random.Random(83)
-    outcomes = {"singular": 0, "unsolved": 0, "mismatch": 0, "match": 0}
-    for _ in range(6000):
-        m = rng.randint(1, 6)
-        A = [[rng.choice((0, 0, 1, 2, 3, -1, -2, 7)) for _ in range(m)] for _ in range(m)]
-        singular = m > 1 and rng.random() < 0.2
-        if singular:  # one row a multiple of another
-            i, j = rng.sample(range(m), 2)
-            k = rng.randint(-2, 2)
-            A[i] = [k * a for a in A[j]]
-        x = [rng.randint(-5, 9) for _ in range(m)]
-        if rng.random() < 0.5:  # an integral solution, or a random right side
-            b = [sum(a * xi for a, xi in zip(row, x)) for row in A]
-        else:
-            b = [rng.randint(-20, 40) for _ in range(m)]
-        alpha = {q: x[q] + (rng.random() < 0.2) for q in range(m)}
-        args = (
-            list(range(m)),
-            {q: [A[p][q] for p in range(m)] for q in range(m)},
-            b,
-            list(range(m)),
-            alpha,
-            chain_skeleton(m),
-        )
-        readout, matches = _read_multiplicities(*args)
-        assert (readout, matches) == _read_by_gauss_jordan(*args)
-        assert not (singular and readout)
-        if not singular:  # unsolved: non-integral, or singular by chance
-            outcomes["match" if matches else "mismatch" if readout else "unsolved"] += 1
-        outcomes["singular"] += singular
-    assert min(outcomes.values()) > 500, outcomes
+def test_tree_readout_agrees_with_rational_gauss_jordan(corpus):
+    rng = random.Random(616)  # the criterion-6 request sequence
+    perturb = random.Random(83)
+    outcomes = {"match": 0, "mismatch": 0, "non-integral": 0}
+    for instance in corpus[:300]:
+        base, report = instance.cluster, instance.report
+        alpha = {p: rng.randint(1, 5) for p in report.Kplus_Q}
+        sk = base.skeleton
+        dicriticals = sorted(dicritical_set(base))
+        simple_values = {
+            q: values(multiplicities_from_excesses(sk, [int(p == q) for p in sk.points]))
+            for q in dicriticals
+        }
+        for seed_point in report.T_Q:
+            built = build(CartierRequest(base, report, alpha), seed_point, trace=False).cluster
+            nu = list(built.nu)
+            nu[perturb.randrange(len(nu))] += perturb.choice((-2, -1, 1, 2))
+            for candidate in (built, WeightedCluster(built.skeleton, tuple(nu))):
+                mapping = embed_indices(sk, candidate.skeleton)
+                readout, matches = _read_by_gauss_jordan(
+                    dicriticals, simple_values, values(candidate), mapping, alpha, sk
+                )
+                # the prescription, one with a key on the origin, and a wrong one;
+                # the readout does not depend on the prescription
+                for prescribed in (alpha, {**alpha, 0: 1}, {p: a + 1 for p, a in alpha.items()}):
+                    if prescribed is not alpha:
+                        matches = bool(readout) and all(
+                            x == prescribed.get(q, 0) for q, (_, x) in zip(dicriticals, readout)
+                        )
+                    certificate = verify(base, report, prescribed, candidate)
+                    assert (certificate.readout, certificate.readout_matches) == (readout, matches)
+                    outcomes["match" if matches else "mismatch" if readout else "non-integral"] += 1
+    assert min(outcomes.values()) >= 200, outcomes
+
+
+def test_an_invalid_candidate_skeleton_raises_a_cluster_error(d1, d1_report):
+    built = build(CartierRequest(d1, d1_report, {2: 2})).cluster
+    sk = built.skeleton
+    w1 = sk.index_of("w1")
+    proximities = sk.proximities[:w1] + (frozenset({9}),) + sk.proximities[w1 + 1 :]
+    broken = WeightedCluster(ClusterSkeleton(sk.parents, proximities, sk.tags), built.nu)
+    with pytest.raises(ClusterError) as err:
+        verify(d1, d1_report, {2: 2}, broken)
+    message = str(err.value)
+    assert message.startswith("invalid skeleton: ") and "\n" not in message

@@ -12,6 +12,10 @@ Core claims:
       other one, the closing re-attachment is metered too: it appends the
       added points onto the base itself and reads no `parents`
     - each build's traced allocation peak stays under 100 MB
+    - `cartier.verify` makes a fixed number of whole-cluster passes
+      (`values`, `excesses`, `multiplicities_from_excesses`, `dual_graph`,
+      `dicritical_set`), however many dicriticals the base has: on a comb
+      with 120 teeth, each tooth a dicritical, it makes at most two of each
 
 Every read of the base skeleton's `parents` goes through `CountedParents`,
 a tuple whose `__getitem__` counts.  No clock is read: the counts and the
@@ -24,9 +28,10 @@ import pytest
 
 from sandwiched import SkeletonBuilder, WeightedCluster, chain_skeleton
 from sandwiched.analyzer import enumerate_singularities
-from sandwiched.cartier import CartierRequest, build
+from sandwiched import cartier
+from sandwiched.cartier import CartierRequest, build, verify
 from sandwiched.cluster import ClusterSkeleton
-from sandwiched.weighted import simple_multiplicities
+from sandwiched.weighted import dicritical_set, multiplicities_from_excesses
 
 POINTS = 20_000
 PEAK_BYTES = 100 * 2**20
@@ -67,7 +72,8 @@ def _satellite_fan(n: int) -> tuple:
     for _ in range(2, n):
         prev = b.satellite(prev, o)
     skeleton = _counted(b.build())
-    return WeightedCluster(skeleton, simple_multiplicities(skeleton, n - 1)), (n - 1,)
+    unit = [0] * (n - 1) + [1]
+    return multiplicities_from_excesses(skeleton, unit), (n - 1,)
 
 
 def _fork(n: int) -> tuple:
@@ -117,3 +123,32 @@ def test_enumerate_and_build_visit_linearly_many_points(metered, shape):
     assert result.certificate.passed
     assert set(cluster.skeleton.tags) <= set(result.cluster.skeleton.tags)
     assert peak < PEAK_BYTES, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_verify_makes_a_fixed_number_of_passes_whatever_the_dicriticals(monkeypatch):
+    # a free chain, the spine, with one free tooth on each of its points,
+    # weighted by the simple clusters of its leaves: every leaf is a dicritical
+    b = SkeletonBuilder()
+    spine = [b.origin()]
+    for _ in range(119):
+        b.free(spine[-1])
+        spine.append(b.free(spine[-1]))
+    b.free(spine[-1])
+    skeleton = b.build()
+    leaves = [p for p in skeleton.points if not skeleton.proximate_to[p]]
+    comb = multiplicities_from_excesses(skeleton, [int(p in leaves) for p in skeleton.points])
+    assert sorted(dicritical_set(comb)) == leaves and len(leaves) > 100
+    (report,) = enumerate_singularities(comb)
+
+    calls = {}
+    for name in ("values", "excesses", "multiplicities_from_excesses", "dual_graph", "dicritical_set"):
+        def counted(*args, _name=name, _real=getattr(cartier, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(cartier, name, counted)
+    # the comb is its own candidate: one simple cluster of each leaf
+    certificate = verify(comb, report, dict.fromkeys(leaves, 1), comb)
+    assert certificate.readout_matches
+    assert max(calls.values()) <= 2, calls
+

@@ -2,7 +2,9 @@
 
 Core claims:
     - values and multiplicities determine each other exactly
-    - excesses match the proximity-matrix identities rho = P^T nu, nu = P v
+    - excesses match the proximity-matrix identities rho = P^T nu, nu = P v,
+      and the dual-tree identity rho = A v, A minus the intersection matrix
+      of the dual graph (a graph-only route, taken from the static rule)
     - unloading reaches the consistent cluster with pointwise-minimal
       dominating values (checked against the exhaustive-search oracle),
       independently of the unloading order, raising values only at unloaded
@@ -40,6 +42,7 @@ from sandwiched.oracle import (
     proximity_matrix,
     random_skeleton,
     reference_unload,
+    static_dual_graph,
 )
 
 
@@ -128,6 +131,24 @@ def test_matrix_identities_on_random_clusters():
         p = proximity_matrix(K.skeleton)
         assert p.transpose().apply(K.nu) == excesses(K)
         assert p.apply(values(K)) == K.nu
+
+
+def test_excesses_are_the_dual_tree_matrix_times_the_values():
+    # A_pp = r_p + 1 and A_pq = -1 for neighbours, on any weighting
+    rng = random.Random(29)
+    inconsistent = 0
+    for _ in range(3000):
+        sk = random_skeleton(rng, 12, 0.5)
+        K = WeightedCluster(sk, tuple(rng.randint(-5, 9) for _ in sk.points))
+        graph = static_dual_graph(sk)
+        v = values(K)
+        Av = [w * x for w, x in zip(graph.weights, v)]
+        for p, q in graph.edges:
+            Av[p] -= v[q]
+            Av[q] -= v[p]
+        assert excesses(K) == tuple(Av)
+        inconsistent += not is_consistent(K)
+    assert inconsistent > 1000
 
 
 # -- unloading -----------------------------------------------------------------------
