@@ -60,14 +60,19 @@ def multiplicities_from_excesses(
     """Solve rho_p = nu_p - sum of nu over points proximate to p, from the top down."""
     if len(rho) != len(skeleton):
         raise ClusterError(f"{len(rho)} excesses for {len(skeleton)} points")
-    nu = [0] * len(skeleton)
-    proximate_to = skeleton.proximate_to
-    for p in reversed(skeleton.points):
-        m = rho[p]
+    return WeightedCluster(skeleton, tuple(_multiplicities(rho, skeleton.proximate_to)))
+
+
+def _multiplicities(rho: Sequence[int], proximate_to) -> list[int]:
+    """The inverse of `_excesses`: nu_p = rho_p plus nu over the row of
+    points proximate to p, which come after p."""
+    nu = list(rho)
+    for p in range(len(nu) - 1, -1, -1):
+        m = nu[p]
         for q in proximate_to[p]:
             m += nu[q]
         nu[p] = m
-    return WeightedCluster(skeleton, tuple(nu))
+    return nu
 
 
 def excesses(cluster: WeightedCluster) -> tuple[int, ...]:
@@ -104,8 +109,9 @@ def self_intersection(cluster: WeightedCluster) -> int:
 class UnloadStep:
     """One unloading at `point`: its value grew by `increment`.
 
-    A step is tame when the increment is 1 and the excess before the step was
-    exactly -1; tame steps raise one value and leave every other value alone.
+    A step is tame when the excess before the step was exactly -1.  An
+    excess of -1 forces an increment of 1, so a tame step raises one value
+    by 1 and leaves every other value alone.
     """
 
     point: int
@@ -134,104 +140,92 @@ def unload(
 ) -> UnloadResult:
     """Unload until no excess is negative.
 
-    Works in value form: a step at p raises v_p by n = ceil(-rho_p/(r_p + 1)),
-    leaving all other values unchanged, and the multiplicities are recomputed
-    (equivalently nu_p grows by n and nu drops by n at each point proximate
-    to p).  The lowest-index negative point is always unloaded next; the
-    result is independent of that choice (`oracle.reference_unload` takes
-    any order, and the tests compare the two).  The cap is a bug trap only:
-    termination is guaranteed.
+    Works in value form: a step at p raises the value v_p by
+    inc = ceil(-rho_p / w_p), w_p = r_p + 1, and leaves every other value
+    alone.  The excesses are rho = A·v, A the dual tree's matrix (A_pp = w_p,
+    A_pq = -1 when E_p meets E_q), so the step adds w_p·inc to rho_p,
+    subtracts inc from rho_x at each dual-graph neighbour x of p, and moves
+    no other excess.  The lowest-index negative point is always unloaded
+    next; the result is independent of that choice (`oracle.reference_unload`
+    takes any order, and the tests compare the two).  The cap is a bug trap
+    only: termination is guaranteed.
 
     `trace=False` builds no step records: the result's `steps` is empty, and
     its `step_count`, `touched`, `rho` and cluster are those of a traced
     call.  The cap counts steps in both modes, and a `CapExceededError`
     carries the steps taken as its `trace` when traced, and `()` when not.
 
-    The excesses are computed once.  A step at p changes them only at p, at
-    its proximity targets, at the points proximate to p and at their targets,
-    and only those are updated, so a step costs O(r_p + log n).  The vector
-    the loop ends with is the result's `rho`.
+    The excesses are computed once, and a step changes nothing else.  The
+    first step at p reads w_p and p's row of the dual graph and keeps them
+    for the call, so a step costs O(deg_p + log n); the points whose row was
+    read are the result's `touched`.  The excesses determine the
+    multiplicities (`multiplicities_from_excesses`), so the unloaded cluster
+    is read off the final excesses in one pass.
 
-    A min-heap of point indices is the only worklist.  Invariant: every point
-    with a negative excess has at least one entry.  A step leaves p with
-    excess >= 0.  It raises the excesses of the targets t != p of the points
-    proximate to p, then lowers those of the targets of p and of the points
-    proximate to p, visiting each changed point after its last raise (see the
-    loops below).  A point is pushed exactly when that lowering takes it from
-    >= 0 to below 0; a point negative before the step and still negative
-    after it kept its entry.  So the smallest entry whose point is still
-    negative is the lowest-index negative point.  An entry whose point has
-    excess >= 0 when popped is stale and is skipped: the point was unloaded
-    or raised out of the negatives since the push, and it is pushed again if
-    it falls back below 0.
+    A min-heap of point indices is the only worklist.  Invariant: it holds
+    exactly the points with a negative excess, each once.  A step leaves p
+    with excess >= 0 and lowers every other excess it changes, so a point is
+    pushed exactly when a step takes it from >= 0 to below 0, a negative
+    point stays negative until it is popped, and no entry is stale.  The
+    smallest entry is the lowest-index negative point.
 
     Step records are frozen values, so equal steps of one call share one
     record: a long trace repeats a few steps many times, and building a
-    record costs more than a step's arithmetic.  The shared records also
-    name every touched point, so a traced call reads `touched` from them.
-    The up-front skeleton check reads the verdict stored on the skeleton, so
-    only the first check of a skeleton runs `validate`.
+    record costs more than a step's arithmetic.  The up-front skeleton check
+    reads the verdict stored on the skeleton, so only the first check of a
+    skeleton runs `validate`.
     """
     sk = cluster.skeleton
     sk.require_valid()
     n_points = len(sk)
-    nu = list(cluster.nu)
     prox = sk.proximities
     prox_to = sk.proximate_to
     if cap is None:
-        cap = 10 * max(1, sum(abs(m) for m in cluster.nu)) * n_points * n_points
-    rho = _excesses(nu, prox_to)
-    queue = [p for p in sk.points if rho[p] < 0]  # ascending, so already a heap
+        cap = 10 * max(1, sum(map(abs, cluster.nu))) * n_points * n_points
+    rho = _excesses(cluster.nu, prox_to)
+    queue = [p for p, r in enumerate(rho) if r < 0]  # ascending, so already a heap
+    rows: dict[int, tuple[int, list[int]]] = {}  # p -> (w_p, p's dual-graph neighbours)
     steps: list[UnloadStep] = []
     records: dict[tuple[int, int, bool], UnloadStep] = {}
-    touched: set[int] = set()
     count = 0
     while queue:
         p = heappop(queue)
+        row = rows.get(p)
+        if row is None:
+            # E_p meets E_x for x a target of p or proximate to p, unless a
+            # satellite proximate to both separates them; that satellite is
+            # proximate to p, and x is its other target
+            proximate = prox_to[p]
+            neighbours = [*prox[p], *proximate]
+            for u in proximate:
+                for t in prox[u]:
+                    if t != p:
+                        neighbours.remove(t)
+            row = rows[p] = (len(proximate) + 1, neighbours)
+        w, neighbours = row
         rho_p = rho[p]
-        if rho_p >= 0:
-            continue
-        proximate = prox_to[p]
-        r_p1 = len(proximate) + 1
-        inc = (r_p1 - 1 - rho_p) // r_p1
-        nu[p] += inc
-        rho[p] = rho_p + inc * r_p1
-        # rho_x = nu_x - sum of nu over the points proximate to x.  Raising
-        # nu_p and lowering nu_u for each u proximate to p moves rho only at
-        # p, at the targets of p, at each u and at the targets t != p of each
-        # u.  Such a u is a satellite proximate to p and t, so t is a target
-        # of p or proximate to p (satellite inheritance): the last two loops
-        # visit every changed point after its last change.
-        for u in proximate:
-            nu[u] -= inc
-            for t in prox[u]:
-                if t != p:
-                    rho[t] += inc
-        for x in prox[p]:
-            r = rho[x]
-            rho[x] = r - inc
-            if r >= 0 > r - inc:
-                heappush(queue, x)
-        for x in proximate:
+        inc = (w - 1 - rho_p) // w
+        rho[p] = rho_p + inc * w
+        for x in neighbours:
             r = rho[x]
             rho[x] = r - inc
             if r >= 0 > r - inc:
                 heappush(queue, x)
         count += 1
         if trace:
-            key = (p, inc, inc == 1 and rho_p == -1)
+            key = (p, inc, rho_p == -1)
             step = records.get(key)
             if step is None:
                 step = records[key] = UnloadStep(*key)
             steps.append(step)
-        else:
-            touched.add(p)
         if count > cap:
             raise CapExceededError(
                 f"unloading exceeded the {cap}-step safety cap", trace=tuple(steps)
             )
-    points = frozenset(p for p, _, _ in records) if trace else frozenset(touched)
-    return UnloadResult(WeightedCluster(sk, tuple(nu)), tuple(steps), tuple(rho), count, points)
+    nu = _multiplicities(rho, prox_to) if count else cluster.nu
+    return UnloadResult(
+        WeightedCluster(sk, tuple(nu)), tuple(steps), tuple(rho), count, frozenset(rows)
+    )
 
 
 # -- Dropping zero points ----------------------------------------------------------

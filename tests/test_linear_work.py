@@ -16,40 +16,59 @@ Core claims:
       (`values`, `excesses`, `multiplicities_from_excesses`, `dual_graph`,
       `dicritical_set`), however many dicriticals the base has: on a comb
       with 120 teeth, each tooth a dicritical, it makes at most two of each
+    - an untraced `unload` reads `proximities` at most 10n times, validation
+      included, on the chain weighted (1, ..., 1, 200) (19,290 steps) and on
+      the K_w that `enumerate_singularities` unloads on make_dr(100) (10,001
+      steps): a step reads no proximity row, only the first step at a point
+      reads that point's dual-graph row
 
 Every read of the base skeleton's `parents` goes through `CountedParents`,
-a tuple whose `__getitem__` counts.  No clock is read: the counts and the
-allocation peak do not depend on the machine's speed.
+and every read of an unloaded skeleton's `proximities` through
+`CountedProximities`: tuples whose `__getitem__` counts.  No clock is read:
+the counts and the allocation peak do not depend on the machine's speed.
 """
 
 import tracemalloc
 
 import pytest
 
-from sandwiched import SkeletonBuilder, WeightedCluster, chain_skeleton
-from sandwiched.analyzer import enumerate_singularities
+from sandwiched import FreeOn, SkeletonBuilder, WeightedCluster, chain_skeleton, unload
+from sandwiched.analyzer import enumerate_singularities, extend, zero_excess_components
 from sandwiched import cartier
 from sandwiched.cartier import CartierRequest, build, verify
 from sandwiched.cluster import ClusterSkeleton
 from sandwiched.weighted import dicritical_set, multiplicities_from_excesses
 
+from conftest import make_dr
+
 POINTS = 20_000
 PEAK_BYTES = 100 * 2**20
 
 
-class CountedParents(tuple):
-    """A parents tuple that counts its reads through `[]` and fails the test
-    once the count passes `limit`; counts nothing while `limit` is None."""
+class Counted(tuple):
+    """A skeleton field that counts its reads through `[]` and fails the test
+    once the count passes `limit`; counts nothing while `limit` is None.
+    Each counted field is its own subclass, with its own count."""
 
+    field = ""
     reads = 0
     limit = None
 
     def __getitem__(self, key):
-        if CountedParents.limit is not None:
-            CountedParents.reads += 1
-            if CountedParents.reads > CountedParents.limit:
-                pytest.fail(f"read parents more than {CountedParents.limit} times")
+        counter = type(self)
+        if counter.limit is not None:
+            counter.reads += 1
+            if counter.reads > counter.limit:
+                pytest.fail(f"read {counter.field} more than {counter.limit} times")
         return super().__getitem__(key)
+
+
+class CountedParents(Counted):
+    field = "parents"
+
+
+class CountedProximities(Counted):
+    field = "proximities"
 
 
 def _counted(skeleton: ClusterSkeleton) -> ClusterSkeleton:
@@ -93,11 +112,12 @@ def _fork(n: int) -> tuple:
 
 @pytest.fixture
 def metered(monkeypatch):
-    """A function that restarts the count of `parents` reads with a new limit."""
+    """A function that restarts the count of one field's reads (`parents`
+    by default) with a new limit."""
 
-    def restart(limit):
-        monkeypatch.setattr(CountedParents, "reads", 0)
-        monkeypatch.setattr(CountedParents, "limit", limit)
+    def restart(limit, counter=CountedParents):
+        monkeypatch.setattr(counter, "reads", 0)
+        monkeypatch.setattr(counter, "limit", limit)
 
     return restart
 
@@ -152,3 +172,28 @@ def test_verify_makes_a_fixed_number_of_passes_whatever_the_dicriticals(monkeypa
     assert certificate.readout_matches
     assert max(calls.values()) <= 2, calls
 
+
+def _weighted_chain() -> WeightedCluster:
+    return WeightedCluster(chain_skeleton(200), (1,) * 199 + (200,))
+
+
+def _make_dr_kw() -> WeightedCluster:
+    K = make_dr(100)
+    (component,) = zero_excess_components(K)
+    return extend(K, FreeOn(component[0]))
+
+
+@pytest.mark.parametrize(
+    "shape, steps", [(_weighted_chain, 19_290), (_make_dr_kw, 10_001)], ids=["chain", "make_dr-K_w"]
+)
+def test_unload_reads_each_proximity_row_a_bounded_number_of_times(metered, shape, steps):
+    K = shape()
+    sk = K.skeleton
+    # not validated yet: the count covers the validation `unload` runs
+    counted = WeightedCluster(
+        ClusterSkeleton(sk.parents, CountedProximities(sk.proximities), sk.tags), K.nu
+    )
+    n = len(sk)
+    metered(10 * n, CountedProximities)
+    result = unload(counted, trace=False)
+    assert result.step_count == steps
