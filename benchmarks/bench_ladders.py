@@ -5,7 +5,9 @@ Eight series, each a pytest-benchmark test:
 - `chain_unload`: `unload` on the chain weighted (1, ..., 1, n), at 50, 100,
   200 and 400 points; records the step count `steps`.
 - `enumerate_make_dr`: `enumerate_singularities(make_dr(r))` at 2r + 1
-  points for about the same sizes; its time is almost all unloading.
+  points for about the same sizes; its time is almost all unloading.  It
+  records the step count `steps` of the K_w it unloads, counted by one
+  untraced `unload` outside the timed rounds.
 - `analyze_small` and `enumerate_small`: `analyze` at every boundary point
   that `random_boundary_points` picks on 200 seeded generator clusters of at
   most 4, 6, 8 and 10 points, and `enumerate_singularities` on the same
@@ -82,7 +84,8 @@ from run import CALIBRATION_REF_NS, calibration_loop  # noqa: E402
 from workloads import sized_cluster  # noqa: E402
 
 import sandwiched  # noqa: E402
-from sandwiched import ClusterSkeleton, Satellite, WeightedCluster, analyze, chain_skeleton  # noqa: E402
+from sandwiched import ClusterSkeleton, FreeOn, Satellite, WeightedCluster, analyze, chain_skeleton  # noqa: E402
+from sandwiched.analyzer import extend, zero_excess_components  # noqa: E402
 from sandwiched import enumerate_singularities, unload  # noqa: E402
 from sandwiched.cartier import CartierRequest, build, verify  # noqa: E402
 from sandwiched.oracle import GeneratorConfig, _random_cluster, random_boundary_points  # noqa: E402
@@ -137,6 +140,8 @@ def test_enumerate_make_dr(benchmark, points):
     benchmark.extra_info["points"] = len(K.skeleton)
     reports = calibrated(benchmark, enumerate_singularities, lambda: (K,))
     assert [(r.mult, r.emdim) for r in reports] == [(points // 2 + 1, points // 2 + 2)]
+    (component,) = zero_excess_components(K)
+    benchmark.extra_info["steps"] = unload(extend(K, FreeOn(component[0])), trace=False).step_count
 
 
 def corpus(max_points):

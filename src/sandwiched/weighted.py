@@ -111,7 +111,13 @@ class UnloadStep:
 
     A step is tame when the excess before the step was exactly -1.  An
     excess of -1 forces an increment of 1, so a tame step raises one value
-    by 1 and leaves every other value alone.
+    by 1 and leaves every other value alone.  A step of increment 1 from a
+    lower excess (-2 at w = 2, say) is not tame.
+
+    Records are frozen values, and one traced call gives equal steps one
+    shared record: a tame step is fixed by its point, so its record is kept
+    per point, and any other step's per (point, increment).  Records of
+    different calls are equal but not shared.
     """
 
     point: int
@@ -156,23 +162,31 @@ def unload(
     carries the steps taken as its `trace` when traced, and `()` when not.
 
     The excesses are computed once, and a step changes nothing else.  The
-    first step at p reads w_p and p's row of the dual graph and keeps them
-    for the call, so a step costs O(deg_p + log n); the points whose row was
-    read are the result's `touched`.  The excesses determine the
-    multiplicities (`multiplicities_from_excesses`), so the unloaded cluster
-    is read off the final excesses in one pass.
+    first step at p reads w_p and p's row of the dual graph, split into the
+    neighbours below p (targets of p) and those above it, and
+    keeps them for the call; the points whose row was read are the result's
+    `touched`.  A tame step (rho_p = -1, the unit step of Laufer's
+    computation sequence and almost every step of a long unloading) sets
+    inc = 1 and rho_p = w_p - 1 without a division.  The excesses determine
+    the multiplicities (`multiplicities_from_excesses`), so the unloaded
+    cluster is read off the final excesses in one pass.
 
-    A min-heap of point indices is the only worklist.  Invariant: it holds
+    Worklist invariant: a min-heap of point indices plus the hand-off hold
     exactly the points with a negative excess, each once.  A step leaves p
-    with excess >= 0 and lowers every other excess it changes, so a point is
-    pushed exactly when a step takes it from >= 0 to below 0, a negative
-    point stays negative until it is popped, and no entry is stale.  The
-    smallest entry is the lowest-index negative point.
+    with excess >= 0 and lowers every other excess it changes, so a
+    neighbour enters the worklist exactly when the step takes it from >= 0
+    to below 0, and a negative point stays negative until it is unloaded.
+    Before the step p is the lowest negative point, so every point below p
+    has excess >= 0, and the lowest target the step takes below 0 is the
+    lowest negative point after it: it is handed to the next step directly,
+    with no push and no pop.  A second crossing target (p a satellite) and
+    every crossing point above p are pushed.  A step that hands off costs
+    O(deg_p), any other O(deg_p + log n).
 
-    Step records are frozen values, so equal steps of one call share one
-    record: a long trace repeats a few steps many times, and building a
-    record costs more than a step's arithmetic.  The up-front skeleton check
-    reads the verdict stored on the skeleton, so only the first check of a
+    Step records are frozen values shared within a call (see `UnloadStep`):
+    a long trace repeats a few steps many times, and building a record
+    costs more than a step's arithmetic.  The up-front skeleton check reads
+    the verdict stored on the skeleton, so only the first check of a
     skeleton runs `validate`.
     """
     sk = cluster.skeleton
@@ -180,51 +194,86 @@ def unload(
     n_points = len(sk)
     prox = sk.proximities
     prox_to = sk.proximate_to
-    if cap is None:
-        cap = 10 * max(1, sum(map(abs, cluster.nu))) * n_points * n_points
     rho = _excesses(cluster.nu, prox_to)
     queue = [p for p, r in enumerate(rho) if r < 0]  # ascending, so already a heap
-    rows: dict[int, tuple[int, list[int]]] = {}  # p -> (w_p, p's dual-graph neighbours)
+    if not queue:
+        return UnloadResult(cluster, (), tuple(rho), 0, frozenset())
+    if cap is None:
+        cap = 10 * max(1, sum(map(abs, cluster.nu))) * n_points * n_points
+    # p -> (w_p, p's dual-graph neighbours below p, those above p)
+    rows: list = [None] * n_points
+    touched: list[int] = []
     steps: list[UnloadStep] = []
-    records: dict[tuple[int, int, bool], UnloadStep] = {}
+    tame_steps: list = [None] * n_points if trace else []
+    records: dict[tuple[int, int], UnloadStep] = {}
     count = 0
-    while queue:
-        p = heappop(queue)
-        row = rows.get(p)
+    p = heappop(queue)
+    while True:
+        row = rows[p]
         if row is None:
             # E_p meets E_x for x a target of p or proximate to p, unless a
             # satellite proximate to both separates them; that satellite is
             # proximate to p, and x is its other target
             proximate = prox_to[p]
-            neighbours = [*prox[p], *proximate]
+            below = [*prox[p]]
+            above = [*proximate]
             for u in proximate:
                 for t in prox[u]:
                     if t != p:
-                        neighbours.remove(t)
-            row = rows[p] = (len(proximate) + 1, neighbours)
-        w, neighbours = row
+                        (below if t < p else above).remove(t)
+            row = rows[p] = (len(proximate) + 1, below, above)
+            touched.append(p)
+        w, below, above = row
         rho_p = rho[p]
-        inc = (w - 1 - rho_p) // w
-        rho[p] = rho_p + inc * w
-        for x in neighbours:
-            r = rho[x]
-            rho[x] = r - inc
-            if r >= 0 > r - inc:
-                heappush(queue, x)
+        if rho_p == -1:
+            inc = 1
+            rho[p] = w - 1
+            if trace:
+                step = tame_steps[p]
+                if step is None:
+                    step = tame_steps[p] = UnloadStep(p, 1, True)
+                steps.append(step)
+        else:
+            inc = (w - 1 - rho_p) // w
+            rho[p] = rho_p + inc * w
+            if trace:
+                key = (p, inc)
+                step = records.get(key)
+                if step is None:
+                    step = records[key] = UnloadStep(p, inc, False)
+                steps.append(step)
         count += 1
-        if trace:
-            key = (p, inc, rho_p == -1)
-            step = records.get(key)
-            if step is None:
-                step = records[key] = UnloadStep(*key)
-            steps.append(step)
         if count > cap:
             raise CapExceededError(
                 f"unloading exceeded the {cap}-step safety cap", trace=tuple(steps)
             )
-    nu = _multiplicities(rho, prox_to) if count else cluster.nu
+        for x in above:
+            r = rho[x]
+            rho[x] = r - inc
+            if 0 <= r < inc:
+                heappush(queue, x)
+        # every point below p has excess >= 0, so the lowest one the step
+        # takes below 0 is the lowest negative point: the next step's
+        handoff = -1
+        for x in below:
+            r = rho[x]
+            rho[x] = r - inc
+            if r < inc:
+                if handoff < 0:
+                    handoff = x
+                else:
+                    # p is a satellite and both its targets cross
+                    heappush(queue, max(x, handoff))
+                    handoff = min(x, handoff)
+        if handoff >= 0:
+            p = handoff
+        elif queue:
+            p = heappop(queue)
+        else:
+            break
+    nu = _multiplicities(rho, prox_to)
     return UnloadResult(
-        WeightedCluster(sk, tuple(nu)), tuple(steps), tuple(rho), count, frozenset(rows)
+        WeightedCluster(sk, tuple(nu)), tuple(steps), tuple(rho), count, frozenset(touched)
     )
 
 

@@ -12,7 +12,7 @@ from typing import Optional
 
 import pytest
 
-from sandwiched import SkeletonBuilder, WeightedCluster, analyze, simple_cluster
+from sandwiched import SkeletonBuilder, WeightedCluster, analyze, simple_cluster, weighted
 from sandwiched.analyzer import SingularityReport
 from sandwiched.oracle import (
     GeneratorConfig,
@@ -60,6 +60,26 @@ def make_dr(r: int, s: Optional[int] = None) -> WeightedCluster:
         prev = b.free(prev, f"q{i}")
     skeleton = b.build()
     return simple_cluster(skeleton, len(skeleton) - 1)
+
+
+@pytest.fixture
+def heap_calls(monkeypatch) -> dict:
+    """Counts of `unload`'s heap pushes and pops, as {"push": n, "pop": n};
+    reset them by updating the dict."""
+    calls = {"push": 0, "pop": 0}
+    heappush, heappop = weighted.heappush, weighted.heappop
+
+    def counting_push(queue, x):
+        calls["push"] += 1
+        heappush(queue, x)
+
+    def counting_pop(queue):
+        calls["pop"] += 1
+        return heappop(queue)
+
+    monkeypatch.setattr(weighted, "heappush", counting_push)
+    monkeypatch.setattr(weighted, "heappop", counting_pop)
+    return calls
 
 
 @pytest.fixture

@@ -21,11 +21,16 @@ Core claims:
       the K_w that `enumerate_singularities` unloads on make_dr(100) (10,001
       steps): a step reads no proximity row, only the first step at a point
       reads that point's dual-graph row
+    - on the same two unloadings, `unload` makes at most n heap pushes and
+      n + 1 heap pops: a step that takes a point below the unloaded one
+      across 0 hands it to the next step without the heap, so the heap
+      calls do not grow with the step count
 
 Every read of the base skeleton's `parents` goes through `CountedParents`,
 and every read of an unloaded skeleton's `proximities` through
-`CountedProximities`: tuples whose `__getitem__` counts.  No clock is read:
-the counts and the allocation peak do not depend on the machine's speed.
+`CountedProximities`: tuples whose `__getitem__` counts; the heap calls
+through the `heap_calls` fixture.  No clock is read: the counts and the
+allocation peak do not depend on the machine's speed.
 """
 
 import tracemalloc
@@ -183,9 +188,12 @@ def _make_dr_kw() -> WeightedCluster:
     return extend(K, FreeOn(component[0]))
 
 
-@pytest.mark.parametrize(
+LONG_UNLOADS = pytest.mark.parametrize(
     "shape, steps", [(_weighted_chain, 19_290), (_make_dr_kw, 10_001)], ids=["chain", "make_dr-K_w"]
 )
+
+
+@LONG_UNLOADS
 def test_unload_reads_each_proximity_row_a_bounded_number_of_times(metered, shape, steps):
     K = shape()
     sk = K.skeleton
@@ -197,3 +205,13 @@ def test_unload_reads_each_proximity_row_a_bounded_number_of_times(metered, shap
     metered(10 * n, CountedProximities)
     result = unload(counted, trace=False)
     assert result.step_count == steps
+
+
+@LONG_UNLOADS
+def test_unload_makes_at_most_n_pushes_and_n_plus_one_pops(heap_calls, shape, steps):
+    K = shape()
+    n = len(K.skeleton)
+    for trace in (False, True):
+        heap_calls.update(push=0, pop=0)
+        assert unload(K, trace=trace).step_count == steps
+        assert heap_calls["push"] <= n and heap_calls["pop"] <= n + 1, heap_calls

@@ -13,11 +13,15 @@ Core claims:
       cap it raises at the same step as the traced call, with an empty trace
     - whatever order the reference loop unloads in, it ends on the cluster
       `unload` reaches, and that cluster has no negative excess
-    - the heap is the only worklist and holds exactly the negative points: a
-      step lowers every excess it changes but the unloaded point's, a point
-      is pushed exactly when a step takes its excess from >= 0 to below 0,
-      and the initial negatives plus the pushes are the steps, so no entry is
-      stale; this holds on instances where the earlier multiplicity-form
+    - the heap plus the hand-off hold exactly the negative points, each once:
+      a step lowers every excess it changes but the unloaded point's; a step
+      that takes a point below the unloaded one across 0 hands the lowest
+      such point to the next step with no push and no pop, and every other
+      crossing is one push (pushes + hand-offs = net crossings); every entry
+      pushed is popped as a step, so none is stale (initial negatives +
+      pushes = pops); and every step is a pop or a hand-off (pops + hand-offs
+      = steps), with the hand-offs counted by replaying the trace, not by the
+      engine.  This holds on instances where the earlier multiplicity-form
       step raised a negative point out of the negatives and lowered it back
     - a step moves the excesses along the dual tree, where a satellite
       proximate to two points separates them: on every weighting of a
@@ -25,6 +29,9 @@ Core claims:
       loop
     - an `UnloadStep` is a frozen value: its fields cannot be assigned, its
       repr names them, and it is not equal to the tuple of its fields
+    - one traced call gives equal steps one shared record, tame and non-tame
+      alike, and a step of increment 1 from an excess below -1 (-2 at
+      w = 2) is recorded non-tame, as the reference loop records it
 """
 
 import dataclasses
@@ -47,7 +54,7 @@ from sandwiched import (
     excesses,
     unload,
 )
-from sandwiched import oracle, weighted
+from sandwiched import oracle
 from sandwiched.analyzer import extend, zero_excess_components
 from sandwiched.oracle import GeneratorConfig, random_skeleton, reference_unload
 from sandwiched.weighted import UnloadStep
@@ -215,13 +222,15 @@ def crossings(K, steps):
     """Replay `steps` on K by the definition of a step, checking that a step
     lowers every excess but the unloaded point's.  Return the number of net
     crossings over all steps (points whose excess goes from >= 0 before the
-    step to < 0 after it) and the number of re-pushes a multiplicity-form
-    step would make: points x next to the unloaded point p (a target of p or
-    proximate to p), negative before the step, >= 0 after raising nu_p and
-    lowering nu at the points proximate to p, and < 0 after the step."""
+    step to < 0 after it), the number of hand-offs (steps with a crossing
+    below the unloaded point) and the number of re-pushes a
+    multiplicity-form step would make: points x next to the unloaded point
+    p (a target of p or proximate to p), negative before the step, >= 0
+    after raising nu_p and lowering nu at the points proximate to p, and
+    < 0 after the step."""
     sk = K.skeleton
     nu = list(K.nu)
-    net = repushes = 0
+    net = handoffs = repushes = 0
     for step in steps:
         p, inc = step.point, step.increment
         before = excesses(WeightedCluster(sk, tuple(nu)))
@@ -229,44 +238,45 @@ def crossings(K, steps):
         for u in sk.proximate_to[p]:
             nu[u] -= inc
         after = excesses(WeightedCluster(sk, tuple(nu)))
+        crossed = []
         for x in sk.points:
             if x != p:
                 assert after[x] <= before[x]
-                net += before[x] >= 0 > after[x]
+                if before[x] >= 0 > after[x]:
+                    crossed.append(x)
+        net += len(crossed)
+        handoffs += any(x < p for x in crossed)
         for x in sk.proximities[p] | set(sk.proximate_to[p]):
             raised = before[x] + inc * sum(
                 x in sk.proximities[u] for u in sk.proximate_to[p]
             )
             repushes += before[x] < 0 <= raised and after[x] < 0
-    return net, repushes
+    return net, handoffs, repushes
 
 
-def test_heap_holds_exactly_the_negative_points(monkeypatch):
+def test_heap_holds_exactly_the_negative_points(heap_calls):
     rng = random.Random(20261018)
     found = []
     for _ in range(4000):
         sk = random_skeleton(rng, 10, 0.6)
         K = WeightedCluster(sk, tuple(rng.randint(-3, 5) for _ in sk.points))
-        net, repushes = crossings(K, reference_unload(K).steps)
+        net, handoffs, repushes = crossings(K, reference_unload(K).steps)
         if repushes:
-            found.append((K, net))
+            found.append((K, net, handoffs))
     assert len(found) >= 500
 
-    pushed = []
-    heappush = weighted.heappush
-
-    def counting_push(queue, x):
-        pushed.append(x)
-        heappush(queue, x)
-
-    monkeypatch.setattr(weighted, "heappush", counting_push)
-    for K, net in found:
-        pushed.clear()
+    total_handoffs = 0
+    for K, net, handoffs in found:
+        heap_calls.update(push=0, pop=0)
         result = assert_same_unload(K)
-        assert len(pushed) == net
+        pushes, pops = heap_calls["push"], heap_calls["pop"]
+        assert pushes + handoffs == net
         # every entry is popped once, as a step: none is stale
         initial = sum(r < 0 for r in excesses(K))
-        assert initial + len(pushed) == result.step_count
+        assert initial + pushes == pops
+        assert pops + handoffs == result.step_count
+        total_handoffs += handoffs
+    assert total_handoffs > 500  # the hand-off is exercised, not just the heap
 
 
 def test_matches_reference_on_every_small_weighting_of_a_separating_satellite():
@@ -298,3 +308,27 @@ def test_unload_step_is_a_frozen_value():
     assert step == UnloadStep(3, 1, True) and hash(step) == hash(UnloadStep(3, 1, True))
     assert step != UnloadStep(3, 1, False)
     assert not hasattr(step, "__dict__")
+
+
+def test_equal_steps_of_one_call_share_one_record():
+    # O of weight 0 under p1 of weight 2: rho_O = -2 at w_O = 2 forces an
+    # increment of 1, but the step is not tame
+    K = WeightedCluster(chain_skeleton(2), (0, 2))
+    assert assert_same_unload(K).steps == (UnloadStep(0, 1, False),)
+
+    rng = random.Random(20261020)
+    shared = {True: 0, False: 0}
+    unit_nontame = 0
+    for _ in range(500):
+        sk = random_skeleton(rng, 10, 0.5)
+        K = WeightedCluster(sk, tuple(rng.randint(-3, 5) for _ in sk.points))
+        result = assert_same_unload(K)
+        first = {}
+        for step in result.steps:
+            if step in first:
+                assert first[step] is step
+                shared[step.tame] += 1
+            first[step] = step
+            unit_nontame += step.increment == 1 and not step.tame
+    assert unit_nontame >= 100
+    assert shared[True] > 100 and shared[False] > 100
