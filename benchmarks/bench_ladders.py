@@ -1,9 +1,11 @@
 """Size ladders of the paper's constructions, timed with pytest-benchmark.
 
-Eight series, each a pytest-benchmark test:
+Ten series, each a pytest-benchmark test:
 
 - `chain_unload`: `unload` on the chain weighted (1, ..., 1, n), at 50, 100,
-  200 and 400 points; records the step count `steps`.
+  200 and 400 points; records the step count `steps`.  Every round unloads
+  the same skeleton, so its dual-graph rows are derived once and stay
+  cached.
 - `enumerate_make_dr`: `enumerate_singularities(make_dr(r))` at 2r + 1
   points for about the same sizes; its time is almost all unloading.  It
   records the step count `steps` of the K_w it unloads, counted by one
@@ -30,6 +32,11 @@ Eight series, each a pytest-benchmark test:
   `sized_cluster(Random(3), n)`, at 50, 100, 200 and 400 points; the base
   has about half as many dicriticals as points, all of which the
   certificate's readout solves for.
+- `dual_graph_chain` and `dual_graph_sized`: `dual_graph` on a chain and
+  on perfbench's `sized_cluster(Random(3), n)`, at 100, 1,000 and 10,000
+  points.  They are cold: each round's set-up makes a fresh copy of the
+  skeleton and validates it, so the round derives the dual-graph rows
+  from scratch.  They record the number of `edges`.
 
 On a shared machine the CPU speed swings by up to 2x for seconds at a
 time: raw medians of two runs of one tree were seen to differ by up to 60%
@@ -61,7 +68,7 @@ merges runs of any file in `benchmarks/`; a benchmark that records `calls`
 in its extra info is reported per call, one that records `alpha` instead of
 `points` is laid out by alpha, and one that records `calibrated_median_s` is
 reported by that median rather than the raw one.  Recorded counts (`steps`,
-`calls`, `added`, and `bench_startup.py`'s `exit` and `stdout_sha256`) must
+`calls`, `added`, `edges`, and `bench_startup.py`'s `exit` and `stdout_sha256`) must
 agree across all runs.
 """
 
@@ -84,7 +91,7 @@ from run import CALIBRATION_REF_NS, calibration_loop  # noqa: E402
 from workloads import sized_cluster  # noqa: E402
 
 import sandwiched  # noqa: E402
-from sandwiched import ClusterSkeleton, FreeOn, Satellite, WeightedCluster, analyze, chain_skeleton  # noqa: E402
+from sandwiched import ClusterSkeleton, FreeOn, Satellite, WeightedCluster, analyze, chain_skeleton, dual_graph  # noqa: E402
 from sandwiched.analyzer import extend, zero_excess_components  # noqa: E402
 from sandwiched import enumerate_singularities, unload  # noqa: E402
 from sandwiched.cartier import CartierRequest, build, verify  # noqa: E402
@@ -98,6 +105,7 @@ MAX_POINTS = (4, 6, 8, 10)
 CLUSTERS = 200
 ALPHAS = (25, 50, 100, 200, 400)
 MANY_COMPONENT_ALPHAS = (5, 10, 25, 50)
+DUAL_GRAPH_SIZES = (100, 1_000, 10_000)
 
 
 def calibrated(benchmark, target, arguments):
@@ -224,6 +232,25 @@ def test_verify_sized(benchmark, points):
     assert certificate.passed
 
 
+def run_dual_graph(benchmark, sk):
+    def fresh():
+        return (ClusterSkeleton(sk.parents, sk.proximities, sk.tags).require_valid(),)
+
+    benchmark.extra_info["points"] = len(sk)
+    graph = calibrated(benchmark, dual_graph, fresh)
+    benchmark.extra_info["edges"] = len(graph.edges)
+
+
+@pytest.mark.parametrize("points", DUAL_GRAPH_SIZES)
+def test_dual_graph_chain(benchmark, points):
+    run_dual_graph(benchmark, chain_skeleton(points))
+
+
+@pytest.mark.parametrize("points", DUAL_GRAPH_SIZES)
+def test_dual_graph_sized(benchmark, points):
+    run_dual_graph(benchmark, sized_cluster(sandwiched, random.Random(3), points).skeleton)
+
+
 def growth_exponent(points, seconds):
     """Least-squares slope of log time against log size; None for one size."""
     if len(points) < 2:
@@ -234,7 +261,7 @@ def growth_exponent(points, seconds):
     return round(sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs), 2)
 
 
-COUNTS = ("steps", "calls", "added", "exit", "stdout_sha256")
+COUNTS = ("steps", "calls", "added", "edges", "exit", "stdout_sha256")
 SIZE_KEYS = ("points", "alpha")  # the first of these a benchmark records is its size
 
 

@@ -114,13 +114,11 @@ def _require_base_cluster(cluster: WeightedCluster) -> tuple[int, ...]:
 def extend(cluster: WeightedCluster, w: BoundaryPoint) -> WeightedCluster:
     """The codimension-one cluster K_w: K plus the point w with multiplicity 1."""
     _require_base_cluster(cluster)
-    return _extend(cluster, w, None)
+    return _extend(cluster, w)
 
 
-def _extend(
-    cluster: WeightedCluster, w: BoundaryPoint, graph: Optional[DualGraph]
-) -> WeightedCluster:
-    """`extend` on a checked base cluster; `graph`, if given, is its dual graph."""
+def _extend(cluster: WeightedCluster, w: BoundaryPoint) -> WeightedCluster:
+    """`extend` on a checked base cluster."""
     sk = cluster.skeleton
     if isinstance(w, FreeOn):
         targets = (w.point,)
@@ -135,9 +133,7 @@ def _extend(
         for q in targets:
             if not 0 <= q < len(sk):
                 raise ClusterError(f"proximity target {q} is not a point of the cluster")
-        if graph is None:
-            graph = dual_graph(sk)
-        if not graph.are_adjacent(w.p, w.q):
+        if w.q not in sk.dual_rows[w.p]:
             raise ClusterError(
                 f"{sk.tags[w.p]} and {sk.tags[w.q]} are not adjacent: their "
                 "components do not meet"
@@ -162,10 +158,8 @@ def _analyze(
     values and its dual graph are each computed at most once, unless
     `v_before` and `graph` already are them."""
     sk = cluster.skeleton
-    if graph is None and isinstance(w, Satellite):
-        graph = dual_graph(sk)
     # unloading takes a step exactly when some excess of K_w is negative
-    result = unload(_extend(cluster, w, graph), trace=False)
+    result = unload(_extend(cluster, w), trace=False)
     if not result.step_count:
         return SingularityReport(w=w, smooth=True)
 
@@ -300,12 +294,12 @@ def _analyze(
 def zero_excess_components(cluster: WeightedCluster) -> list[tuple[int, ...]]:
     """Connected components of the zero-excess points in the dual graph,
     ordered by their smallest point."""
-    return _zero_excess_components(excesses(cluster), dual_graph(cluster.skeleton))
+    return _zero_excess_components(excesses(cluster), cluster.skeleton.dual_rows)
 
 
-def _zero_excess_components(rho: tuple[int, ...], graph: DualGraph) -> list[tuple[int, ...]]:
+def _zero_excess_components(rho: tuple[int, ...], rows: dict) -> list[tuple[int, ...]]:
     zero = {p for p, r in enumerate(rho) if r == 0}
-    restricted = {p: tuple(q for q in graph.adjacency[p] if q in zero) for p in zero}
+    restricted = {p: tuple(q for q in rows[p] if q in zero) for p in zero}
     components = []
     seen: set[int] = set()
     for start in sorted(zero):
@@ -328,7 +322,7 @@ def enumerate_singularities(cluster: WeightedCluster) -> list[SingularityReport]
     v = values(cluster)
     graph = dual_graph(cluster.skeleton)
     reports = []
-    for component in _zero_excess_components(rho, graph):
+    for component in _zero_excess_components(rho, graph.adjacency):
         report = _analyze(cluster, FreeOn(component[0]), rho, v, graph)
         _check(not report.smooth, "zero-excess component analyzed as smooth")
         _check(

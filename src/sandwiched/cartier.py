@@ -32,14 +32,14 @@ gives the point excess 1.  Only an unloading, which runs only when some
 carried excess is negative, replaces it, by the excesses the unloading ends
 with at the points kept after zero points are dropped: a dropped point has
 multiplicity 0, so dropping it changes no kept excess (about 10% of the
-`cartier` benchmark's throughput on a 2-core AMD EPYC vCPU).  And from the
-first stage with two prescribed dicriticals on, the adjacency rows of the
-stage's dual graph, all that the interior-excess check reads of it: the new
-point changes only its targets' rows (`cluster.extend_adjacency`), and an
-unloading, which renumbers the points, drops them until the check needs
-them again (about 17%).  Every stage is built from the validated base by the
-cluster operations, so it inherits the base's verdict: no stage runs
-`validate`.
+`cartier` benchmark's throughput on a 2-core AMD EPYC vCPU).  The rows of
+the stage's dual graph, all that the interior-excess check reads of it, are
+the skeleton's own `dual_rows`: `extend_point` carries them to the next
+stage once a stage holds them, and an unloading that drops no point keeps
+the stage's skeleton, rows and all, so they are derived again only after an
+unloading drops points, when the check next reads them.  Every stage is
+built from the validated base by the cluster operations, so it inherits the
+base's verdict: no stage runs `validate`.
 
 A result is never trusted on construction: `verify` re-checks it from
 scratch (value identities, localization of the dicritical points, vanishing
@@ -56,7 +56,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .analyzer import SingularityReport, contracted_neighbor
-from .cluster import ClusterSkeleton, bfs, dual_graph, extend_adjacency, extend_point, restrict
+from .cluster import ClusterSkeleton, bfs, dual_graph, extend_point, restrict
 from .errors import CapExceededError, ClusterError, InternalCheckError
 from .weighted import (
     WeightedCluster,
@@ -172,9 +172,6 @@ def build(
     cluster = WeightedCluster(start, tuple(combined[q] for q in kept))
     rho = list(excesses(cluster))
     stages = [cluster] if trace else []
-    # the adjacency rows of the stage's dual graph, or None until two prescribed
-    # dicriticals are present, and again after an unloading
-    adjacency = None
 
     # The first stage appends a point free over the seed; each growth stage the
     # next satellite of the first dicritical with positive excess, on its chain
@@ -208,9 +205,7 @@ def build(
                 )
             dropped = drop_zero_points(result.cluster)
             cluster = dropped.cluster
-            rho, adjacency = [result.rho[p] for p in dropped.kept], None
-        elif adjacency is not None:
-            extend_adjacency(adjacency, targets)
+            rho = [result.rho[p] for p in dropped.kept]
         if micro > cap:
             raise CapExceededError(
                 f"builder exceeded the {cap}-step safety cap", trace=tuple(stages)
@@ -220,10 +215,7 @@ def build(
         index = cluster.skeleton.tag_index
         # the excess at each prescribed dicritical present; an absent one has excess 0
         at = {p: rho[index[sk.tags[p]]] for p in dicriticals if sk.tags[p] in index}
-        present = [sk.tags[p] for p in at]
-        if adjacency is None and len(present) > 1:
-            adjacency = dual_graph(cluster.skeleton).adjacency
-        check_interior_excess(label, cluster.skeleton, adjacency, rho, present)
+        check_interior_excess(label, cluster.skeleton, rho, [sk.tags[p] for p in at])
         if dicritical is None:
             for p in dicriticals:
                 got = at.get(p, 0)
@@ -254,14 +246,12 @@ def build(
     return CartierResult(final, added, tuple(stages), certificate)
 
 
-def check_interior_excess(
-    label: str, skeleton: ClusterSkeleton, adjacency: Optional[dict], rho, tags
-) -> None:
+def check_interior_excess(label: str, skeleton: ClusterSkeleton, rho, tags) -> None:
     """Raise InternalCheckError unless, between any two of the prescribed
     dicriticals `tags` (those present, in order), some interior point of
     their chain keeps positive excess; this is what makes the growth loop
-    sound.  `adjacency` holds the rows of the skeleton's dual graph, read
-    only when two dicriticals are present.
+    sound.  The chains are searched in the skeleton's `dual_rows`, read only
+    when two dicriticals are present.
 
     The dual graph is a tree, so the chain from a to b is the path through
     the breadth-first parents from a: one search per dicritical but the last
@@ -269,7 +259,7 @@ def check_interior_excess(
     """
     present = [skeleton.tag_index[t] for t in tags]
     for i, a in enumerate(present[:-1]):
-        _, parent = bfs(adjacency, a)
+        _, parent = bfs(skeleton.dual_rows, a)
         for b in present[i + 1 :]:
             u = parent[b]
             while u != a and rho[u] <= 0:

@@ -40,7 +40,8 @@ class ClusterSkeleton:
 
     `parents[p]` is None for the origin; `proximities[p]` is a frozenset of
     earlier indices (empty for the origin).  Tags are unique human-readable
-    names used by the DSL and all reports.
+    names used by the DSL and all reports.  Derived data is cached on first
+    use: `proximate_to`, `tag_index`, `dual_rows` and the validity verdict.
     """
 
     parents: tuple[Optional[int], ...]
@@ -98,6 +99,16 @@ class ClusterSkeleton:
             return self.tag_index[tag]
         except KeyError:
             raise ClusterError(f"no point tagged {tag!r}") from None
+
+    @cached_property
+    def dual_rows(self) -> dict:
+        """Each point's dual-graph neighbours, ascending: `extend_adjacency`
+        replayed point by point.  Shared by all readers, so read-only."""
+        self.require_valid()
+        rows: dict = {ORIGIN: ()}
+        for q in self.points[1:]:
+            extend_adjacency(rows, self.proximities[q])
+        return rows
 
     @cached_property
     def _verdict(self) -> tuple[Diagnostic, ...]:
@@ -272,7 +283,7 @@ def extend_point(
 
 def _carry_caches(source: ClusterSkeleton, extended: ClusterSkeleton, targets: frozenset) -> None:
     """Give `extended` (`source` plus one point proximate to `targets`) an
-    updated copy of each proximity cache that `source` already holds.
+    updated copy of each cache that `source` already holds.
 
     The new point n is the largest index, so appending it keeps each
     target's row of `proximate_to` ascending; nothing is proximate to n.
@@ -289,6 +300,10 @@ def _carry_caches(source: ClusterSkeleton, extended: ClusterSkeleton, targets: f
         carried["proximate_to"] = tuple(rows)
     if "tag_index" in cached:
         carried["tag_index"] = {**cached["tag_index"], extended.tags[n]: n}
+    if "dual_rows" in cached:
+        rows = dict(cached["dual_rows"])
+        extend_adjacency(rows, targets)
+        carried["dual_rows"] = rows
 
 
 def _inherit_verdict(source: ClusterSkeleton, derived: ClusterSkeleton) -> ClusterSkeleton:
@@ -435,9 +450,6 @@ class DualGraph:
     def degree(self, p) -> int:
         return len(self.adjacency[p])
 
-    def are_adjacent(self, p, q) -> bool:
-        return q in self.adjacency[p]
-
     def chain(self, a, b) -> tuple:
         """The unique path from a to b (inclusive)."""
         if a not in self.adjacency or b not in self.adjacency:
@@ -467,13 +479,8 @@ class DualGraph:
 def dual_graph(skeleton: ClusterSkeleton) -> DualGraph:
     """Dual graph of the exceptional divisor obtained by blowing up the cluster.
 
-    The points are blown up in order, each changing the graph as
-    `extend_adjacency` says; the resulting rows are the graph's adjacency.
-    """
-    skeleton.require_valid()
-    rows: dict = {ORIGIN: ()}
-    for q in skeleton.points[1:]:
-        extend_adjacency(rows, skeleton.proximities[q])
+    Its adjacency is the skeleton's `dual_rows`, shared, so read-only."""
+    rows = skeleton.dual_rows
     edges = sorted((p, q) for q, row in rows.items() for p in row if p < q)
     weights = tuple(len(skeleton.proximate_to[p]) + 1 for p in skeleton.points)
     graph = DualGraph(tuple(skeleton.points), tuple(edges), weights)
@@ -485,6 +492,7 @@ def extend_adjacency(adjacency: dict, targets: Collection[int]) -> None:
     """Update, in place, the dual graph's `adjacency` rows of a skeleton to
     those of `extend_point(skeleton, targets)`.
 
+    The one statement of the blow-up rule, for `dual_rows` and the carry.
     Blowing up the new point n changes the graph only locally: a free point
     on E_p adds n to the row of p; a satellite at E_a ∩ E_b separates a and
     b and adds n to both rows.  n is the largest index, so every row stays

@@ -11,6 +11,7 @@ the same ideal.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
@@ -162,12 +163,13 @@ def unload(
     carries the steps taken as its `trace` when traced, and `()` when not.
 
     The excesses are computed once, and a step changes nothing else.  The
-    first step at p reads w_p and p's row of the dual graph, split into the
-    neighbours below p (targets of p) and those above it, and
-    keeps them for the call; the points whose row was read are the result's
-    `touched`.  A tame step (rho_p = -1, the unit step of Laufer's
-    computation sequence and almost every step of a long unloading) sets
-    inc = 1 and rho_p = w_p - 1 without a division.  The excesses determine
+    first step at p reads w_p and p's row of the skeleton's `dual_rows`
+    (carried from the skeleton it was extended from, or derived once per
+    skeleton), split into the neighbours below p (targets of p) and those
+    above it, and keeps them for the call; the points whose row was read
+    are the result's `touched`.  A tame step (rho_p = -1, the unit step of
+    Laufer's computation sequence and almost every step of a long
+    unloading) sets inc = 1 and rho_p = w_p - 1 without a division.  The excesses determine
     the multiplicities (`multiplicities_from_excesses`), so the unloaded
     cluster is read off the final excesses in one pass.
 
@@ -192,7 +194,6 @@ def unload(
     sk = cluster.skeleton
     sk.require_valid()
     n_points = len(sk)
-    prox = sk.proximities
     prox_to = sk.proximate_to
     rho = _excesses(cluster.nu, prox_to)
     queue = [p for p, r in enumerate(rho) if r < 0]  # ascending, so already a heap
@@ -211,17 +212,9 @@ def unload(
     while True:
         row = rows[p]
         if row is None:
-            # E_p meets E_x for x a target of p or proximate to p, unless a
-            # satellite proximate to both separates them; that satellite is
-            # proximate to p, and x is its other target
-            proximate = prox_to[p]
-            below = [*prox[p]]
-            above = [*proximate]
-            for u in proximate:
-                for t in prox[u]:
-                    if t != p:
-                        (below if t < p else above).remove(t)
-            row = rows[p] = (len(proximate) + 1, below, above)
+            neighbours = sk.dual_rows[p]
+            split = bisect(neighbours, p)
+            row = rows[p] = (len(prox_to[p]) + 1, neighbours[:split], neighbours[split:])
             touched.append(p)
         w, below, above = row
         rho_p = rho[p]

@@ -31,10 +31,10 @@ Core claims:
     - a growth stage attaches where a walk along the satellites of its
       dicritical from the anchor ends, also after an unloading dropped the
       satellite the builder appended last
-    - the adjacency rows of the dual graph the builder carries equal fresh
-      ones at every stage it is checked, and the interior-excess check, one
-      search per dicritical, agrees with one chain per pair of dicriticals,
-      message for message
+    - the dual-graph rows a stage inherits through `extend_point` equal
+      fresh ones at every stage the builder checks, and the interior-excess
+      check, one search per dicritical, agrees with one chain per pair of
+      dicriticals, message for message
     - the readout, one integer solve on the base's dual tree, agrees with
       exact rational Gauss-Jordan elimination over the simple-cluster values
       on the criterion-6 builds from every contracted seed point and on
@@ -465,18 +465,18 @@ def _failure(check, *args):
 
 def _checked_stages(monkeypatch, corpus):
     """Every stage the builder checks on the multi-component corpus requests,
-    and whether the check got the rows it got at the stage before, carried
-    and extended in place, asserting that the rows are the stage's."""
+    and whether its skeleton held dual-graph rows before the check read them,
+    which only `extend_point` gives a stage, asserting that those rows are
+    the ones a fresh skeleton derives."""
     stages = []
-    last = [None]
 
-    def recording(label, skeleton, adjacency, rho, tags):
-        if adjacency is not None or len(tags) > 1:
-            assert adjacency == dual_graph(skeleton).adjacency
-        carried = adjacency is not None and adjacency is last[0]
-        last[0] = adjacency
+    def recording(label, skeleton, rho, tags):
+        carried = "dual_rows" in skeleton.__dict__
+        if carried:
+            fresh = ClusterSkeleton(skeleton.parents, skeleton.proximities, skeleton.tags)
+            assert skeleton.dual_rows == fresh.dual_rows
         stages.append((label, skeleton, list(rho), tags, carried))
-        return check_interior_excess(label, skeleton, adjacency, rho, tags)
+        return check_interior_excess(label, skeleton, rho, tags)
 
     monkeypatch.setattr(cartier, "check_interior_excess", recording)
     rng = random.Random(89)
@@ -493,13 +493,12 @@ def test_interior_excess_search_agrees_with_the_pairwise_chains(monkeypatch, cor
     outcomes = {"passed": 0, "failed": 0, "carried": 0}
     for label, skeleton, rho, tags, carried in stages:
         outcomes["carried"] += carried
-        adjacency = dual_graph(skeleton).adjacency
         # the stage's own excesses, then some positive ones set to zero
         for trial in range(3):
             if trial:
                 rho = [0 if r > 0 and rng.random() < 0.5 else r for r in rho]
             expected = _failure(_interior_excess_by_pairs, label, skeleton, rho, tags)
-            got = _failure(check_interior_excess, label, skeleton, adjacency, rho, tags)
+            got = _failure(check_interior_excess, label, skeleton, rho, tags)
             assert got == expected
             if len(tags) > 1:
                 outcomes["failed" if expected else "passed"] += 1
@@ -518,7 +517,7 @@ def test_zero_excess_on_a_chain_interior_is_reported(monkeypatch, corpus):
         rho = [0 if u in interior else r for u, r in enumerate(rho)]
         message = f"{label}: no positive excess between {tags[0]} and {tags[1]}"
         with pytest.raises(InternalCheckError) as raised:
-            check_interior_excess(label, skeleton, graph.adjacency, rho, tags)
+            check_interior_excess(label, skeleton, rho, tags)
         assert str(raised.value) == message
         reported += bool(interior)
     assert reported > 500

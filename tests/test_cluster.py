@@ -12,6 +12,10 @@ Core claims:
       the blow-ups point by point gives the graph of the static rule in the
       oracle, and the adjacency rows of an appended point derived by the
       local blow-up rule equal fresh ones
+    - the skeleton's `dual_rows`, carried through chains of free and
+      satellite appends, equal those of a fresh skeleton and of the static
+      rule; a restriction that drops points derives them afresh; and no
+      analysis, enumeration or Cartier build changes a base's rows
     - extend_point names the occupant of a taken satellite position
     - chains are unique tree paths; the open variant drops endpoints
     - the infinitely-near order matches ancestry in the parent tree
@@ -40,6 +44,8 @@ from sandwiched import (
     validate,
 )
 from sandwiched import cluster as cluster_module
+from sandwiched.analyzer import Satellite, enumerate_singularities
+from sandwiched.cartier import CartierRequest, build
 from sandwiched.cluster import extend_adjacency, extend_point, restrict
 from sandwiched.oracle import (
     is_mK_free,
@@ -202,7 +208,7 @@ def test_unknown_or_empty_verdict_is_not_passed_on(monkeypatch):
     assert len(calls) == 2
 
 
-CACHES = ("proximate_to", "tag_index")
+CACHES = ("proximate_to", "tag_index", "dual_rows")
 
 
 def test_extend_point_carries_the_caches_its_source_holds():
@@ -324,7 +330,8 @@ def test_extended_adjacency_is_the_adjacency_of_the_extension():
                 continue
             adjacency = dict(dual_graph(sk).adjacency)
             extend_adjacency(adjacency, targets)
-            assert adjacency == dual_graph(ext).adjacency
+            fresh = ClusterSkeleton(ext.parents, ext.proximities, ext.tags)
+            assert adjacency == dual_graph(fresh).adjacency
             extended[len(targets)] += 1
     assert min(extended.values()) > 300, extended
 
@@ -339,6 +346,70 @@ def test_dual_graph_replays_the_static_rule():
         graph, reference = dual_graph(sk), static_dual_graph(sk)
         assert graph == reference
         assert graph.adjacency == reference.adjacency
+
+
+def _assert_reference_rows(sk):
+    """The skeleton's rows equal a fresh, uncached copy's and the static rule's."""
+    fresh = ClusterSkeleton(sk.parents, sk.proximities, sk.tags)
+    assert sk.dual_rows == fresh.dual_rows == static_dual_graph(fresh).adjacency
+
+
+def test_carried_dual_rows_equal_fresh_ones():
+    # seeded generator skeletons and chains grown from the origin alone, each
+    # grown point by point by free and satellite appends; the source holds
+    # its rows, so every append carries them
+    rng = random.Random(73)
+    starts = [random_skeleton(rng, 10, 0.5) for _ in range(600)]
+    starts += [chain_skeleton(1) for _ in range(60)]
+    appended = {1: 0, 2: 0}
+    for sk in starts:
+        _assert_reference_rows(sk)
+        for _ in range(rng.randint(1, 30)):
+            p = rng.choice(list(sk.points))
+            targets = rng.choice([(p,)] + [(p, q) for q in sk.proximities[p]])
+            try:
+                ext = extend_point(sk, targets)
+            except ClusterError:  # the satellite position is occupied
+                continue
+            assert "dual_rows" in ext.__dict__
+            _assert_reference_rows(ext)
+            appended[len(targets)] += 1
+            sk = ext
+    assert min(appended.values()) > 2000, appended
+
+
+def test_restriction_derives_its_rows_afresh():
+    rng = random.Random(79)
+    derived = 0
+    for _ in range(600):
+        sk = random_skeleton(rng, 10, 0.5)
+        sk.dual_rows
+        sub, kept = restrict(sk, sk.predecessors(rng.choice(list(sk.points))))
+        if sub is not sk:
+            assert "dual_rows" not in sub.__dict__
+            derived += 1
+        _assert_reference_rows(sub)
+    assert derived > 300
+
+
+def test_no_reader_changes_the_rows_of_a_base(corpus):
+    # the rows are shared with the dual graph, K_w and every Cartier stage
+    seen = {"enumerate": 0, "satellite": 0, "build": 0}
+    for instance in corpus[:300]:
+        cluster = instance.cluster
+        rows = cluster.skeleton.dual_rows
+        snapshot = dict(rows)
+        enumerate_singularities(cluster)
+        seen["enumerate"] += 1
+        for p, row in snapshot.items():
+            for q in row:
+                analyze(cluster, Satellite(p, q))
+                seen["satellite"] += 1
+        alpha = dict.fromkeys(instance.report.Kplus_Q, 3)
+        assert build(CartierRequest(cluster, instance.report, alpha)).certificate.passed
+        seen["build"] += 1
+        assert cluster.skeleton.dual_rows is rows and rows == snapshot
+    assert min(seen.values()) >= 300, seen
 
 
 def test_extend_point_finds_the_occupant_of_a_satellite_position():

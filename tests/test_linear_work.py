@@ -16,6 +16,11 @@ Core claims:
       (`values`, `excesses`, `multiplicities_from_excesses`, `dual_graph`,
       `dicritical_set`), however many dicriticals the base has: on a comb
       with 120 teeth, each tooth a dicritical, it makes at most two of each
+    - on that comb, once `enumerate_singularities` has derived the base's
+      dual-graph rows, `verify` applies the blow-up rule
+      (`extend_adjacency`) 0 times, and `build` with its verify at most
+      once per appended stage: both read the base's rows, and each stage
+      inherits its rows through `extend_point`
     - an untraced `unload` reads `proximities` at most 10n times, validation
       included, on the chain weighted (1, ..., 1, 200) (19,290 steps) and on
       the K_w that `enumerate_singularities` unloads on make_dr(100) (10,001
@@ -40,6 +45,7 @@ import pytest
 from sandwiched import FreeOn, SkeletonBuilder, WeightedCluster, chain_skeleton, unload
 from sandwiched.analyzer import enumerate_singularities, extend, zero_excess_components
 from sandwiched import cartier
+from sandwiched import cluster as cluster_module
 from sandwiched.cartier import CartierRequest, build, verify
 from sandwiched.cluster import ClusterSkeleton
 from sandwiched.weighted import dicritical_set, multiplicities_from_excesses
@@ -150,9 +156,10 @@ def test_enumerate_and_build_visit_linearly_many_points(metered, shape):
     assert peak < PEAK_BYTES, f"peak {peak / 2**20:.1f} MB"
 
 
-def test_verify_makes_a_fixed_number_of_passes_whatever_the_dicriticals(monkeypatch):
-    # a free chain, the spine, with one free tooth on each of its points,
-    # weighted by the simple clusters of its leaves: every leaf is a dicritical
+def _comb() -> tuple:
+    """A free chain, the spine, with one free tooth on each of its points,
+    weighted by the simple clusters of its leaves: every leaf is a
+    dicritical.  Returns the comb, its leaves and its one singularity."""
     b = SkeletonBuilder()
     spine = [b.origin()]
     for _ in range(119):
@@ -164,6 +171,11 @@ def test_verify_makes_a_fixed_number_of_passes_whatever_the_dicriticals(monkeypa
     comb = multiplicities_from_excesses(skeleton, [int(p in leaves) for p in skeleton.points])
     assert sorted(dicritical_set(comb)) == leaves and len(leaves) > 100
     (report,) = enumerate_singularities(comb)
+    return comb, leaves, report
+
+
+def test_verify_makes_a_fixed_number_of_passes_whatever_the_dicriticals(monkeypatch):
+    comb, leaves, report = _comb()
 
     calls = {}
     for name in ("values", "excesses", "multiplicities_from_excesses", "dual_graph", "dicritical_set"):
@@ -176,6 +188,22 @@ def test_verify_makes_a_fixed_number_of_passes_whatever_the_dicriticals(monkeypa
     certificate = verify(comb, report, dict.fromkeys(leaves, 1), comb)
     assert certificate.readout_matches
     assert max(calls.values()) <= 2, calls
+
+
+def test_build_and_verify_read_the_base_dual_rows(monkeypatch):
+    comb, leaves, report = _comb()
+    calls = {"extend_adjacency": 0, "extend_point": 0}
+    for module, name in ((cluster_module, "extend_adjacency"), (cartier, "extend_point")):
+        def counted(*args, _name=name, _real=getattr(module, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    alpha = dict.fromkeys(leaves, 1)
+    assert verify(comb, report, alpha, comb).readout_matches
+    assert calls["extend_adjacency"] == 0
+    assert build(CartierRequest(comb, report, alpha), trace=False).certificate.passed
+    assert 0 < calls["extend_adjacency"] <= calls["extend_point"], calls
 
 
 def _weighted_chain() -> WeightedCluster:
