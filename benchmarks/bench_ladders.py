@@ -1,6 +1,6 @@
 """Size ladders of the paper's constructions, timed with pytest-benchmark.
 
-Ten series, each a pytest-benchmark test:
+Twelve series, each a pytest-benchmark test:
 
 - `chain_unload`: `unload` on the chain weighted (1, ..., 1, n), at 50, 100,
   200 and 400 points; records the step count `steps`.  Every round unloads
@@ -25,8 +25,13 @@ Ten series, each a pytest-benchmark test:
   they never run the interior-excess check between prescribed dicriticals.
 - `build_many_components`: alpha 5, 10, 25 and 50 on the synthesized
   minimal singularity of random_minimal_graph_spec(Random(5), 6, 5): 13
-  points and 8 components through Q, about 8 alpha added points.  The
-  build series record the number of points `added`.
+  points and 8 components through Q, about 8 alpha added points.
+- `build_d1_untraced` and `build_many_components_untraced`: the build with
+  `trace=False`, which keeps no stage, on d1 at alpha 1,000, 2,000, 4,000
+  and 8,000 and on the 8-component singularity at alpha 25, 50, 100 and
+  200.  A traced build keeps every stage, so its memory and time grow as
+  alpha^2; these show what the construction alone costs.  The build
+  series record the number of points `added`.
 - `verify_sized`: `cartier.verify` alone on the build at alpha 1 on every
   component through the first singularity of perfbench's
   `sized_cluster(Random(3), n)`, at 50, 100, 200 and 400 points; the base
@@ -72,6 +77,7 @@ reported by that median rather than the raw one.  Recorded counts (`steps`,
 agree across all runs.
 """
 
+import functools
 import json
 import math
 import random
@@ -105,6 +111,8 @@ MAX_POINTS = (4, 6, 8, 10)
 CLUSTERS = 200
 ALPHAS = (25, 50, 100, 200, 400)
 MANY_COMPONENT_ALPHAS = (5, 10, 25, 50)
+UNTRACED_ALPHAS = (1_000, 2_000, 4_000, 8_000)
+UNTRACED_MANY_COMPONENT_ALPHAS = (25, 50, 100, 200)
 DUAL_GRAPH_SIZES = (100, 1_000, 10_000)
 
 
@@ -192,18 +200,34 @@ def test_enumerate_small(benchmark, max_points):
     run_cold(benchmark, items, body, len(items))
 
 
-def run_build(benchmark, K, report, alpha):
+def run_build(benchmark, K, report, alpha, trace=True):
     request = CartierRequest(K, report, {p: alpha for p in report.Kplus_Q})
     benchmark.extra_info["alpha"] = alpha
-    result = calibrated(benchmark, build, lambda: (request,))
+    result = calibrated(benchmark, functools.partial(build, trace=trace), lambda: (request,))
     assert result.certificate.passed
     benchmark.extra_info["added"] = len(result.added)
 
 
+def d1_at_q():
+    K = make_d1()
+    return K, analyze(K, Satellite(0, 1))
+
+
+def many_components():
+    K, w = synthesize(random_minimal_graph_spec(random.Random(5), 6, 5))
+    report = analyze(K, w)
+    assert (len(K.skeleton), len(report.Kplus_Q)) == (13, 8)
+    return K, report
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_build_d1(benchmark, alpha):
-    K = make_d1()
-    run_build(benchmark, K, analyze(K, Satellite(0, 1)), alpha)
+    run_build(benchmark, *d1_at_q(), alpha)
+
+
+@pytest.mark.parametrize("alpha", UNTRACED_ALPHAS)
+def test_build_d1_untraced(benchmark, alpha):
+    run_build(benchmark, *d1_at_q(), alpha, trace=False)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -215,10 +239,12 @@ def test_build_make_dr(benchmark, alpha):
 
 @pytest.mark.parametrize("alpha", MANY_COMPONENT_ALPHAS)
 def test_build_many_components(benchmark, alpha):
-    K, w = synthesize(random_minimal_graph_spec(random.Random(5), 6, 5))
-    report = analyze(K, w)
-    assert (len(K.skeleton), len(report.Kplus_Q)) == (13, 8)
-    run_build(benchmark, K, report, alpha)
+    run_build(benchmark, *many_components(), alpha)
+
+
+@pytest.mark.parametrize("alpha", UNTRACED_MANY_COMPONENT_ALPHAS)
+def test_build_many_components_untraced(benchmark, alpha):
+    run_build(benchmark, *many_components(), alpha, trace=False)
 
 
 @pytest.mark.parametrize("points", SIZES)

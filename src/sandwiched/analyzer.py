@@ -333,11 +333,10 @@ def enumerate_singularities(cluster: WeightedCluster) -> list[SingularityReport]
     return reports
 
 
-def contracted_neighbor(
-    graph: DualGraph, report: SingularityReport, p: int
-) -> int:
-    """The unique contracted component adjacent to the dicritical p."""
+def contracted_neighbor(adjacency: dict, report: SingularityReport, p: int) -> int:
+    """The unique contracted component adjacent to the dicritical p, in the
+    dual graph's `adjacency` rows (a skeleton's `dual_rows`)."""
     t_set = set(report.T_Q)
-    hits = [t for t in graph.adjacency[p] if t in t_set]
+    hits = [t for t in adjacency[p] if t in t_set]
     _check(len(hits) == 1, "dicritical point adjacent to several contracted components")
     return hits[0]

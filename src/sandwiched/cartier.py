@@ -25,21 +25,26 @@ points proximate to it, each proximate to the one before, so the next one
 attaches to the last of them in the stage's `proximate_to` row, or to the
 anchor when none is left.
 
-The loop carries two things from stage to stage, each because recomputing
-it at every stage cost throughput.  The excess vector `rho`: appending a
-point of multiplicity 1 lowers the excess of each of its targets by 1 and
-gives the point excess 1.  Only an unloading, which runs only when some
-carried excess is negative, replaces it, by the excesses the unloading ends
-with at the points kept after zero points are dropped: a dropped point has
-multiplicity 0, so dropping it changes no kept excess (about 10% of the
-`cartier` benchmark's throughput on a 2-core AMD EPYC vCPU).  The rows of
-the stage's dual graph, all that the interior-excess check reads of it, are
-the skeleton's own `dual_rows`: `extend_point` carries them to the next
-stage once a stage holds them, and an unloading that drops no point keeps
-the stage's skeleton, rows and all, so they are derived again only after an
-unloading drops points, when the check next reads them.  Every stage is
-built from the validated base by the cluster operations, so it inherits the
-base's verdict: no stage runs `validate`.
+The stage lives in lists that grow in place (`_Stage`): the points'
+parents, proximities and tags, the rows of `proximate_to` and of the dual
+graph, the tag index, the multiplicities nu and the excesses rho.  Appending
+a point of multiplicity 1 makes `extend_point`'s checks, updates each list
+at the point's targets and gives it excess 1, so a stage costs the degree of
+its targets, not the number of points.  Only an unloading, which runs only
+when some target's excess turned negative, replaces nu and rho, by the
+unloaded cluster's, and then drops the zero points, renumbering every list;
+a dropped point has multiplicity 0, so dropping it changes no kept excess.
+A build unloads a few times per component, whatever the prescription.  A
+`ClusterSkeleton` is made only for an unloading, for a traced stage and for
+the result; each is built from the validated base by appends that passed
+`extend_point`'s checks and by restrictions, so it inherits the base's
+verdict, and no stage runs `validate`.
+
+The interior-excess check between prescribed dicriticals runs the
+whole-graph search (`check_interior_excess`) on the first stage and after
+every unloading.  On a stage that only appended a point it runs the search
+only when a local rule (`_may_break_a_chain`) cannot rule a failure out,
+which reads the rows of the point's targets alone.
 
 A result is never trusted on construction: `verify` re-checks it from
 scratch (value identities, localization of the dicritical points, vanishing
@@ -53,15 +58,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from math import gcd, lcm
-from typing import Optional
+from typing import Optional, Sequence
 
 from .analyzer import SingularityReport, contracted_neighbor
-from .cluster import ClusterSkeleton, bfs, dual_graph, extend_point, restrict
+from .cluster import (
+    ClusterSkeleton,
+    _inherit_verdict,
+    bfs,
+    check_attachment,
+    extend_adjacency,
+    restrict_adjacency,
+)
 from .errors import CapExceededError, ClusterError, InternalCheckError
 from .weighted import (
+    UnloadResult,
     WeightedCluster,
+    closed_support,
     dicritical_set,
-    drop_zero_points,
     embed_indices,
     excesses,
     multiplicities_from_excesses,
@@ -151,13 +164,13 @@ def build(
     report = request.report
     sk = base.skeleton
     alpha = request.alpha
-    base_graph = dual_graph(sk)
     dicriticals = sorted(report.Kplus_Q)
-    neighbor = {p: contracted_neighbor(base_graph, report, p) for p in dicriticals}
-    kplus_tags = {sk.tags[p] for p in dicritical_set(base)}
+    neighbor = {p: contracted_neighbor(sk.dual_rows, report, p) for p in dicriticals}
 
     if seed_point is None:
         seed_point = report.o_Q
+    if isinstance(seed_point, bool) or not isinstance(seed_point, int):
+        raise ClusterError(f"seed point {seed_point!r} is not an integer")
     if seed_point not in report.T_Q:
         raise ClusterError("the seed point must be one of the contracted components")
 
@@ -167,55 +180,53 @@ def build(
     fresh_tags = (t for t in (f"w{i}" for i in count()) if t not in sk.tag_index)
 
     # multiplicities are linear in excesses: the sum of alpha[p] simple clusters
-    combined = multiplicities_from_excesses(sk, [alpha.get(p, 0) for p in sk.points]).nu
-    start, kept = restrict(sk, (q for q in sk.points if combined[q] > 0))
-    cluster = WeightedCluster(start, tuple(combined[q] for q in kept))
-    rho = list(excesses(cluster))
-    stages = [cluster] if trace else []
+    stage = _Stage(multiplicities_from_excesses(sk, [alpha.get(p, 0) for p in sk.points]))
+    stage.keep([q for q in sk.points if stage.nu[q] > 0])
+    stages = [stage.cluster(sk)] if trace else []
 
     # The first stage appends a point free over the seed; each growth stage the
     # next satellite of the first dicritical with positive excess, on its chain
     # toward its contracted neighbour.
     dicritical, anchor, label = None, seed_point, "first stage"
     while True:
-        cur = cluster.skeleton
-        if sk.tags[anchor] not in cur.tag_index:
+        index = stage.tag_index
+        if sk.tags[anchor] not in index:
             raise InternalCheckError(f"{label}: anchor {sk.tags[anchor]} is not in the stage")
-        tag = next(fresh_tags)
-        targets = (cur.tag_index[sk.tags[anchor]],)
+        targets = (index[sk.tags[anchor]],)
         if dicritical is not None:
-            d = cur.tag_index[sk.tags[dicritical]]
+            d = index[sk.tags[dicritical]]
             # the added points proximate to d are its satellites, each on the one before
-            row = cur.proximate_to[d]
-            tail = row[-1] if row and cur.tags[row[-1]] not in sk.tag_index else targets[0]
+            row = stage.proximate_to[d]
+            tail = row[-1] if row and stage.tags[row[-1]] not in sk.tag_index else targets[0]
             targets = (tail, d)
-        cluster = WeightedCluster(extend_point(cur, targets, tag), cluster.nu + (1,))
-        for q in targets:
-            rho[q] -= 1
-        rho.append(1)
+        stage.append(targets, next(fresh_tags))
         micro += 1
+        # only the first stage and an unloading may break a chain the stage before kept
+        local = dicritical is not None
         # every stage starts consistent, so only a target's excess can turn negative
-        if any(rho[q] < 0 for q in targets):
-            result = unload(cluster, trace=False)
+        if any(stage.rho[q] < 0 for q in targets):
+            result = stage.unload(sk)
             micro += result.step_count
-            tags = cluster.skeleton.tags
-            if any(tags[p] in kplus_tags for p in result.touched):
+            if any(_base_excess(base, stage.tags[p]) > 0 for p in result.touched):
                 raise InternalCheckError(
                     f"{label}: unloading touched a dicritical point of the base cluster"
                 )
-            dropped = drop_zero_points(result.cluster)
-            cluster = dropped.cluster
-            rho = [result.rho[p] for p in dropped.kept]
+            stage.nu, stage.rho = list(result.cluster.nu), list(result.rho)
+            stage.keep(closed_support(stage.nu, stage.proximate_to))
+            local = False
         if micro > cap:
             raise CapExceededError(
                 f"builder exceeded the {cap}-step safety cap", trace=tuple(stages)
             )
         if trace:
-            stages.append(cluster)
-        index = cluster.skeleton.tag_index
+            stages.append(stage.cluster(sk))
+        index, rho = stage.tag_index, stage.rho
         # the excess at each prescribed dicritical present; an absent one has excess 0
         at = {p: rho[index[sk.tags[p]]] for p in dicriticals if sk.tags[p] in index}
-        check_interior_excess(label, cluster.skeleton, rho, [sk.tags[p] for p in at])
+        if len(at) > 1:
+            present = {index[sk.tags[p]] for p in at}
+            if not local or _may_break_a_chain(stage, targets, present):
+                check_interior_excess(label, stage, rho, [sk.tags[p] for p in at])
         if dicritical is None:
             for p in dicriticals:
                 got = at.get(p, 0)
@@ -232,7 +243,7 @@ def build(
         total_before = sum(at.values())
 
     # finalize: every base point comes back, at multiplicity zero if absent
-    final = _reattach(cluster, sk)
+    final = _reattach(stage, sk)
     stages.append(final)
     certificate = verify(base, report, alpha, final)
     # the points past the base ones were added, in creation order
@@ -246,12 +257,113 @@ def build(
     return CartierResult(final, added, tuple(stages), certificate)
 
 
-def check_interior_excess(label: str, skeleton: ClusterSkeleton, rho, tags) -> None:
+def _base_excess(base: WeightedCluster, tag: str) -> int:
+    """The base cluster's excess at the point tagged `tag`; 0 off the base."""
+    sk = base.skeleton
+    p = sk.tag_index.get(tag)
+    if p is None:
+        return 0
+    return base.nu[p] - sum(base.nu[q] for q in sk.proximate_to[p])
+
+
+class _Stage:
+    """A stage of the construction, held in lists that change in place.
+
+    `parents`, `proximities`, `tags`, `nu` and `rho` are per point;
+    `proximate_to` holds each point's ascending row of the points proximate
+    to it, `dual_rows` the dual graph's rows as `ClusterSkeleton.dual_rows`
+    does, and `tag_index` each tag's point.  These are the names a skeleton
+    reads them by, so `check_attachment` and `check_interior_excess` read a
+    stage as they read a skeleton.
+    """
+
+    def __init__(self, cluster: WeightedCluster):
+        sk = cluster.skeleton
+        self.parents = list(sk.parents)
+        self.proximities = list(sk.proximities)
+        self.tags = list(sk.tags)
+        self.tag_index = dict(sk.tag_index)
+        self.proximate_to = [list(row) for row in sk.proximate_to]
+        self.dual_rows = dict(sk.dual_rows)
+        self.nu = list(cluster.nu)
+        self.rho = list(excesses(cluster))
+
+    def append(self, targets: Sequence[int], tag: str) -> None:
+        """Append a point of multiplicity 1 proximate to `targets`, as
+        `extend_point` would, with its checks: each target's excess falls by
+        1, and the new point's is 1."""
+        targets = frozenset(targets)
+        parent = check_attachment(self, targets, tag)
+        n = len(self.tags)
+        self.parents.append(parent)
+        self.proximities.append(targets)
+        self.tags.append(tag)
+        self.tag_index[tag] = n
+        for q in targets:
+            self.proximate_to[q].append(n)
+            self.rho[q] -= 1
+        self.proximate_to.append([])
+        extend_adjacency(self.dual_rows, targets)
+        self.nu.append(1)
+        self.rho.append(1)
+
+    def keep(self, kept: Sequence[int]) -> None:
+        """Keep the points `kept`, ascending and closed under proximity
+        targets, numbered 0, 1, ... in order, as `restrict` numbers them."""
+        if len(kept) == len(self.tags):
+            return
+        self.dual_rows = restrict_adjacency(self.dual_rows, self.proximities, kept)
+        index = {old: new for new, old in enumerate(kept)}
+        parents, proximities, prox_to = self.parents, self.proximities, self.proximate_to
+        self.parents = [None if parents[p] is None else index[parents[p]] for p in kept]
+        self.proximities = [frozenset(index[q] for q in proximities[p]) for p in kept]
+        self.proximate_to = [[index[q] for q in prox_to[p] if q in index] for p in kept]
+        self.tags = [self.tags[p] for p in kept]
+        self.tag_index = {tag: p for p, tag in enumerate(self.tags)}
+        self.nu = [self.nu[p] for p in kept]
+        self.rho = [self.rho[p] for p in kept]
+
+    def cluster(self, base: ClusterSkeleton) -> WeightedCluster:
+        """The stage as a weighted cluster, known valid when `base` is."""
+        skeleton = ClusterSkeleton(tuple(self.parents), tuple(self.proximities), tuple(self.tags))
+        return WeightedCluster(_inherit_verdict(base, skeleton), tuple(self.nu))
+
+    def unload(self, base: ClusterSkeleton) -> UnloadResult:
+        """The untraced unloading of the stage, on a skeleton that is given
+        the stage's `proximate_to` and dual-graph rows, so it derives neither."""
+        cluster = self.cluster(base)
+        cached = cluster.skeleton.__dict__
+        cached["proximate_to"] = tuple(map(tuple, self.proximate_to))
+        cached["dual_rows"] = dict(self.dual_rows)
+        return unload(cluster, trace=False)
+
+
+def _may_break_a_chain(stage: _Stage, targets: Sequence[int], present: set) -> bool:
+    """False when the point just appended to `targets`, with no unloading,
+    cannot have left the chain between two of the `present` prescribed
+    dicriticals (stage indices) without a positive interior excess, given
+    that every such chain had one before the append.
+
+    The append lowers the excess only at its targets and gives the new point
+    excess 1; a chain the new point joins gains that point, and any other is
+    the chain before.  So a chain that now fails had its last positive
+    interior point at a target t whose excess is now <= 0, and t's two
+    neighbours on the chain are each an end, a present prescribed
+    dicritical, or an interior point of excess <= 0.  A target with at most
+    one such neighbour lies inside no failing chain.  O(deg) per target.
+    """
+    rho, rows = stage.rho, stage.dual_rows
+    return any(
+        rho[t] <= 0 and sum(rho[u] <= 0 or u in present for u in rows[t]) > 1 for t in targets
+    )
+
+
+def check_interior_excess(label: str, skeleton, rho, tags) -> None:
     """Raise InternalCheckError unless, between any two of the prescribed
     dicriticals `tags` (those present, in order), some interior point of
     their chain keeps positive excess; this is what makes the growth loop
-    sound.  The chains are searched in the skeleton's `dual_rows`, read only
-    when two dicriticals are present.
+    sound.  The chains are searched in the `dual_rows` of `skeleton`, a
+    `ClusterSkeleton` or a builder stage.
 
     The dual graph is a tree, so the chain from a to b is the path through
     the breadth-first parents from a: one search per dicritical but the last
@@ -271,24 +383,40 @@ def check_interior_excess(label: str, skeleton: ClusterSkeleton, rho, tags) -> N
                 )
 
 
-def _reattach(cluster: WeightedCluster, base: ClusterSkeleton) -> WeightedCluster:
-    """Re-attach every base point the stage lacks, at multiplicity 0.
+def _reattach(stage: _Stage, base: ClusterSkeleton) -> WeightedCluster:
+    """The stage as a weighted cluster with every base point it lacks
+    re-attached at multiplicity 0.
 
-    A stage holding every base point is returned as it is.  Otherwise the
-    skeleton is rebuilt by the cluster operations: the base, then the added
-    points appended again in their current order.  A base satellite whose
-    position an added point took raises ClusterError.
+    A stage holding every base point is made as it is.  Otherwise one pass
+    lays out the base's points, in base order, then the stage's added
+    points, in their stage order.  A base satellite whose position an added
+    point took raises ClusterError, as `extend_point` would; no other rule
+    can break, since each added point passed them in the stage.
     """
-    cur = cluster.skeleton
-    if all(t in cur.tag_index for t in base.tags):
-        return cluster
-    skeleton = base
-    for p, tag in enumerate(cur.tags):
-        if tag not in base.tag_index:
-            targets = (skeleton.tag_index[cur.tags[q]] for q in cur.proximities[p])
-            skeleton = extend_point(skeleton, targets, tag)
-    nu = tuple(cluster.nu[cur.tag_index[t]] if t in cur.tag_index else 0 for t in skeleton.tags)
-    return WeightedCluster(skeleton, nu)
+    if all(t in stage.tag_index for t in base.tags):
+        return stage.cluster(base)
+    parents, proximities, tags = list(base.parents), list(base.proximities), list(base.tags)
+    nu = [0] * len(base)
+    index = dict(base.tag_index)
+    owner = {targets: q for q, targets in enumerate(proximities) if len(targets) == 2}
+    for p, tag in enumerate(stage.tags):
+        if tag in base.tag_index:
+            nu[base.tag_index[tag]] = stage.nu[p]
+            continue
+        targets = frozenset(index[stage.tags[q]] for q in stage.proximities[p])
+        if len(targets) == 2:
+            if targets in owner:
+                raise ClusterError(
+                    f"satellite position already occupied by point {tags[owner[targets]]}"
+                )
+            owner[targets] = len(tags)
+        index[tag] = len(tags)
+        parents.append(max(targets))
+        proximities.append(targets)
+        tags.append(tag)
+        nu.append(stage.nu[p])
+    skeleton = ClusterSkeleton(tuple(parents), tuple(proximities), tuple(tags))
+    return WeightedCluster(_inherit_verdict(base, skeleton), tuple(nu))
 
 
 def verify(
@@ -359,7 +487,7 @@ def verify(
     if not off_excess_zero:
         failures.append("off-excess-zero")
 
-    x = _read_multiplicities(dual_graph(sk), dict(zip(dicriticals, on_dicriticals)))
+    x = _read_multiplicities(sk, dict(zip(dicriticals, on_dicriticals)))
     readout = () if x is None else tuple((sk.tags[q], x[q]) for q in dicriticals)
     readout_matches = x is not None and all(x[q] == alpha.get(q, 0) for q in dicriticals)
     if not readout_matches:
@@ -376,20 +504,21 @@ def verify(
     )
 
 
-def _read_multiplicities(graph, v: dict) -> Optional[dict]:
+def _read_multiplicities(skeleton: ClusterSkeleton, v: dict) -> Optional[dict]:
     """The multiplicities x with sum_q x_q * v(simple(q)) = v on the keys D
     of `v` (the base dicriticals, with the candidate's values), or None when
     x is not integral; `v` is extended in place to the other points N.
 
     Excesses are A·v, A minus the intersection matrix of the dual tree
-    (A_pp = r_p + 1, A_pq = -1 for neighbours), so x = (A·v)_D for the v
+    (A_pp = r_p + 1, read off the skeleton's `proximate_to` row of p, and
+    A_pq = -1 for the neighbours in its `dual_rows`), so x = (A·v)_D for the v
     with excess zero on N: A_NN·v_N = -A_ND·v_D.  A_NN is positive definite
     on a forest.  Leaves first, each point u of a tree of N keeps
     P·v_u = Q·v_parent + B in integers; root first, v is read back by exact
     division.  A is unimodular, so v is integral exactly when x is, and a
     remainder means x is not.
     """
-    adjacency, weights = graph.adjacency, graph.weights
+    adjacency, prox_to = skeleton.dual_rows, skeleton.proximate_to
     rest = {p: tuple(q for q in adjacency[p] if q not in v) for p in adjacency if p not in v}
     for root in rest:
         if root in v:
@@ -399,7 +528,7 @@ def _read_multiplicities(graph, v: dict) -> Optional[dict]:
         for u in reversed(order):
             children = [relation[c] for c in rest[u] if c != parent[u]]
             scale = lcm(*(Pc for Pc, _, _ in children))
-            P = weights[u] * scale
+            P = (len(prox_to[u]) + 1) * scale
             B = scale * sum(v[d] for d in adjacency[u] if d not in rest)
             for Pc, Qc, Bc in children:
                 P -= Qc * (scale // Pc)
@@ -411,4 +540,8 @@ def _read_multiplicities(graph, v: dict) -> Optional[dict]:
             v[u], remainder = divmod(B if parent[u] is None else Q * v[parent[u]] + B, P)
             if remainder:
                 return None
-    return {d: weights[d] * v[d] - sum(v[q] for q in adjacency[d]) for d in v if d not in rest}
+    return {
+        d: (len(prox_to[d]) + 1) * v[d] - sum(v[q] for q in adjacency[d])
+        for d in v
+        if d not in rest
+    }

@@ -249,15 +249,35 @@ def extend_point(
 ) -> ClusterSkeleton:
     """Append one new point proximate to `targets`; parent is the latest target."""
     targets = frozenset(targets)
+    if tag is None:
+        tag = _fresh_tag("w", skeleton.tags)
+    parent = check_attachment(skeleton, targets, tag)
+    extended = ClusterSkeleton(
+        skeleton.parents + (parent,),
+        skeleton.proximities + (targets,),
+        skeleton.tags + (tag,),
+    )
+    _carry_caches(skeleton, extended, targets)
+    return _inherit_verdict(skeleton, extended)
+
+
+def check_attachment(skeleton, targets: frozenset, tag: str) -> int:
+    """The parent of a new point proximate to `targets` and tagged `tag`,
+    once the point passes every rule it could break: one or two targets,
+    each a point, a fresh tag, satellite inheritance and a free satellite
+    position.  Raises ClusterError at the first rule broken.
+
+    Reads only `tags`, `tag_index`, `proximities` and `proximate_to`, so it
+    checks a stage that the Cartier builder holds in lists as it checks a
+    skeleton.
+    """
     if not 1 <= len(targets) <= 2:
         raise ClusterError("a new point must be proximate to one or two existing points")
     for q in targets:
-        if not 0 <= q < len(skeleton):
+        if not 0 <= q < len(skeleton.tags):
             raise ClusterError(f"proximity target {q} is not a point of the cluster")
     parent = max(targets)
-    if tag is None:
-        tag = _fresh_tag("w", skeleton.tags)
-    elif tag in skeleton.tag_index:
+    if tag in skeleton.tag_index:
         raise ClusterError(f"tag {tag!r} already in use")
     if len(targets) == 2:
         other = min(targets)
@@ -272,13 +292,7 @@ def extend_point(
                 raise ClusterError(
                     f"satellite position already occupied by point {skeleton.tags[q]}"
                 )
-    extended = ClusterSkeleton(
-        skeleton.parents + (parent,),
-        skeleton.proximities + (targets,),
-        skeleton.tags + (tag,),
-    )
-    _carry_caches(skeleton, extended, targets)
-    return _inherit_verdict(skeleton, extended)
+    return parent
 
 
 def _carry_caches(source: ClusterSkeleton, extended: ClusterSkeleton, targets: frozenset) -> None:
@@ -309,11 +323,11 @@ def _carry_caches(source: ClusterSkeleton, extended: ClusterSkeleton, targets: f
 def _inherit_verdict(source: ClusterSkeleton, derived: ClusterSkeleton) -> ClusterSkeleton:
     """Mark `derived` valid if `source` is already known to be valid.
 
-    Sound only for what `extend_point` and a non-empty `restrict` build: the
-    new point passed every rule it could break (target count and range,
-    satellite inheritance, free satellite position, fresh tag, parent the
-    latest target), and a non-empty predecessor-closed subset of a valid
-    skeleton is valid.
+    Sound only for what `extend_point` and a non-empty `restrict` build, or
+    a chain of them: each new point passed `check_attachment` (target count
+    and range, fresh tag, satellite inheritance, free satellite position)
+    with its parent the latest target, and a non-empty predecessor-closed
+    subset of a valid skeleton is valid.
     """
     if source.__dict__.get("_verdict") == ():
         derived.__dict__["_verdict"] = ()
@@ -508,3 +522,32 @@ def extend_adjacency(adjacency: dict, targets: Collection[int]) -> None:
         adjacency[a] = tuple(v for v in adjacency[a] if v != b) + (n,)
         adjacency[b] = tuple(v for v in adjacency[b] if v != a) + (n,)
         adjacency[n] = (a, b)
+
+
+def restrict_adjacency(
+    adjacency: dict, proximities: Sequence[frozenset], kept: Sequence[int]
+) -> dict:
+    """The dual graph's rows of `restrict(skeleton, kept)`, from `adjacency`,
+    those of the skeleton with `proximities`; `adjacency` is left as it is.
+
+    `extend_adjacency` undone for each point left out, the last first.  No
+    kept point is proximate to it and the later points proximate to it are
+    gone, so its neighbours are its targets: a free point leaves its
+    target's row, and a satellite leaves the rows of its two targets, which
+    meet again.  The kept points are then numbered in order, as `restrict`
+    numbers them, which keeps every row ascending.
+    """
+    rows = dict(adjacency)
+    kept_set = set(kept)
+    for p in range(len(proximities) - 1, -1, -1):
+        if p in kept_set:
+            continue
+        targets = proximities[p]
+        for q in targets:
+            rows[q] = tuple(v for v in rows[q] if v != p)
+        if len(targets) == 2:
+            a, b = targets
+            rows[a] = tuple(sorted(rows[a] + (b,)))
+            rows[b] = tuple(sorted(rows[b] + (a,)))
+    index = {old: new for new, old in enumerate(kept)}
+    return {index[p]: tuple(index[v] for v in rows[p]) for p in kept}

@@ -282,28 +282,36 @@ class DropResult:
 
 
 def drop_zero_points(cluster: WeightedCluster) -> DropResult:
-    """Remove zero-multiplicity points that nothing remaining is proximate to.
-
-    One backward pass decides every point: the points proximate to p come
-    after p, so their fate is final when the pass reaches p.  Zero points
-    that stay structurally required (some remaining point is proximate to
-    them) are reported as blocked, never silently dropped; on consistent
-    clusters none are.
+    """Remove zero-multiplicity points that nothing remaining is proximate
+    to (`closed_support`).  Zero points that stay structurally required
+    (some remaining point is proximate to them) are reported as blocked,
+    never silently dropped; on consistent clusters none are.
     """
     sk = cluster.skeleton
-    alive: set[int] = set()
-    for p in reversed(sk.points):
-        if cluster.nu[p] != 0 or any(q in alive for q in sk.proximate_to[p]):
-            alive.add(p)
-    blocked = tuple(sorted(p for p in alive if cluster.nu[p] == 0))
+    alive = closed_support(cluster.nu, sk.proximate_to)
+    blocked = tuple(p for p in alive if cluster.nu[p] == 0)
     if not alive:
         # the origin alone carries weight 0: keep it so the cluster stays a cluster
-        alive = {0}
+        alive = [0]
     sub, kept = restrict(sk, alive)
-    dropped = tuple(p for p in sk.points if p not in alive)
+    kept_set = set(kept)
+    dropped = tuple(p for p in sk.points if p not in kept_set)
     return DropResult(
         WeightedCluster(sub, tuple(cluster.nu[p] for p in kept)), kept, dropped, blocked
     )
+
+
+def closed_support(nu: Sequence[int], proximate_to) -> list[int]:
+    """The points of nonzero multiplicity and every point one of them is
+    proximate to, repeatedly, ascending: the points `drop_zero_points` keeps.
+
+    One backward pass decides every point: the points proximate to p come
+    after p, so their fate is final when the pass reaches p.
+    """
+    alive = [False] * len(nu)
+    for p in range(len(nu) - 1, -1, -1):
+        alive[p] = nu[p] != 0 or any(alive[q] for q in proximate_to[p])
+    return [p for p, kept in enumerate(alive) if kept]
 
 
 # -- Simple clusters and linear combinations -----------------------------------------

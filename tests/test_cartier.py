@@ -6,7 +6,9 @@ Core claims:
     - certificates verify independently of the builder and catch tampering
     - requests are validated (domain, integrality and positivity of the
       prescription)
-    - the seed-point override changes the start but never the certificate
+    - the seed-point override changes the start but never the certificate;
+      a seed point that is not an integer (a bool, a float) is a one-line
+      ClusterError
     - mixed prescriptions over several components build and certify
     - the builder's whole output (cluster, added points, trace, certificate)
       on the first 300 acceptance requests and the worked example matches a
@@ -15,9 +17,10 @@ Core claims:
       `excesses` recomputed: dropping zero points, appending a point of
       multiplicity 1, re-attaching base points
     - only an unloading makes a multiplicity zero, so every stage but the
-      last has positive multiplicities; the closing re-attachment rebuilds a
-      stage exactly when a base point is missing, and puts every base point
-      first, in base order
+      last has positive multiplicities; the closing re-attachment, one pass,
+      gives what re-appending the added points to the base by `extend_point`
+      gives, raises its error where it does, changes the stage exactly when
+      a base point is missing, and puts every base point first, in base order
     - every stage of a build is consistent
     - a build that exceeds the safety cap raises with the cap in its message
       and carries the stages done before the overrun, the start first; an
@@ -31,10 +34,20 @@ Core claims:
     - a growth stage attaches where a walk along the satellites of its
       dicritical from the anchor ends, also after an unloading dropped the
       satellite the builder appended last
-    - the dual-graph rows a stage inherits through `extend_point` equal
-      fresh ones at every stage the builder checks, and the interior-excess
-      check, one search per dicritical, agrees with one chain per pair of
-      dicriticals, message for message
+    - every skeleton the builder makes of its stage (traced stages, the
+      input of each unloading, the result) equals, field for field and in
+      each cache it is handed, the stage that the `extend_point` chain with
+      `unload` and `drop_zero_points` gives, and so do the stage's lists at
+      every append, also after an unloading dropped points
+    - the stage's own dual-graph rows equal fresh ones at every stage the
+      builder checks, and the interior-excess check, one search per
+      dicritical, agrees with one chain per pair of dicriticals, message
+      for message
+    - the builder leaves a stage to the local interior-excess rule only
+      when an append alone made it from the stage before, and on every such
+      stage, with some or all positive excesses off the targets zeroed, the
+      rule lets none through that the whole-graph search fails while the
+      stage before passes it
     - the readout, one integer solve on the base's dual tree, agrees with
       exact rational Gauss-Jordan elimination over the simple-cluster values
       on the criterion-6 builds from every contracted seed point and on
@@ -66,7 +79,9 @@ from sandwiched import (
 from sandwiched import cartier, dsl
 from sandwiched.cartier import (
     CartierRequest,
+    _may_break_a_chain,
     _reattach,
+    _Stage,
     build,
     check_interior_excess,
     verify,
@@ -76,7 +91,12 @@ from sandwiched.errors import CapExceededError, InternalCheckError
 from sandwiched.oracle import GeneratorConfig, _random_cluster, random_skeleton
 from sandwiched.analyzer import contracted_neighbor, enumerate_singularities
 from sandwiched.synthesis import MinimalGraphSpec, synthesize
-from sandwiched.weighted import dicritical_set, embed_indices, multiplicities_from_excesses
+from sandwiched.weighted import (
+    dicritical_set,
+    embed_indices,
+    multiplicities_from_excesses,
+    unload,
+)
 
 from conftest import FORK
 
@@ -141,6 +161,13 @@ def test_seed_point_override(d1, d1_report):
     assert result.certificate.passed
     with pytest.raises(ClusterError):
         build(CartierRequest(d1, d1_report, {2: 2}), seed_point=2)  # not contracted
+
+
+@pytest.mark.parametrize("seed_point", [True, 1.0], ids=["bool", "float"])
+def test_a_seed_point_that_is_not_an_integer_is_rejected(d1, d1_report, seed_point):
+    with pytest.raises(ClusterError) as err:
+        build(CartierRequest(d1, d1_report, {2: 2}), seed_point=seed_point)
+    assert str(err.value) == f"seed point {seed_point!r} is not an integer"
 
 
 def test_mixed_prescription_on_three_components():
@@ -302,9 +329,22 @@ def test_a_point_of_multiplicity_one_lowers_only_its_targets():
         assert excesses(WeightedCluster(grown, cluster.nu + (1,))) == tuple(expected)
 
 
+def _reattach_by_extend_point(cluster, base):
+    """The re-attachment that the one-pass layout replaced: the base, then
+    each added point appended again by `extend_point`."""
+    cur = cluster.skeleton
+    skeleton = base
+    for p, tag in enumerate(cur.tags):
+        if tag not in base.tag_index:
+            targets = (skeleton.tag_index[cur.tags[q]] for q in cur.proximities[p])
+            skeleton = extend_point(skeleton, targets, tag)
+    nu = tuple(cluster.nu[cur.tag_index[t]] if t in cur.tag_index else 0 for t in skeleton.tags)
+    return WeightedCluster(skeleton, nu)
+
+
 def test_reattached_points_have_excess_zero_and_move_no_other():
     rng = random.Random(79)
-    rebuilt = 0
+    rebuilt = occupied = 0
     for _ in range(2000):
         base = random_skeleton(rng, 10, 0.5).require_valid()
         seeds = rng.sample(list(base.points), rng.randint(1, len(base)))
@@ -317,16 +357,23 @@ def test_reattached_points_have_excess_zero_and_move_no_other():
                 pass
         cluster = _weighted(rng, sk)
         try:
-            grown = _reattach(cluster, base)
-        except ClusterError:  # a base satellite's position is taken by an added one
+            expected = _reattach_by_extend_point(cluster, base)
+        except ClusterError as error:  # a base satellite's position is taken by an added one
+            with pytest.raises(ClusterError) as raised:
+                _reattach(_Stage(cluster), base)
+            assert str(raised.value) == str(error)
+            occupied += 1
             continue
-        assert (grown is cluster) == all(t in sk.tag_index for t in base.tags)
+        grown = _reattach(_Stage(cluster), base)
+        assert grown == expected
+        assert grown.skeleton.__dict__.get("_verdict") == ()
+        assert (grown == cluster) == all(t in sk.tag_index for t in base.tags)
         assert grown.skeleton.tags[: len(base)] == base.tags
         before = dict(zip(sk.tags, excesses(cluster)))
         after = dict(zip(grown.skeleton.tags, excesses(grown)))
         assert after == {tag: before.get(tag, 0) for tag in grown.skeleton.tags}
-        rebuilt += grown is not cluster
-    assert rebuilt > 500
+        rebuilt += grown != cluster
+    assert rebuilt > 500 and occupied > 20, (rebuilt, occupied)
 
 
 # -- where a growth stage attaches -----------------------------------------------
@@ -401,32 +448,33 @@ def _partner_by_walk(skeleton, anchor, dicritical):
     return partner
 
 
+def _skeleton_of(stage):
+    """A fresh skeleton on the stage's points, caching nothing yet."""
+    return ClusterSkeleton(tuple(stage.parents), tuple(stage.proximities), tuple(stage.tags))
+
+
 def test_growth_stages_attach_where_the_satellite_walk_ends(monkeypatch, corpus):
     appended = []
-    real = cartier.extend_point
+    real = _Stage.append
 
-    def recording(skeleton, targets, tag=None):
-        targets = tuple(targets)
-        appended.append((skeleton, targets, tag))
-        return real(skeleton, targets, tag)
+    def recording(stage, targets, tag):
+        appended.append((_skeleton_of(stage), tuple(targets), tag))
+        return real(stage, targets, tag)
 
-    monkeypatch.setattr(cartier, "extend_point", recording)
+    monkeypatch.setattr(_Stage, "append", recording)
     stages = dropped = 0
     for request in _corpus_requests(corpus):
         appended.clear()
         build(request)
         sk = request.base.skeleton
-        graph = dual_graph(sk)
         anchor = {
-            sk.tags[p]: sk.tags[contracted_neighbor(graph, request.report, p)]
+            sk.tags[p]: sk.tags[contracted_neighbor(sk.dual_rows, request.report, p)]
             for p in request.report.Kplus_Q
         }
         last: dict = {}  # dicritical tag -> tag of the satellite appended last for it
-        seen = set()
         for skeleton, targets, tag in appended:
-            if tag in seen or len(targets) == 1:
-                continue  # a rebuild re-appending an added point, or the first stage
-            seen.add(tag)
+            if len(targets) == 1:
+                continue  # the first stage
             partner, p = targets
             d = skeleton.tags[p]
             assert partner == _partner_by_walk(skeleton, skeleton.tag_index[anchor[d]], p)
@@ -434,6 +482,71 @@ def test_growth_stages_attach_where_the_satellite_walk_ends(monkeypatch, corpus)
             dropped += d in last and last[d] not in skeleton.tag_index
             last[d] = tag
     assert stages > 3000 and dropped >= 20, (stages, dropped)
+
+
+def test_every_materialized_stage_equals_the_extend_point_chain(monkeypatch, corpus):
+    """Replays each build with the cluster operations, as the builder ran
+    before it held its stage in lists: `restrict` for the start, one
+    `extend_point` per append, and `unload` then `drop_zero_points` where a
+    target's excess turned negative.  Every skeleton the builder makes of
+    its stage equals the replayed one, field for field and in each cache it
+    is handed, and so do the stage's own lists at every append."""
+    ref = {}
+    counts = {"append": 0, "cluster": 0, "unload": 0, "dropped": 0}
+    real_append, real_cluster, real_unload = _Stage.append, _Stage.cluster, cartier.unload
+
+    def same(skeleton, cluster_nu):
+        expected = ref["cluster"]
+        assert skeleton == expected.skeleton and cluster_nu == expected.nu
+        assert skeleton.__dict__.get("_verdict") == expected.skeleton._verdict == ()
+        for cache in ("proximate_to", "tag_index", "dual_rows"):
+            if cache in skeleton.__dict__:
+                assert skeleton.__dict__[cache] == getattr(expected.skeleton, cache), cache
+
+    def append(stage, targets, tag):
+        cluster = ref["cluster"]
+        sk = cluster.skeleton
+        assert stage.proximate_to == [list(row) for row in sk.proximate_to]
+        assert (stage.tag_index, stage.dual_rows) == (sk.tag_index, sk.dual_rows)
+        assert (stage.nu, stage.rho) == (list(cluster.nu), list(excesses(cluster)))
+        real_append(stage, targets, tag)
+        grown = WeightedCluster(extend_point(sk, targets, tag), cluster.nu + (1,))
+        if min(excesses(grown)) < 0:
+            ref["pending"] = grown  # unloaded at the builder's unload
+        else:
+            ref["cluster"] = grown
+        counts["append"] += 1
+
+    def cluster(stage, base):
+        made = real_cluster(stage, base)
+        if "pending" not in ref:
+            same(made.skeleton, made.nu)
+            counts["cluster"] += 1
+        return made
+
+    def unloading(candidate, *, trace):
+        grown = ref.pop("pending")
+        ref["cluster"] = grown
+        same(candidate.skeleton, candidate.nu)
+        result = real_unload(candidate, trace=trace)
+        dropped = drop_zero_points(unload(grown).cluster)
+        ref["cluster"] = dropped.cluster
+        counts["unload"] += 1
+        counts["dropped"] += bool(dropped.dropped)
+        return result
+
+    monkeypatch.setattr(_Stage, "append", append)
+    monkeypatch.setattr(_Stage, "cluster", cluster)
+    monkeypatch.setattr(cartier, "unload", unloading)
+    for request in _corpus_requests(corpus)[:300]:
+        sk = request.base.skeleton
+        combined = multiplicities_from_excesses(sk, [request.alpha.get(p, 0) for p in sk.points])
+        start, kept = restrict(sk, (q for q in sk.points if combined.nu[q] > 0))
+        ref.clear()
+        ref["cluster"] = WeightedCluster(start, tuple(combined.nu[q] for q in kept))
+        build(request)
+    assert counts["append"] > 3000 and counts["cluster"] > 3000, counts
+    assert counts["dropped"] > 400, counts
 
 
 # -- the interior-excess check --------------------------------------------------
@@ -464,21 +577,50 @@ def _failure(check, *args):
 
 
 def _checked_stages(monkeypatch, corpus):
-    """Every stage the builder checks on the multi-component corpus requests,
-    and whether its skeleton held dual-graph rows before the check read them,
-    which only `extend_point` gives a stage, asserting that those rows are
-    the ones a fresh skeleton derives."""
+    """Every stage with two prescribed dicriticals present that the builder
+    checks on the multi-component corpus requests, as a dict: the check's
+    `label`, the stage as a fresh `skeleton`, its `rho` and present `tags`;
+    for a stage left to the local rule also the append's `targets`, the
+    `present` indices, the local `verdict` and the stage `before` the
+    append, as a fresh skeleton and its excesses; and whether the builder
+    `searched` the whole graph.  Asserts that the stage's own rows are the
+    ones a fresh skeleton derives."""
     stages = []
+    open_local = []  # the stage whose local verdict asks for the search
+    before = {}
+    real_append, real_local, real_search = _Stage.append, cartier._may_break_a_chain, check_interior_excess
 
-    def recording(label, skeleton, rho, tags):
-        carried = "dual_rows" in skeleton.__dict__
-        if carried:
-            fresh = ClusterSkeleton(skeleton.parents, skeleton.proximities, skeleton.tags)
-            assert skeleton.dual_rows == fresh.dual_rows
-        stages.append((label, skeleton, list(rho), tags, carried))
-        return check_interior_excess(label, skeleton, rho, tags)
+    def snapshot(stage):
+        skeleton = _skeleton_of(stage)
+        assert stage.dual_rows == skeleton.dual_rows
+        assert stage.proximate_to == [list(row) for row in skeleton.proximate_to]
+        assert stage.tag_index == skeleton.tag_index
+        return {"skeleton": skeleton, "rho": list(stage.rho), "searched": False}
 
-    monkeypatch.setattr(cartier, "check_interior_excess", recording)
+    def append(stage, targets, tag):
+        before.update(skeleton=_skeleton_of(stage), rho=list(stage.rho))
+        return real_append(stage, targets, tag)
+
+    def local(stage, targets, present):
+        verdict = real_local(stage, targets, present)
+        record = snapshot(stage)
+        tags = [stage.tags[p] for p in sorted(present)]
+        record.update(label="growth loop", tags=tags, targets=tuple(targets), present=set(present))
+        record.update(verdict=verdict, before=dict(before))
+        stages.append(record)
+        open_local[:] = [record] if verdict else []
+        return verdict
+
+    def search(label, stage, rho, tags):
+        if open_local:
+            open_local.pop()["searched"] = True
+        else:
+            stages.append({**snapshot(stage), "label": label, "tags": tags, "searched": True})
+        return real_search(label, stage, rho, tags)
+
+    monkeypatch.setattr(_Stage, "append", append)
+    monkeypatch.setattr(cartier, "_may_break_a_chain", local)
+    monkeypatch.setattr(cartier, "check_interior_excess", search)
     rng = random.Random(89)
     requests = [i for i in corpus if len(i.report.Kplus_Q) > 1][:40]
     for instance in requests:
@@ -487,40 +629,87 @@ def _checked_stages(monkeypatch, corpus):
     return stages
 
 
+@dataclasses.dataclass
+class _View:
+    """What the local rule reads of a stage."""
+
+    rho: list
+    dual_rows: dict
+
+
+def _zeroed(rng, rho):
+    """`rho` with each positive excess set to zero with probability 1/2."""
+    return [0 if r > 0 and rng.random() < 0.5 else r for r in rho]
+
+
 def test_interior_excess_search_agrees_with_the_pairwise_chains(monkeypatch, corpus):
     stages = _checked_stages(monkeypatch, corpus)
     rng = random.Random(97)
-    outcomes = {"passed": 0, "failed": 0, "carried": 0}
-    for label, skeleton, rho, tags, carried in stages:
-        outcomes["carried"] += carried
+    outcomes = {"passed": 0, "failed": 0, "local": 0}
+    for stage in stages:
+        label, skeleton, rho, tags = stage["label"], stage["skeleton"], stage["rho"], stage["tags"]
+        outcomes["local"] += not stage["searched"]
         # the stage's own excesses, then some positive ones set to zero
         for trial in range(3):
             if trial:
-                rho = [0 if r > 0 and rng.random() < 0.5 else r for r in rho]
+                rho = _zeroed(rng, rho)
             expected = _failure(_interior_excess_by_pairs, label, skeleton, rho, tags)
             got = _failure(check_interior_excess, label, skeleton, rho, tags)
             assert got == expected
-            if len(tags) > 1:
-                outcomes["failed" if expected else "passed"] += 1
+            outcomes["failed" if expected else "passed"] += 1
     assert min(outcomes.values()) > 500, outcomes
 
 
 def test_zero_excess_on_a_chain_interior_is_reported(monkeypatch, corpus):
     stages = _checked_stages(monkeypatch, corpus)
     reported = 0
-    for label, skeleton, rho, tags, _ in stages:
-        if len(tags) < 2:
-            continue
+    for stage in stages:
+        label, skeleton, tags = stage["label"], stage["skeleton"], stage["tags"]
         a, b = (skeleton.tag_index[t] for t in tags[:2])
         graph = dual_graph(skeleton)
         interior = graph.open_chain(a, b)
-        rho = [0 if u in interior else r for u, r in enumerate(rho)]
+        rho = [0 if u in interior else r for u, r in enumerate(stage["rho"])]
         message = f"{label}: no positive excess between {tags[0]} and {tags[1]}"
         with pytest.raises(InternalCheckError) as raised:
             check_interior_excess(label, skeleton, rho, tags)
         assert str(raised.value) == message
         reported += bool(interior)
     assert reported > 500
+
+
+def test_the_local_rule_never_skips_a_failing_stage(monkeypatch, corpus):
+    """The builder leaves a stage to the local rule only when the stage came
+    from the one before by an append alone; and whenever the stage before
+    passes the whole-graph search, with some positive excesses set to zero,
+    a stage the rule lets through passes it too."""
+    stages = _checked_stages(monkeypatch, corpus)
+    rng = random.Random(101)
+    outcomes = {"skipped": 0, "caught": 0, "searched": 0}
+    for stage in stages:
+        if "verdict" not in stage:
+            continue  # the first stage, or one after an unloading: searched
+        targets, present, tags = stage["targets"], stage["present"], stage["tags"]
+        before, skeleton = stage["before"], stage["skeleton"]
+        assert stage["searched"] == stage["verdict"]
+
+        def appended(rho):
+            return [r - (q in targets) for q, r in enumerate(rho)] + [1]
+
+        assert stage["rho"] == appended(before["rho"])
+        # the stage's own excesses, some positive ones set to zero, and
+        # every positive one set to zero but at the targets
+        only_targets = [r if q in targets else min(r, 0) for q, r in enumerate(before["rho"])]
+        for rho in [before["rho"], only_targets] + [_zeroed(rng, before["rho"]) for _ in range(8)]:
+            if _failure(check_interior_excess, "", before["skeleton"], rho, tags):
+                continue  # the builder would have stopped at the stage before
+            rho = appended(rho)
+            fails = _failure(check_interior_excess, "", skeleton, rho, tags)
+            if not _may_break_a_chain(_View(rho, skeleton.dual_rows), targets, present):
+                assert fails is None
+                outcomes["skipped"] += 1
+            else:
+                outcomes["caught" if fails else "searched"] += 1
+    assert outcomes["skipped"] > 1000 and min(outcomes.values()) > 40, outcomes
 
 
 # -- the readout ---------------------------------------------------------------

@@ -14,7 +14,8 @@ Core claims:
       local blow-up rule equal fresh ones
     - the skeleton's `dual_rows`, carried through chains of free and
       satellite appends, equal those of a fresh skeleton and of the static
-      rule; a restriction that drops points derives them afresh; and no
+      rule; a restriction that drops points derives them afresh, and
+      `restrict_adjacency` gives the same rows from the source's; and no
       analysis, enumeration or Cartier build changes a base's rows
     - extend_point names the occupant of a taken satellite position
     - chains are unique tree paths; the open variant drops endpoints
@@ -46,7 +47,7 @@ from sandwiched import (
 from sandwiched import cluster as cluster_module
 from sandwiched.analyzer import Satellite, enumerate_singularities
 from sandwiched.cartier import CartierRequest, build
-from sandwiched.cluster import extend_adjacency, extend_point, restrict
+from sandwiched.cluster import extend_adjacency, extend_point, restrict, restrict_adjacency
 from sandwiched.oracle import (
     is_mK_free,
     is_mK_proximate,
@@ -390,6 +391,25 @@ def test_restriction_derives_its_rows_afresh():
             derived += 1
         _assert_reference_rows(sub)
     assert derived > 300
+
+
+def test_restricted_rows_are_the_rows_of_the_restriction():
+    # undoing the blow-ups of the points left out, the last first, gives the
+    # rows the restriction derives afresh, and leaves the source's rows alone
+    rng = random.Random(83)
+    dropped = {1: 0, 2: 0}
+    for _ in range(1000):
+        sk = random_skeleton(rng, 12, 0.5)
+        rows = sk.dual_rows
+        snapshot = dict(rows)
+        seeds = rng.sample(list(sk.points), rng.randint(1, len(sk)))
+        kept = sorted(set().union(*(sk.predecessors(q) for q in seeds)))
+        sub, _ = restrict(sk, kept)
+        assert restrict_adjacency(rows, sk.proximities, kept) == static_dual_graph(sub).adjacency
+        assert rows == snapshot
+        for p in set(sk.points) - set(kept):
+            dropped[len(sk.proximities[p])] += 1
+    assert min(dropped.values()) > 400, dropped
 
 
 def test_no_reader_changes_the_rows_of_a_base(corpus):

@@ -9,18 +9,27 @@ Core claims:
       re-attachment that walks every point down to the origin, passes that
       bound within a few calls
     - on the fork, whose build keeps one branch and re-attaches the whole
-      other one, the closing re-attachment is metered too: it appends the
-      added points onto the base itself and reads no `parents`
+      other one, the closing re-attachment is metered too: it lays out the
+      base's points and then the added ones in one pass
     - each build's traced allocation peak stays under 100 MB
     - `cartier.verify` makes a fixed number of whole-cluster passes
-      (`values`, `excesses`, `multiplicities_from_excesses`, `dual_graph`,
+      (`values`, `excesses`, `multiplicities_from_excesses`,
       `dicritical_set`), however many dicriticals the base has: on a comb
       with 120 teeth, each tooth a dicritical, it makes at most two of each
     - on that comb, once `enumerate_singularities` has derived the base's
       dual-graph rows, `verify` applies the blow-up rule
       (`extend_adjacency`) 0 times, and `build` with its verify at most
-      once per appended stage: both read the base's rows, and each stage
-      inherits its rows through `extend_point`
+      once per appended stage, at alpha 1 and at alpha 2, where an
+      unloading drops points: both read the base's rows, each append
+      updates the stage's rows, and a drop renumbers them
+      (`restrict_adjacency`) without deriving them again
+    - an untraced build makes at most unloadings + 2 `ClusterSkeleton`
+      objects, on d1 at alpha 2,000 and on the 8-component ladder instance
+      at alpha 100: the stage grows in lists, and a skeleton is made only
+      for an unloading and for the result
+    - on that instance the whole-graph interior-excess search runs at most
+      once per unloading plus once for the first stage: a stage that only
+      appended a point is checked by the local rule
     - an untraced `unload` reads `proximities` at most 10n times, validation
       included, on the chain weighted (1, ..., 1, 200) (19,290 steps) and on
       the K_w that `enumerate_singularities` unloads on make_dr(100) (10,001
@@ -38,19 +47,30 @@ through the `heap_calls` fixture.  No clock is read: the counts and the
 allocation peak do not depend on the machine's speed.
 """
 
+import random
 import tracemalloc
 
 import pytest
 
-from sandwiched import FreeOn, SkeletonBuilder, WeightedCluster, chain_skeleton, unload
+from sandwiched import (
+    FreeOn,
+    Satellite,
+    SkeletonBuilder,
+    WeightedCluster,
+    analyze,
+    chain_skeleton,
+    unload,
+)
 from sandwiched.analyzer import enumerate_singularities, extend, zero_excess_components
 from sandwiched import cartier
 from sandwiched import cluster as cluster_module
 from sandwiched.cartier import CartierRequest, build, verify
 from sandwiched.cluster import ClusterSkeleton
+from sandwiched.oracle import random_minimal_graph_spec
+from sandwiched.synthesis import synthesize
 from sandwiched.weighted import dicritical_set, multiplicities_from_excesses
 
-from conftest import make_dr
+from conftest import make_d1, make_dr
 
 POINTS = 20_000
 PEAK_BYTES = 100 * 2**20
@@ -178,7 +198,7 @@ def test_verify_makes_a_fixed_number_of_passes_whatever_the_dicriticals(monkeypa
     comb, leaves, report = _comb()
 
     calls = {}
-    for name in ("values", "excesses", "multiplicities_from_excesses", "dual_graph", "dicritical_set"):
+    for name in ("values", "excesses", "multiplicities_from_excesses", "dicritical_set"):
         def counted(*args, _name=name, _real=getattr(cartier, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _real(*args)
@@ -192,18 +212,76 @@ def test_verify_makes_a_fixed_number_of_passes_whatever_the_dicriticals(monkeypa
 
 def test_build_and_verify_read_the_base_dual_rows(monkeypatch):
     comb, leaves, report = _comb()
-    calls = {"extend_adjacency": 0, "extend_point": 0}
-    for module, name in ((cluster_module, "extend_adjacency"), (cartier, "extend_point")):
-        def counted(*args, _name=name, _real=getattr(module, name)):
-            calls[_name] += 1
+    calls = {"extend_adjacency": 0, "append": 0}
+    for module, name in ((cluster_module, "extend_adjacency"), (cartier, "extend_adjacency")):
+        def counted(*args, _real=getattr(module, name)):
+            calls["extend_adjacency"] += 1
             return _real(*args)
 
         monkeypatch.setattr(module, name, counted)
-    alpha = dict.fromkeys(leaves, 1)
-    assert verify(comb, report, alpha, comb).readout_matches
+    real_append = cartier._Stage.append
+
+    def append(*args):
+        calls["append"] += 1
+        return real_append(*args)
+
+    monkeypatch.setattr(cartier._Stage, "append", append)
+    assert verify(comb, report, dict.fromkeys(leaves, 1), comb).readout_matches
     assert calls["extend_adjacency"] == 0
-    assert build(CartierRequest(comb, report, alpha), trace=False).certificate.passed
-    assert 0 < calls["extend_adjacency"] <= calls["extend_point"], calls
+    # at alpha 2 one unloading drops points, and 121 stages are appended
+    for alpha in (1, 2):
+        calls.update(extend_adjacency=0, append=0)
+        result = build(CartierRequest(comb, report, dict.fromkeys(leaves, alpha)))
+        assert result.certificate.passed
+        stages = len(result.trace) - 2  # the start and the result are no stage
+        assert 0 < calls["extend_adjacency"] <= calls["append"] == stages, calls
+
+
+def _counted_calls(monkeypatch, owner, name) -> dict:
+    """Counts, as {"calls": n}, the calls of `owner.name`."""
+    calls = {"calls": 0}
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls["calls"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _many_components():
+    """The synthesized singularity with 8 components through Q of the
+    benchmark ladders."""
+    K, w = synthesize(random_minimal_graph_spec(random.Random(5), 6, 5))
+    report = analyze(K, w)
+    assert (len(K.skeleton), len(report.Kplus_Q)) == (13, 8)
+    return K, report
+
+
+@pytest.mark.parametrize("instance, alpha", [("d1", 2_000), ("many-components", 100)])
+def test_an_untraced_build_makes_at_most_unloadings_plus_two_skeletons(monkeypatch, instance, alpha):
+    if instance == "d1":
+        K = make_d1()
+        report = analyze(K, Satellite(0, 1))
+    else:
+        K, report = _many_components()
+    request = CartierRequest(K, report, dict.fromkeys(report.Kplus_Q, alpha))
+    unloads = _counted_calls(monkeypatch, cartier, "unload")
+    skeletons = _counted_calls(monkeypatch, ClusterSkeleton, "__init__")
+    result = build(request, trace=False)
+    assert result.certificate.passed and len(result.added) >= alpha - 1
+    assert 0 < skeletons["calls"] <= unloads["calls"] + 2, (skeletons, unloads)
+
+
+def test_the_whole_graph_search_runs_once_per_unloading_plus_the_first_stage(monkeypatch):
+    K, report = _many_components()
+    request = CartierRequest(K, report, dict.fromkeys(report.Kplus_Q, 100))
+    unloads = _counted_calls(monkeypatch, cartier, "unload")
+    searches = _counted_calls(monkeypatch, cartier, "check_interior_excess")
+    result = build(request, trace=False)
+    assert result.certificate.passed and len(result.added) > 700
+    assert 0 < searches["calls"] <= unloads["calls"] + 1, (searches, unloads)
 
 
 def _weighted_chain() -> WeightedCluster:
