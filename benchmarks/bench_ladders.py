@@ -1,6 +1,6 @@
 """Size ladders of the paper's constructions, timed with pytest-benchmark.
 
-Twelve series, each a pytest-benchmark test:
+Thirteen series, each a pytest-benchmark test:
 
 - `chain_unload`: `unload` on the chain weighted (1, ..., 1, n), at 50, 100,
   200 and 400 points; records the step count `steps`.  Every round unloads
@@ -30,8 +30,12 @@ Twelve series, each a pytest-benchmark test:
   `trace=False`, which keeps no stage, on d1 at alpha 1,000, 2,000, 4,000
   and 8,000 and on the 8-component singularity at alpha 25, 50, 100 and
   200.  A traced build keeps every stage, so its memory and time grow as
-  alpha^2; these show what the construction alone costs.  The build
-  series record the number of points `added`.
+  alpha^2; these show what the construction alone costs.
+- `build_hub_untraced`: the untraced build at alpha 3 on every component
+  through Q of the singularity that `synthesize` makes from one vertex of
+  weight W, which has W + 1 components through Q, at 26, 51, 101 and 201
+  components; laid out by `components`.  The build series record the
+  number of points `added`.
 - `verify_sized`: `cartier.verify` alone on the build at alpha 1 on every
   component through the first singularity of perfbench's
   `sized_cluster(Random(3), n)`, at 50, 100, 200 and 400 points; the base
@@ -70,9 +74,10 @@ against log size).  More runs are given in the order parent, change,
 change, parent (and so on, repeating), and each side's median is then the
 median of its runs' medians; every run's median is listed as well.  It
 merges runs of any file in `benchmarks/`; a benchmark that records `calls`
-in its extra info is reported per call, one that records `alpha` instead of
-`points` is laid out by alpha, and one that records `calibrated_median_s` is
-reported by that median rather than the raw one.  Recorded counts (`steps`,
+in its extra info is reported per call, one that records `components` or
+`alpha` instead of `points` is laid out by the first of them, and one that
+records `calibrated_median_s` is reported by that median rather than the
+raw one.  Recorded counts (`steps`,
 `calls`, `added`, `edges`, and `bench_startup.py`'s `exit` and `stdout_sha256`) must
 agree across all runs.
 """
@@ -103,7 +108,7 @@ from sandwiched import enumerate_singularities, unload  # noqa: E402
 from sandwiched.cartier import CartierRequest, build, verify  # noqa: E402
 from sandwiched.oracle import GeneratorConfig, _random_cluster, random_boundary_points  # noqa: E402
 from sandwiched.oracle import random_minimal_graph_spec  # noqa: E402
-from sandwiched.synthesis import synthesize  # noqa: E402
+from sandwiched.synthesis import MinimalGraphSpec, synthesize  # noqa: E402
 
 ROUNDS = 100
 SIZES = (50, 100, 200, 400)
@@ -113,6 +118,7 @@ ALPHAS = (25, 50, 100, 200, 400)
 MANY_COMPONENT_ALPHAS = (5, 10, 25, 50)
 UNTRACED_ALPHAS = (1_000, 2_000, 4_000, 8_000)
 UNTRACED_MANY_COMPONENT_ALPHAS = (25, 50, 100, 200)
+HUB_COMPONENTS = (26, 51, 101, 201)
 DUAL_GRAPH_SIZES = (100, 1_000, 10_000)
 
 
@@ -247,6 +253,15 @@ def test_build_many_components_untraced(benchmark, alpha):
     run_build(benchmark, *many_components(), alpha, trace=False)
 
 
+@pytest.mark.parametrize("components", HUB_COMPONENTS)
+def test_build_hub_untraced(benchmark, components):
+    K, w = synthesize(MinimalGraphSpec(("a",), (), (components - 1,)))
+    report = analyze(K, w)
+    assert len(report.Kplus_Q) == components
+    benchmark.extra_info["components"] = components
+    run_build(benchmark, K, report, 3, trace=False)
+
+
 @pytest.mark.parametrize("points", SIZES)
 def test_verify_sized(benchmark, points):
     K = sized_cluster(sandwiched, random.Random(3), points)
@@ -288,7 +303,8 @@ def growth_exponent(points, seconds):
 
 
 COUNTS = ("steps", "calls", "added", "edges", "exit", "stdout_sha256")
-SIZE_KEYS = ("points", "alpha")  # the first of these a benchmark records is its size
+# the first of these a benchmark records is its size
+SIZE_KEYS = ("points", "components", "alpha")
 
 
 def merge(parents: list, changes: list) -> dict:

@@ -31,14 +31,17 @@ graph, the tag index, the multiplicities nu and the excesses rho.  Appending
 a point of multiplicity 1 makes `extend_point`'s checks, updates each list
 at the point's targets and gives it excess 1, so a stage costs the degree of
 its targets, not the number of points.  Only an unloading, which runs only
-when some target's excess turned negative, replaces nu and rho, by the
-unloaded cluster's, and then drops the zero points, renumbering every list;
-a dropped point has multiplicity 0, so dropping it changes no kept excess.
-A build unloads a few times per component, whatever the prescription.  A
-`ClusterSkeleton` is made only for an unloading, for a traced stage and for
-the result; each is built from the validated base by appends that passed
-`extend_point`'s checks and by restrictions, so it inherits the base's
-verdict, and no stage runs `validate`.
+when some target's excess turned negative, changes more: `unload`'s engine
+(`weighted._unload_steps`) moves the stage's rho in place, reading the
+stage's own `proximate_to` and dual-graph rows and only at the points it
+touches, nu is read back off rho in one pass, and the zero points are
+dropped, renumbering every list; a dropped point has multiplicity 0, so
+dropping it changes no kept excess.  A build unloads a few times per
+component, whatever the prescription.  A `ClusterSkeleton` is made only for
+a traced stage and for the result, so an untraced build makes one; each is
+built from the validated base by appends that passed `extend_point`'s
+checks and by restrictions, so it inherits the base's verdict, and no stage
+runs `validate`.
 
 The interior-excess check between prescribed dicriticals runs the
 whole-graph search (`check_interior_excess`) on the first stage and after
@@ -71,14 +74,15 @@ from .cluster import (
 )
 from .errors import CapExceededError, ClusterError, InternalCheckError
 from .weighted import (
-    UnloadResult,
     WeightedCluster,
+    _default_cap,
+    _multiplicities,
+    _unload_steps,
     closed_support,
     dicritical_set,
     embed_indices,
     excesses,
     multiplicities_from_excesses,
-    unload,
     values,
 )
 
@@ -165,6 +169,7 @@ def build(
     sk = base.skeleton
     alpha = request.alpha
     dicriticals = sorted(report.Kplus_Q)
+    base_dicriticals = {sk.tags[p] for p in dicritical_set(base)}
     neighbor = {p: contracted_neighbor(sk.dual_rows, report, p) for p in dicriticals}
 
     if seed_point is None:
@@ -204,14 +209,14 @@ def build(
         # only the first stage and an unloading may break a chain the stage before kept
         local = dicritical is not None
         # every stage starts consistent, so only a target's excess can turn negative
-        if any(stage.rho[q] < 0 for q in targets):
-            result = stage.unload(sk)
-            micro += result.step_count
-            if any(_base_excess(base, stage.tags[p]) > 0 for p in result.touched):
+        negative = sorted(q for q in targets if stage.rho[q] < 0)
+        if negative:
+            steps, touched = stage.unload(negative)
+            micro += steps
+            if any(stage.tags[p] in base_dicriticals for p in touched):
                 raise InternalCheckError(
                     f"{label}: unloading touched a dicritical point of the base cluster"
                 )
-            stage.nu, stage.rho = list(result.cluster.nu), list(result.rho)
             stage.keep(closed_support(stage.nu, stage.proximate_to))
             local = False
         if micro > cap:
@@ -242,8 +247,12 @@ def build(
         dicritical, anchor, label = pending[0], neighbor[pending[0]], "growth loop"
         total_before = sum(at.values())
 
-    # finalize: every base point comes back, at multiplicity zero if absent
-    final = _reattach(stage, sk)
+    # finalize: every base point comes back, at multiplicity zero if absent; a
+    # stage that holds them all is the result, and a traced one is made already
+    if all(t in stage.tag_index for t in sk.tags):
+        final = stages[-1] if trace else stage.cluster(sk)
+    else:
+        final = _reattach(stage, sk)
     stages.append(final)
     certificate = verify(base, report, alpha, final)
     # the points past the base ones were added, in creation order
@@ -257,15 +266,6 @@ def build(
     return CartierResult(final, added, tuple(stages), certificate)
 
 
-def _base_excess(base: WeightedCluster, tag: str) -> int:
-    """The base cluster's excess at the point tagged `tag`; 0 off the base."""
-    sk = base.skeleton
-    p = sk.tag_index.get(tag)
-    if p is None:
-        return 0
-    return base.nu[p] - sum(base.nu[q] for q in sk.proximate_to[p])
-
-
 class _Stage:
     """A stage of the construction, held in lists that change in place.
 
@@ -274,7 +274,9 @@ class _Stage:
     to it, `dual_rows` the dual graph's rows as `ClusterSkeleton.dual_rows`
     does, and `tag_index` each tag's point.  These are the names a skeleton
     reads them by, so `check_attachment` and `check_interior_excess` read a
-    stage as they read a skeleton.
+    stage as they read a skeleton, and `unload`'s engine unloads `rho` on
+    the rows as they are.  A skeleton is made of a stage only to hand it
+    out, as a traced stage or the result.
     """
 
     def __init__(self, cluster: WeightedCluster):
@@ -328,14 +330,16 @@ class _Stage:
         skeleton = ClusterSkeleton(tuple(self.parents), tuple(self.proximities), tuple(self.tags))
         return WeightedCluster(_inherit_verdict(base, skeleton), tuple(self.nu))
 
-    def unload(self, base: ClusterSkeleton) -> UnloadResult:
-        """The untraced unloading of the stage, on a skeleton that is given
-        the stage's `proximate_to` and dual-graph rows, so it derives neither."""
-        cluster = self.cluster(base)
-        cached = cluster.skeleton.__dict__
-        cached["proximate_to"] = tuple(map(tuple, self.proximate_to))
-        cached["dual_rows"] = dict(self.dual_rows)
-        return unload(cluster, trace=False)
+    def unload(self, negative: list[int]) -> tuple[int, list[int]]:
+        """Unload the stage in place and untraced, from its ascending
+        `negative` points, by `unload`'s engine on the stage's `rho`,
+        `proximate_to` and dual-graph rows, then read nu back off `rho`.
+        Returns the step count and the touched points."""
+        count, touched, _ = _unload_steps(
+            self.rho, negative, self.proximate_to, self.dual_rows, _default_cap(self.nu), False
+        )
+        self.nu = _multiplicities(self.rho, self.proximate_to)
+        return count, touched
 
 
 def _may_break_a_chain(stage: _Stage, targets: Sequence[int], present: set) -> bool:
@@ -387,14 +391,11 @@ def _reattach(stage: _Stage, base: ClusterSkeleton) -> WeightedCluster:
     """The stage as a weighted cluster with every base point it lacks
     re-attached at multiplicity 0.
 
-    A stage holding every base point is made as it is.  Otherwise one pass
-    lays out the base's points, in base order, then the stage's added
-    points, in their stage order.  A base satellite whose position an added
-    point took raises ClusterError, as `extend_point` would; no other rule
-    can break, since each added point passed them in the stage.
+    One pass lays out the base's points, in base order, then the stage's
+    added points, in their stage order.  A base satellite whose position an
+    added point took raises ClusterError, as `extend_point` would; no other
+    rule can break, since each added point passed them in the stage.
     """
-    if all(t in stage.tag_index for t in base.tags):
-        return stage.cluster(base)
     parents, proximities, tags = list(base.parents), list(base.proximities), list(base.tags)
     nu = [0] * len(base)
     index = dict(base.tag_index)

@@ -147,31 +147,71 @@ def unload(
 ) -> UnloadResult:
     """Unload until no excess is negative.
 
-    Works in value form: a step at p raises the value v_p by
-    inc = ceil(-rho_p / w_p), w_p = r_p + 1, and leaves every other value
-    alone.  The excesses are rho = A·v, A the dual tree's matrix (A_pp = w_p,
-    A_pq = -1 when E_p meets E_q), so the step adds w_p·inc to rho_p,
-    subtracts inc from rho_x at each dual-graph neighbour x of p, and moves
-    no other excess.  The lowest-index negative point is always unloaded
-    next; the result is independent of that choice (`oracle.reference_unload`
-    takes any order, and the tests compare the two).  The cap is a bug trap
-    only: termination is guaranteed.
+    The excesses are computed once and handed to the engine,
+    `_unload_steps`, which works in value form on the dual tree and always
+    unloads the lowest-index negative point next; the result is independent
+    of that choice (`oracle.reference_unload` takes any order, and the tests
+    compare the two).  The excesses determine the multiplicities
+    (`multiplicities_from_excesses`), so the unloaded cluster is read off
+    the final excesses in one pass.  The cap is a bug trap only:
+    termination is guaranteed, and its default is `_default_cap`.
 
     `trace=False` builds no step records: the result's `steps` is empty, and
     its `step_count`, `touched`, `rho` and cluster are those of a traced
     call.  The cap counts steps in both modes, and a `CapExceededError`
     carries the steps taken as its `trace` when traced, and `()` when not.
 
-    The excesses are computed once, and a step changes nothing else.  The
-    first step at p reads w_p and p's row of the skeleton's `dual_rows`
-    (carried from the skeleton it was extended from, or derived once per
-    skeleton), split into the neighbours below p (targets of p) and those
-    above it, and keeps them for the call; the points whose row was read
-    are the result's `touched`.  A tame step (rho_p = -1, the unit step of
+    The up-front skeleton check reads the verdict stored on the skeleton, so
+    only the first check of a skeleton runs `validate`.
+    """
+    sk = cluster.skeleton
+    sk.require_valid()
+    prox_to = sk.proximate_to
+    rho = _excesses(cluster.nu, prox_to)
+    queue = [p for p, r in enumerate(rho) if r < 0]  # ascending, so already a heap
+    if not queue:
+        return UnloadResult(cluster, (), tuple(rho), 0, frozenset())
+    if cap is None:
+        cap = _default_cap(cluster.nu)
+    count, touched, steps = _unload_steps(rho, queue, prox_to, sk.dual_rows, cap, trace)
+    nu = _multiplicities(rho, prox_to)
+    return UnloadResult(
+        WeightedCluster(sk, tuple(nu)), tuple(steps), tuple(rho), count, frozenset(touched)
+    )
+
+
+def _default_cap(nu: Sequence[int]) -> int:
+    """The unloading's safety cap on steps: 10·max(1, sum |nu_p|)·n²."""
+    return 10 * max(1, sum(map(abs, nu))) * len(nu) ** 2
+
+
+def _unload_steps(
+    rho: list[int], queue: list[int], proximate_to, dual_rows, cap: int, trace: bool
+) -> tuple[int, list[int], list[UnloadStep]]:
+    """The unloading engine: unload the excesses `rho`, in place, until none
+    is negative, and return the step count, the touched points and the step
+    records (none unless `trace`).
+
+    `queue` is the ascending list of the points with a negative excess, so
+    already a heap, and is consumed.  The caller's storage gives the rest:
+    `proximate_to[p]` is the row of points proximate to p, so
+    w_p = len(proximate_to[p]) + 1, and `dual_rows[p]` p's dual-graph
+    neighbours, ascending.  A step past `cap` raises `CapExceededError`,
+    whose `trace` holds the records taken.
+
+    A step at p raises the value v_p by inc = ceil(-rho_p / w_p) and leaves
+    every other value alone.  The excesses are rho = A·v, A the dual tree's
+    matrix (A_pp = w_p, A_pq = -1 when E_p meets E_q), so the step adds
+    w_p·inc to rho_p, subtracts inc from rho_x at each dual-graph neighbour
+    x of p, and moves no other excess.  The lowest-index negative point is
+    always unloaded next.
+
+    The first step at p reads w_p and p's row of `dual_rows`, split into
+    the neighbours below p (targets of p) and those above it, and keeps
+    them for the call; the points whose row was read are the touched ones,
+    in the order first unloaded.  A tame step (rho_p = -1, the unit step of
     Laufer's computation sequence and almost every step of a long
-    unloading) sets inc = 1 and rho_p = w_p - 1 without a division.  The excesses determine
-    the multiplicities (`multiplicities_from_excesses`), so the unloaded
-    cluster is read off the final excesses in one pass.
+    unloading) sets inc = 1 and rho_p = w_p - 1 without a division.
 
     Worklist invariant: a min-heap of point indices plus the hand-off hold
     exactly the points with a negative excess, each once.  A step leaves p
@@ -187,34 +227,22 @@ def unload(
 
     Step records are frozen values shared within a call (see `UnloadStep`):
     a long trace repeats a few steps many times, and building a record
-    costs more than a step's arithmetic.  The up-front skeleton check reads
-    the verdict stored on the skeleton, so only the first check of a
-    skeleton runs `validate`.
+    costs more than a step's arithmetic.
     """
-    sk = cluster.skeleton
-    sk.require_valid()
-    n_points = len(sk)
-    prox_to = sk.proximate_to
-    rho = _excesses(cluster.nu, prox_to)
-    queue = [p for p, r in enumerate(rho) if r < 0]  # ascending, so already a heap
-    if not queue:
-        return UnloadResult(cluster, (), tuple(rho), 0, frozenset())
-    if cap is None:
-        cap = 10 * max(1, sum(map(abs, cluster.nu))) * n_points * n_points
     # p -> (w_p, p's dual-graph neighbours below p, those above p)
-    rows: list = [None] * n_points
+    rows: list = [None] * len(rho)
     touched: list[int] = []
     steps: list[UnloadStep] = []
-    tame_steps: list = [None] * n_points if trace else []
+    tame_steps: list = [None] * len(rho) if trace else []
     records: dict[tuple[int, int], UnloadStep] = {}
     count = 0
     p = heappop(queue)
     while True:
         row = rows[p]
         if row is None:
-            neighbours = sk.dual_rows[p]
+            neighbours = dual_rows[p]
             split = bisect(neighbours, p)
-            row = rows[p] = (len(prox_to[p]) + 1, neighbours[:split], neighbours[split:])
+            row = rows[p] = (len(proximate_to[p]) + 1, neighbours[:split], neighbours[split:])
             touched.append(p)
         w, below, above = row
         rho_p = rho[p]
@@ -264,10 +292,7 @@ def unload(
             p = heappop(queue)
         else:
             break
-    nu = _multiplicities(rho, prox_to)
-    return UnloadResult(
-        WeightedCluster(sk, tuple(nu)), tuple(steps), tuple(rho), count, frozenset(touched)
-    )
+    return count, touched, steps
 
 
 # -- Dropping zero points ----------------------------------------------------------

@@ -22,6 +22,8 @@ Core claims:
       gives, raises its error where it does, changes the stage exactly when
       a base point is missing, and puts every base point first, in base order
     - every stage of a build is consistent
+    - a traced build whose last stage holds every base point keeps that
+      stage as its result, the same object, and makes no second skeleton
     - a build that exceeds the safety cap raises with the cap in its message
       and carries the stages done before the overrun, the start first; an
       untraced build's overrun carries no stage
@@ -34,11 +36,13 @@ Core claims:
     - a growth stage attaches where a walk along the satellites of its
       dicritical from the anchor ends, also after an unloading dropped the
       satellite the builder appended last
-    - every skeleton the builder makes of its stage (traced stages, the
-      input of each unloading, the result) equals, field for field and in
-      each cache it is handed, the stage that the `extend_point` chain with
-      `unload` and `drop_zero_points` gives, and so do the stage's lists at
-      every append, also after an unloading dropped points
+    - every skeleton the builder makes of its stage (traced stages and the
+      result) equals, field for field and in each cache it holds, the stage
+      that the `extend_point` chain with `unload` and `drop_zero_points`
+      gives, and so do the stage's lists at every append, also after an
+      unloading dropped points, and on both sides of every unloading, which
+      the stage runs on its own lists with `unload`'s step count and
+      touched points
     - the stage's own dual-graph rows equal fresh ones at every stage the
       builder checks, and the interior-excess check, one search per
       dicritical, agrees with one chain per pair of dicriticals, message
@@ -196,19 +200,17 @@ def test_cap_overrun_carries_the_stages_before_it(monkeypatch):
     request = CartierRequest(cluster, report, alpha)
     stages = build(request).trace
     cap = 4 * sum(alpha.values()) * len(cluster.skeleton) ** 2
-    real = cartier.unload
+    real = _Stage.unload
     unloaded = []
 
-    def repeating(stage, *, trace=True):
+    def repeating(stage, negative):
         # the real steps; from the second unloading on, repeated past the cap
-        result = real(stage, trace=trace)
-        unloaded.append(result)
+        step_count, touched = real(stage, negative)
+        unloaded.append(WeightedCluster(_skeleton_of(stage), tuple(stage.nu)))
         times = cap if len(unloaded) > 1 else 1
-        return dataclasses.replace(
-            result, steps=result.steps * times, step_count=result.step_count * times
-        )
+        return step_count * times, touched
 
-    monkeypatch.setattr(cartier, "unload", repeating)
+    monkeypatch.setattr(_Stage, "unload", repeating)
     with pytest.raises(CapExceededError) as raised:
         build(request)
     assert str(raised.value) == f"builder exceeded the {cap}-step safety cap"
@@ -216,7 +218,7 @@ def test_cap_overrun_carries_the_stages_before_it(monkeypatch):
     assert len(unloaded) == 2 and len(done) > 2
     # the start first, then every stage up to the one whose unloading overran
     assert done == stages[: len(done)]
-    assert stages[len(done)] == drop_zero_points(unloaded[-1].cluster).cluster
+    assert stages[len(done)] == drop_zero_points(unloaded[-1]).cluster
 
     unloaded.clear()
     with pytest.raises(CapExceededError) as raised:
@@ -398,6 +400,18 @@ def test_every_stage_is_consistent(corpus):
             assert min(excesses(stage)) >= 0
 
 
+def test_a_last_stage_holding_every_base_point_is_the_result(corpus):
+    whole = 0
+    for request in _corpus_requests(corpus):
+        trace = build(request).trace
+        holds_every_base_point = all(
+            t in trace[-2].skeleton.tag_index for t in request.base.skeleton.tags
+        )
+        assert (trace[-1] is trace[-2]) == holds_every_base_point
+        whole += holds_every_base_point
+    assert whole > 150, whole  # 180 of the 600
+
+
 def test_an_untraced_build_keeps_only_the_result(corpus, d1, d1_report):
     requests = _corpus_requests(corpus)
     requests += [CartierRequest(d1, d1_report, {2: a}) for a in (1, 2, 7, 50, 400)]
@@ -490,10 +504,18 @@ def test_every_materialized_stage_equals_the_extend_point_chain(monkeypatch, cor
     `extend_point` per append, and `unload` then `drop_zero_points` where a
     target's excess turned negative.  Every skeleton the builder makes of
     its stage equals the replayed one, field for field and in each cache it
-    is handed, and so do the stage's own lists at every append."""
+    holds, and so do the stage's own lists at every append and on both
+    sides of every unloading, whose step count and touched points are
+    those of `unload`."""
     ref = {}
     counts = {"append": 0, "cluster": 0, "unload": 0, "dropped": 0}
-    real_append, real_cluster, real_unload = _Stage.append, _Stage.cluster, cartier.unload
+    real_append, real_cluster, real_unload = _Stage.append, _Stage.cluster, _Stage.unload
+
+    def same_lists(stage, cluster, rho):
+        sk = cluster.skeleton
+        assert stage.proximate_to == [list(row) for row in sk.proximate_to]
+        assert (stage.tag_index, stage.dual_rows) == (sk.tag_index, sk.dual_rows)
+        assert (stage.nu, stage.rho) == (list(cluster.nu), list(rho))
 
     def same(skeleton, cluster_nu):
         expected = ref["cluster"]
@@ -505,12 +527,9 @@ def test_every_materialized_stage_equals_the_extend_point_chain(monkeypatch, cor
 
     def append(stage, targets, tag):
         cluster = ref["cluster"]
-        sk = cluster.skeleton
-        assert stage.proximate_to == [list(row) for row in sk.proximate_to]
-        assert (stage.tag_index, stage.dual_rows) == (sk.tag_index, sk.dual_rows)
-        assert (stage.nu, stage.rho) == (list(cluster.nu), list(excesses(cluster)))
+        same_lists(stage, cluster, excesses(cluster))
         real_append(stage, targets, tag)
-        grown = WeightedCluster(extend_point(sk, targets, tag), cluster.nu + (1,))
+        grown = WeightedCluster(extend_point(cluster.skeleton, targets, tag), cluster.nu + (1,))
         if min(excesses(grown)) < 0:
             ref["pending"] = grown  # unloaded at the builder's unload
         else:
@@ -519,25 +538,27 @@ def test_every_materialized_stage_equals_the_extend_point_chain(monkeypatch, cor
 
     def cluster(stage, base):
         made = real_cluster(stage, base)
-        if "pending" not in ref:
-            same(made.skeleton, made.nu)
-            counts["cluster"] += 1
+        same(made.skeleton, made.nu)
+        counts["cluster"] += 1
         return made
 
-    def unloading(candidate, *, trace):
+    def unloading(stage, negative):
         grown = ref.pop("pending")
-        ref["cluster"] = grown
-        same(candidate.skeleton, candidate.nu)
-        result = real_unload(candidate, trace=trace)
-        dropped = drop_zero_points(unload(grown).cluster)
+        same_lists(stage, grown, excesses(grown))
+        assert negative == [p for p, r in enumerate(stage.rho) if r < 0]
+        step_count, touched = real_unload(stage, negative)
+        expected = unload(grown)
+        same_lists(stage, expected.cluster, expected.rho)
+        assert (step_count, frozenset(touched)) == (expected.step_count, expected.touched)
+        dropped = drop_zero_points(expected.cluster)
         ref["cluster"] = dropped.cluster
         counts["unload"] += 1
         counts["dropped"] += bool(dropped.dropped)
-        return result
+        return step_count, touched
 
     monkeypatch.setattr(_Stage, "append", append)
     monkeypatch.setattr(_Stage, "cluster", cluster)
-    monkeypatch.setattr(cartier, "unload", unloading)
+    monkeypatch.setattr(_Stage, "unload", unloading)
     for request in _corpus_requests(corpus)[:300]:
         sk = request.base.skeleton
         combined = multiplicities_from_excesses(sk, [request.alpha.get(p, 0) for p in sk.points])

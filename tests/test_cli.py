@@ -380,16 +380,14 @@ def test_unload_cap_overrun_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_builder_cap_overrun_exits_3(d1_file, capsys, monkeypatch):
-    real = sandwiched.cartier.unload
+    real = sandwiched.cartier._Stage.unload
 
-    def repeating(cluster, *, trace=True):
+    def repeating(stage, negative):
         # the real steps, repeated past the builder's cap of 4 * 2 * 3^2
-        result = real(cluster, trace=trace)
-        return dataclasses.replace(
-            result, steps=result.steps * 72, step_count=result.step_count * 72
-        )
+        step_count, touched = real(stage, negative)
+        return step_count * 72, touched
 
-    monkeypatch.setattr(sandwiched.cartier, "unload", repeating)
+    monkeypatch.setattr(sandwiched.cartier._Stage, "unload", repeating)
     code, out, err = run(capsys, "cartier", d1_file, "--at", "c0", "--alpha", "q1=2")
     assert code == 3
     assert out == ""

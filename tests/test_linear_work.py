@@ -23,13 +23,15 @@ Core claims:
       unloading drops points: both read the base's rows, each append
       updates the stage's rows, and a drop renumbers them
       (`restrict_adjacency`) without deriving them again
-    - an untraced build makes at most unloadings + 2 `ClusterSkeleton`
-      objects, on d1 at alpha 2,000 and on the 8-component ladder instance
-      at alpha 100: the stage grows in lists, and a skeleton is made only
-      for an unloading and for the result
-    - on that instance the whole-graph interior-excess search runs at most
-      once per unloading plus once for the first stage: a stage that only
-      appended a point is checked by the local rule
+    - an untraced build makes exactly one `ClusterSkeleton`, the result's,
+      and calls no public `unload`, on d1 at alpha 2,000 and on the
+      8-component ladder instance at alpha 100: the stage grows and unloads
+      in lists
+    - on the same two builds, each unloading of the stage reads the
+      dual-graph row of each point it touches once, and no other row
+    - on the 8-component instance the whole-graph interior-excess search
+      runs at most once per unloading plus once for the first stage: a
+      stage that only appended a point is checked by the local rule
     - an untraced `unload` reads `proximities` at most 10n times, validation
       included, on the chain weighted (1, ..., 1, 200) (19,290 steps) and on
       the K_w that `enumerate_singularities` unloads on make_dr(100) (10,001
@@ -42,7 +44,8 @@ Core claims:
 
 Every read of the base skeleton's `parents` goes through `CountedParents`,
 and every read of an unloaded skeleton's `proximities` through
-`CountedProximities`: tuples whose `__getitem__` counts; the heap calls
+`CountedProximities`: tuples whose `__getitem__` counts; every read of an
+unloading stage's dual-graph rows through `CountedRows`; the heap calls
 through the `heap_calls` fixture.  No clock is read: the counts and the
 allocation peak do not depend on the machine's speed.
 """
@@ -62,7 +65,7 @@ from sandwiched import (
     unload,
 )
 from sandwiched.analyzer import enumerate_singularities, extend, zero_excess_components
-from sandwiched import cartier
+from sandwiched import cartier, weighted
 from sandwiched import cluster as cluster_module
 from sandwiched.cartier import CartierRequest, build, verify
 from sandwiched.cluster import ClusterSkeleton
@@ -259,25 +262,82 @@ def _many_components():
     return K, report
 
 
-@pytest.mark.parametrize("instance, alpha", [("d1", 2_000), ("many-components", 100)])
-def test_an_untraced_build_makes_at_most_unloadings_plus_two_skeletons(monkeypatch, instance, alpha):
+UNTRACED_BUILDS = pytest.mark.parametrize(
+    "instance, alpha", [("d1", 2_000), ("many-components", 100)]
+)
+
+
+def _untraced_request(instance, alpha) -> CartierRequest:
     if instance == "d1":
         K = make_d1()
         report = analyze(K, Satellite(0, 1))
     else:
         K, report = _many_components()
-    request = CartierRequest(K, report, dict.fromkeys(report.Kplus_Q, alpha))
-    unloads = _counted_calls(monkeypatch, cartier, "unload")
+    return CartierRequest(K, report, dict.fromkeys(report.Kplus_Q, alpha))
+
+
+@UNTRACED_BUILDS
+def test_an_untraced_build_makes_one_skeleton_the_result(monkeypatch, instance, alpha):
+    request = _untraced_request(instance, alpha)
+    unloads = _counted_calls(monkeypatch, cartier._Stage, "unload")
     skeletons = _counted_calls(monkeypatch, ClusterSkeleton, "__init__")
+    public_unloads = _counted_calls(monkeypatch, weighted, "unload")
+    at_verify = []
+    real_verify = cartier.verify
+
+    def verifying(*args):
+        at_verify.append((skeletons["calls"], public_unloads["calls"]))
+        return real_verify(*args)
+
+    monkeypatch.setattr(cartier, "verify", verifying)
     result = build(request, trace=False)
     assert result.certificate.passed and len(result.added) >= alpha - 1
-    assert 0 < skeletons["calls"] <= unloads["calls"] + 2, (skeletons, unloads)
+    assert unloads["calls"] > 0 and skeletons["calls"] == 1, (skeletons, unloads)
+    # the one skeleton is the result's, made before its verification, and
+    # the stage's unloadings run the engine, not the public `unload`
+    assert at_verify == [(1, 0)] and public_unloads["calls"] == 0
+    assert not hasattr(cartier, "unload")
+
+
+class CountedRows(dict):
+    """Dual-graph rows that record each point whose row is read by `[]`."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = []
+
+    def __getitem__(self, p):
+        self.read.append(p)
+        return super().__getitem__(p)
+
+
+@UNTRACED_BUILDS
+def test_an_untraced_builds_unloadings_read_only_their_touched_rows(monkeypatch, instance, alpha):
+    request = _untraced_request(instance, alpha)
+    real = cartier._Stage.unload
+    unloadings = []
+
+    def unloading(stage, negative):
+        rows = stage.dual_rows
+        stage.dual_rows = CountedRows(rows)
+        try:
+            step_count, touched = real(stage, negative)
+        finally:
+            read, stage.dual_rows = stage.dual_rows.read, rows
+        # one read per touched point, in the order the engine first unloads them
+        assert read == touched
+        unloadings.append((len(rows), len(touched)))
+        return step_count, touched
+
+    monkeypatch.setattr(cartier._Stage, "unload", unloading)
+    assert build(request, trace=False).certificate.passed
+    assert unloadings and all(touched < points for points, touched in unloadings), unloadings
 
 
 def test_the_whole_graph_search_runs_once_per_unloading_plus_the_first_stage(monkeypatch):
     K, report = _many_components()
     request = CartierRequest(K, report, dict.fromkeys(report.Kplus_Q, 100))
-    unloads = _counted_calls(monkeypatch, cartier, "unload")
+    unloads = _counted_calls(monkeypatch, cartier._Stage, "unload")
     searches = _counted_calls(monkeypatch, cartier, "check_interior_excess")
     result = build(request, trace=False)
     assert result.certificate.passed and len(result.added) > 700

@@ -27,6 +27,10 @@ Core claims:
       proximate to two points separates them: on every weighting of a
       5-point skeleton with such a satellite, `unload` matches the reference
       loop
+    - the engine behind `unload`, driven directly on list storage (rows of
+      `proximate_to` as lists and a dict of dual-graph rows, as the Cartier
+      stage holds them), gives `unload`'s excesses, touched points, step
+      count and, traced, its steps, on seeded generator instances
     - an `UnloadStep` is a frozen value: its fields cannot be assigned, its
       repr names them, and it is not equal to the tuple of its fields
     - one traced call gives equal steps one shared record, tame and non-tame
@@ -57,7 +61,7 @@ from sandwiched import (
 from sandwiched import oracle
 from sandwiched.analyzer import extend, zero_excess_components
 from sandwiched.oracle import GeneratorConfig, random_skeleton, reference_unload
-from sandwiched.weighted import UnloadStep
+from sandwiched.weighted import UnloadStep, _default_cap, _unload_steps
 
 from conftest import make_dr
 
@@ -104,6 +108,33 @@ def test_matches_reference_on_generator_instances(monkeypatch):
         assert_untraced_agrees(K, result)
         nontame += any(not s.tame for s in result.steps)
     assert nontame > 100  # the non-tame branch is exercised, not just tame steps
+
+
+def test_the_engine_on_list_storage_agrees_with_unload():
+    rng = random.Random(20261019)
+    config = GeneratorConfig(max_points=10, max_multiplicity=5, satellite_probability=0.4)
+    stepped = 0
+    for _ in range(1000):
+        K = oracle._random_cluster(rng, config)
+        K = WeightedCluster(K.skeleton, tuple(m + rng.randint(-3, 1) for m in K.nu))
+        sk = K.skeleton
+        expected = unload(K)
+        for trace in (False, True):
+            rho = list(excesses(K))
+            queue = [p for p, r in enumerate(rho) if r < 0]
+            if not queue:
+                assert expected.step_count == 0
+                break
+            prox_to = [list(row) for row in sk.proximate_to]
+            step_count, touched, steps = _unload_steps(
+                rho, queue, prox_to, dict(sk.dual_rows), _default_cap(K.nu), trace
+            )
+            assert tuple(rho) == expected.rho
+            assert frozenset(touched) == expected.touched and len(touched) == len(expected.touched)
+            assert step_count == expected.step_count
+            assert tuple(steps) == (expected.steps if trace else ())
+            stepped += trace
+    assert stepped > 500
 
 
 def test_matches_reference_on_make_dr_extensions():
