@@ -1,6 +1,6 @@
 """Size ladders of the paper's constructions, timed with pytest-benchmark.
 
-Thirteen series, each a pytest-benchmark test:
+Fourteen series, each a pytest-benchmark test:
 
 - `chain_unload`: `unload` on the chain weighted (1, ..., 1, n), at 50, 100,
   200 and 400 points; records the step count `steps`.  Every round unloads
@@ -10,6 +10,12 @@ Thirteen series, each a pytest-benchmark test:
   points for about the same sizes; its time is almost all unloading.  It
   records the step count `steps` of the K_w it unloads, counted by one
   untraced `unload` outside the timed rounds.
+- `enumerate_staircase`: `enumerate_singularities` on the staircase chain
+  of n points weighted nu_p = n - floor(p/2), whose excesses read 0, 1, 0,
+  1, ..., so it has n/2 singular points, at 500, 1,000 and 2,000 points.
+  Each analysis costs O(n) however little its unloading touches, so the
+  series grows as n^2; it times STAIRCASE_ROUNDS rounds, not ROUNDS, since
+  one call at 2,000 points takes over a second.
 - `analyze_small` and `enumerate_small`: `analyze` at every boundary point
   that `random_boundary_points` picks on 200 seeded generator clusters of at
   most 4, 6, 8 and 10 points, and `enumerate_singularities` on the same
@@ -50,7 +56,8 @@ Thirteen series, each a pytest-benchmark test:
 On a shared machine the CPU speed swings by up to 2x for seconds at a
 time: raw medians of two runs of one tree were seen to differ by up to 60%
 at one size (Xeon vCPU, Python 3.11).  So every series is timed by
-`calibrated`, for ROUNDS rounds after one warm-up: each round's set-up makes
+`calibrated`, for ROUNDS rounds (STAIRCASE_ROUNDS for the staircase)
+after one warm-up: each round's set-up makes
 the arguments and then times the pure-Python calibration loop of
 `perfbench/run.py`, and the round's time is scaled by the loop's reference
 time over its measured time.  The median of the scaled times is recorded as
@@ -120,10 +127,12 @@ UNTRACED_ALPHAS = (1_000, 2_000, 4_000, 8_000)
 UNTRACED_MANY_COMPONENT_ALPHAS = (25, 50, 100, 200)
 HUB_COMPONENTS = (26, 51, 101, 201)
 DUAL_GRAPH_SIZES = (100, 1_000, 10_000)
+STAIRCASE_SIZES = (500, 1_000, 2_000)
+STAIRCASE_ROUNDS = 10
 
 
-def calibrated(benchmark, target, arguments):
-    """`target(*arguments())` timed for ROUNDS rounds, `arguments()` called
+def calibrated(benchmark, target, arguments, rounds=ROUNDS):
+    """`target(*arguments())` timed for `rounds` rounds, `arguments()` called
     and the calibration loop timed in each round's set-up; records the
     median of the calibrated round times as `calibrated_median_s` and
     returns the target's result.  With pytest-benchmark disabled, the
@@ -137,13 +146,13 @@ def calibrated(benchmark, target, arguments):
         calibrations.append(time.perf_counter_ns() - start)
         return args, {}
 
-    result = benchmark.pedantic(target, setup=setup, rounds=ROUNDS, warmup_rounds=1)
+    result = benchmark.pedantic(target, setup=setup, rounds=rounds, warmup_rounds=1)
     if benchmark.enabled:
-        # setup also ran before the warm-up round, so the last ROUNDS
+        # setup also ran before the warm-up round, so the last `rounds`
         # calibrations precede the timed rounds
         benchmark.extra_info["calibrated_median_s"] = statistics.median(
             t * CALIBRATION_REF_NS / c
-            for t, c in zip(benchmark.stats.stats.data, calibrations[-ROUNDS:])
+            for t, c in zip(benchmark.stats.stats.data, calibrations[-rounds:])
         )
     return result
 
@@ -164,6 +173,14 @@ def test_enumerate_make_dr(benchmark, points):
     assert [(r.mult, r.emdim) for r in reports] == [(points // 2 + 1, points // 2 + 2)]
     (component,) = zero_excess_components(K)
     benchmark.extra_info["steps"] = unload(extend(K, FreeOn(component[0])), trace=False).step_count
+
+
+@pytest.mark.parametrize("points", STAIRCASE_SIZES)
+def test_enumerate_staircase(benchmark, points):
+    K = WeightedCluster(chain_skeleton(points), tuple(points - p // 2 for p in range(points)))
+    benchmark.extra_info["points"] = points
+    reports = calibrated(benchmark, enumerate_singularities, lambda: (K,), STAIRCASE_ROUNDS)
+    assert len(reports) == points // 2
 
 
 def corpus(max_points):

@@ -7,7 +7,11 @@ when K_w is not consistent, i.e. when unloading K_w takes a step, and then
 every invariant of Q is read off that one unloading: the contracted
 components T_Q, the multiplicity-drop set B_Q, the dicritical components
 through Q, the fundamental cycle, the multiplicity, embedding dimension,
-branch count and minimality tests.
+branch count and minimality tests.  K_w is not consistent exactly when w
+is proximate to a point of excess 0, so a smooth point is decided from the
+base's excesses alone; for a singular one K_w is a `weighted._Stage` of the
+base with w appended, unloaded in place by the package's one unloading
+engine, and no skeleton is made for it.
 
 Each invariant that admits two independent formulas is computed both ways and
 compared; a mismatch raises InternalCheckError (a bug, never bad input).  The
@@ -21,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .cluster import ClusterSkeleton, DualGraph, bfs, dual_graph, extend_point
+from .cluster import ClusterSkeleton, DualGraph, _fresh_tag, bfs, extend_point
 from .errors import ClusterError, InternalCheckError
-from .weighted import WeightedCluster, excesses, self_intersection, unload, values
+from .weighted import WeightedCluster, _Stage, excesses, self_intersection, values
 
 
 @dataclass(frozen=True)
@@ -114,12 +118,15 @@ def _require_base_cluster(cluster: WeightedCluster) -> tuple[int, ...]:
 def extend(cluster: WeightedCluster, w: BoundaryPoint) -> WeightedCluster:
     """The codimension-one cluster K_w: K plus the point w with multiplicity 1."""
     _require_base_cluster(cluster)
-    return _extend(cluster, w)
-
-
-def _extend(cluster: WeightedCluster, w: BoundaryPoint) -> WeightedCluster:
-    """`extend` on a checked base cluster."""
     sk = cluster.skeleton
+    return WeightedCluster(extend_point(sk, _targets(sk, w)), cluster.nu + (1,))
+
+
+def _targets(sk: ClusterSkeleton, w: BoundaryPoint) -> tuple[int, ...]:
+    """The proximity targets of w, once w is checked to be a boundary point
+    of `sk`: integer indices of points of `sk`, and for a satellite two
+    points whose components meet.  Such a point passes every rule of
+    `check_attachment`."""
     if isinstance(w, FreeOn):
         targets = (w.point,)
     elif isinstance(w, Satellite):
@@ -129,22 +136,20 @@ def _extend(cluster: WeightedCluster, w: BoundaryPoint) -> WeightedCluster:
     for q in targets:
         if isinstance(q, bool) or not isinstance(q, int):
             raise ClusterError(f"boundary point index {q!r} is not an integer")
-    if isinstance(w, Satellite):
-        for q in targets:
-            if not 0 <= q < len(sk):
-                raise ClusterError(f"proximity target {q} is not a point of the cluster")
-        if w.q not in sk.dual_rows[w.p]:
-            raise ClusterError(
-                f"{sk.tags[w.p]} and {sk.tags[w.q]} are not adjacent: their "
-                "components do not meet"
-            )
-    extended = extend_point(sk, targets)
-    return WeightedCluster(extended, cluster.nu + (1,))
+    for q in targets:
+        if not 0 <= q < len(sk):
+            raise ClusterError(f"proximity target {q} is not a point of the cluster")
+    if isinstance(w, Satellite) and w.q not in sk.dual_rows[w.p]:
+        raise ClusterError(
+            f"{sk.tags[w.p]} and {sk.tags[w.q]} are not adjacent: their "
+            "components do not meet"
+        )
+    return targets
 
 
 def analyze(cluster: WeightedCluster, w: BoundaryPoint) -> SingularityReport:
     """Full report for the point of the blow-up determined by w."""
-    return _analyze(cluster, w, _require_base_cluster(cluster), None, None)
+    return _analyze(cluster, w, _require_base_cluster(cluster), None)
 
 
 def _analyze(
@@ -152,30 +157,36 @@ def _analyze(
     w: BoundaryPoint,
     rho_before: tuple[int, ...],
     v_before: Optional[tuple[int, ...]],
-    graph: Optional[DualGraph],
 ) -> SingularityReport:
     """`analyze` on a checked base cluster with excesses `rho_before`; its
-    values and its dual graph are each computed at most once, unless
-    `v_before` and `graph` already are them."""
+    values are computed at most once, unless `v_before` already is them.
+
+    K_w is a `_Stage` of the base with w appended, unloaded in place, and
+    made only for a singular point."""
     sk = cluster.skeleton
-    # unloading takes a step exactly when some excess of K_w is negative
-    result = unload(_extend(cluster, w), trace=False)
-    if not result.step_count:
+    targets = _targets(sk, w)
+    # appending w lowers each target's excess by 1, so K_w needs unloading
+    # (Q is singular) exactly when some target has excess 0
+    negative = sorted(q for q in targets if rho_before[q] == 0)
+    if not negative:
         return SingularityReport(w=w, smooth=True)
 
     n = len(sk)
-    unloaded = result.cluster
+    k_w = _Stage(cluster)
+    k_w.append(targets, _fresh_tag("w", sk.tags))
+    _, touched = k_w.unload(negative)
+    nu_after, rho_after = k_w.nu, k_w.rho
+    unloaded = WeightedCluster(sk, tuple(nu_after[:n]))
 
     if v_before is None:
         v_before = values(cluster)
     v_after = values(unloaded)
-    nu_after = unloaded.nu
     _check(nu_after[n] == 0, "attached point kept nonzero multiplicity after unloading")
 
     t_q = tuple(p for p in sk.points if v_after[p] > v_before[p])
     _check(bool(t_q), "inconsistent extension produced no unloaded points")
     _check(
-        frozenset(t_q) == result.touched - {n},
+        frozenset(t_q) == frozenset(touched) - {n},
         "value-increase set differs from unloading trace",
     )
 
@@ -202,11 +213,8 @@ def _analyze(
         (b1_q if hits == 1 else b2_q).append(p)
     _check(set(b2_q) <= t_set, "a contracted-satellite point lies outside the contracted set")
 
-    if graph is None:
-        graph = dual_graph(sk)
-    kplus_q = tuple(
-        sorted(p for p in k_plus if any(q in t_set for q in graph.adjacency[p]))
-    )
+    rows = sk.dual_rows
+    kplus_q = tuple(sorted(p for p in k_plus if any(q in t_set for q in rows[p])))
 
     z = tuple(v_after[p] - v_before[p] for p in sk.points)
     _check(all(z[p] >= 1 for p in t_q), "fundamental cycle not >= 1 on the contracted set")
@@ -223,7 +231,6 @@ def _analyze(
 
     # consistency also rules out blocked zero points: with every nu >= 0, only
     # zero points can be proximate to a zero point
-    rho_after = result.rho
     _check(min(rho_after) >= 0, "unloaded cluster is not consistent")
     b1_in_t = [p for p in b1_q if p in t_set]
     br = mult - len(b1_in_t)
@@ -263,7 +270,12 @@ def _analyze(
     if all(flags_embed):
         _check(minimal, "component-count equality holding on a non-minimal singularity")
 
-    resolution = graph.induced(t_q)
+    # the dual graph induced on T_Q: its edges ascend as `dual_graph`'s do
+    resolution = DualGraph(
+        t_q,
+        tuple((p, q) for p in t_q for q in rows[p] if q > p and q in t_set),
+        tuple(len(sk.proximate_to[p]) + 1 for p in t_q),
+    )
     if minimal:
         total = sum(
             resolution.weight(p) - resolution.degree(p) for p in resolution.vertices
@@ -320,10 +332,9 @@ def enumerate_singularities(cluster: WeightedCluster) -> list[SingularityReport]
     """
     rho = _require_base_cluster(cluster)
     v = values(cluster)
-    graph = dual_graph(cluster.skeleton)
     reports = []
-    for component in _zero_excess_components(rho, graph.adjacency):
-        report = _analyze(cluster, FreeOn(component[0]), rho, v, graph)
+    for component in _zero_excess_components(rho, cluster.skeleton.dual_rows):
+        report = _analyze(cluster, FreeOn(component[0]), rho, v)
         _check(not report.smooth, "zero-excess component analyzed as smooth")
         _check(
             report.T_Q == component,

@@ -25,9 +25,10 @@ points proximate to it, each proximate to the one before, so the next one
 attaches to the last of them in the stage's `proximate_to` row, or to the
 anchor when none is left.
 
-The stage lives in lists that grow in place (`_Stage`): the points'
-parents, proximities and tags, the rows of `proximate_to` and of the dual
-graph, the tag index, the multiplicities nu and the excesses rho.  Appending
+The stage lives in lists that grow in place (`weighted._Stage`, the list
+type of the analyzer's K_w too): the points' parents, proximities and
+tags, the rows of `proximate_to` and of the dual graph, the tag index, the
+multiplicities nu and the excesses rho.  Appending
 a point of multiplicity 1 makes `extend_point`'s checks, updates each list
 at the point's targets and gives it excess 1, so a stage costs the degree of
 its targets, not the number of points.  Only an unloading, which runs only
@@ -64,20 +65,11 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .analyzer import SingularityReport, contracted_neighbor
-from .cluster import (
-    ClusterSkeleton,
-    _inherit_verdict,
-    bfs,
-    check_attachment,
-    extend_adjacency,
-    restrict_adjacency,
-)
+from .cluster import ClusterSkeleton, _inherit_verdict, bfs
 from .errors import CapExceededError, ClusterError, InternalCheckError
 from .weighted import (
     WeightedCluster,
-    _default_cap,
-    _multiplicities,
-    _unload_steps,
+    _Stage,
     closed_support,
     dicritical_set,
     embed_indices,
@@ -264,82 +256,6 @@ def build(
         for p in fsk.points[len(sk) :]
     )
     return CartierResult(final, added, tuple(stages), certificate)
-
-
-class _Stage:
-    """A stage of the construction, held in lists that change in place.
-
-    `parents`, `proximities`, `tags`, `nu` and `rho` are per point;
-    `proximate_to` holds each point's ascending row of the points proximate
-    to it, `dual_rows` the dual graph's rows as `ClusterSkeleton.dual_rows`
-    does, and `tag_index` each tag's point.  These are the names a skeleton
-    reads them by, so `check_attachment` and `check_interior_excess` read a
-    stage as they read a skeleton, and `unload`'s engine unloads `rho` on
-    the rows as they are.  A skeleton is made of a stage only to hand it
-    out, as a traced stage or the result.
-    """
-
-    def __init__(self, cluster: WeightedCluster):
-        sk = cluster.skeleton
-        self.parents = list(sk.parents)
-        self.proximities = list(sk.proximities)
-        self.tags = list(sk.tags)
-        self.tag_index = dict(sk.tag_index)
-        self.proximate_to = [list(row) for row in sk.proximate_to]
-        self.dual_rows = dict(sk.dual_rows)
-        self.nu = list(cluster.nu)
-        self.rho = list(excesses(cluster))
-
-    def append(self, targets: Sequence[int], tag: str) -> None:
-        """Append a point of multiplicity 1 proximate to `targets`, as
-        `extend_point` would, with its checks: each target's excess falls by
-        1, and the new point's is 1."""
-        targets = frozenset(targets)
-        parent = check_attachment(self, targets, tag)
-        n = len(self.tags)
-        self.parents.append(parent)
-        self.proximities.append(targets)
-        self.tags.append(tag)
-        self.tag_index[tag] = n
-        for q in targets:
-            self.proximate_to[q].append(n)
-            self.rho[q] -= 1
-        self.proximate_to.append([])
-        extend_adjacency(self.dual_rows, targets)
-        self.nu.append(1)
-        self.rho.append(1)
-
-    def keep(self, kept: Sequence[int]) -> None:
-        """Keep the points `kept`, ascending and closed under proximity
-        targets, numbered 0, 1, ... in order, as `restrict` numbers them."""
-        if len(kept) == len(self.tags):
-            return
-        self.dual_rows = restrict_adjacency(self.dual_rows, self.proximities, kept)
-        index = {old: new for new, old in enumerate(kept)}
-        parents, proximities, prox_to = self.parents, self.proximities, self.proximate_to
-        self.parents = [None if parents[p] is None else index[parents[p]] for p in kept]
-        self.proximities = [frozenset(index[q] for q in proximities[p]) for p in kept]
-        self.proximate_to = [[index[q] for q in prox_to[p] if q in index] for p in kept]
-        self.tags = [self.tags[p] for p in kept]
-        self.tag_index = {tag: p for p, tag in enumerate(self.tags)}
-        self.nu = [self.nu[p] for p in kept]
-        self.rho = [self.rho[p] for p in kept]
-
-    def cluster(self, base: ClusterSkeleton) -> WeightedCluster:
-        """The stage as a weighted cluster, known valid when `base` is."""
-        skeleton = ClusterSkeleton(tuple(self.parents), tuple(self.proximities), tuple(self.tags))
-        return WeightedCluster(_inherit_verdict(base, skeleton), tuple(self.nu))
-
-    def unload(self, negative: list[int]) -> tuple[int, list[int]]:
-        """Unload the stage in place and untraced, from its ascending
-        `negative` points, by `unload`'s engine on the stage's `rho`,
-        `proximate_to` and dual-graph rows, then read nu back off `rho`.
-        Returns the step count and the touched points."""
-        count, touched, _ = _unload_steps(
-            self.rho, negative, self.proximate_to, self.dual_rows, _default_cap(self.nu), False
-        )
-        self.nu = _multiplicities(self.rho, self.proximate_to)
-        return count, touched
 
 
 def _may_break_a_chain(stage: _Stage, targets: Sequence[int], present: set) -> bool:

@@ -327,6 +327,8 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    if args.view == "dual" and args.format != "dot":
+        raise ClusterError("export --view dual has only a dot form")
     name, cluster = _load(args.file, args.name)
     if args.format == "dsl":
         _emit(dsl.serialize(name, cluster), args.output)

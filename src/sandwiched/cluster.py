@@ -247,7 +247,10 @@ def chain_skeleton(length: int) -> ClusterSkeleton:
 def extend_point(
     skeleton: ClusterSkeleton, targets: Iterable[int], tag: Optional[str] = None
 ) -> ClusterSkeleton:
-    """Append one new point proximate to `targets`; parent is the latest target."""
+    """Append one new point proximate to `targets`; parent is the latest target.
+
+    The result inherits the validity verdict of `skeleton`; its derived data
+    (`proximate_to`, `tag_index`, `dual_rows`) is computed on demand."""
     targets = frozenset(targets)
     if tag is None:
         tag = _fresh_tag("w", skeleton.tags)
@@ -257,7 +260,6 @@ def extend_point(
         skeleton.proximities + (targets,),
         skeleton.tags + (tag,),
     )
-    _carry_caches(skeleton, extended, targets)
     return _inherit_verdict(skeleton, extended)
 
 
@@ -293,31 +295,6 @@ def check_attachment(skeleton, targets: frozenset, tag: str) -> int:
                     f"satellite position already occupied by point {skeleton.tags[q]}"
                 )
     return parent
-
-
-def _carry_caches(source: ClusterSkeleton, extended: ClusterSkeleton, targets: frozenset) -> None:
-    """Give `extended` (`source` plus one point proximate to `targets`) an
-    updated copy of each cache that `source` already holds.
-
-    The new point n is the largest index, so appending it keeps each
-    target's row of `proximate_to` ascending; nothing is proximate to n.
-    Caches that `source` does not hold are left to be computed on demand.
-    """
-    cached = source.__dict__
-    carried = extended.__dict__
-    n = len(source)
-    if "proximate_to" in cached:
-        rows = list(cached["proximate_to"])
-        for q in targets:
-            rows[q] += (n,)
-        rows.append(())
-        carried["proximate_to"] = tuple(rows)
-    if "tag_index" in cached:
-        carried["tag_index"] = {**cached["tag_index"], extended.tags[n]: n}
-    if "dual_rows" in cached:
-        rows = dict(cached["dual_rows"])
-        extend_adjacency(rows, targets)
-        carried["dual_rows"] = rows
 
 
 def _inherit_verdict(source: ClusterSkeleton, derived: ClusterSkeleton) -> ClusterSkeleton:
@@ -506,7 +483,8 @@ def extend_adjacency(adjacency: dict, targets: Collection[int]) -> None:
     """Update, in place, the dual graph's `adjacency` rows of a skeleton to
     those of `extend_point(skeleton, targets)`.
 
-    The one statement of the blow-up rule, for `dual_rows` and the carry.
+    The one statement of the blow-up rule, for `dual_rows` and for the
+    lists of a `weighted._Stage`.
     Blowing up the new point n changes the graph only locally: a free point
     on E_p adds n to the row of p; a satellite at E_a ∩ E_b separates a and
     b and adds n to both rows.  n is the largest index, so every row stays

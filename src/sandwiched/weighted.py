@@ -7,6 +7,12 @@ is proximate to) and the excesses rho (rho_p = nu_p minus the sum of nu over
 the points proximate to p).  A cluster is consistent when no excess is
 negative; unloading turns any cluster into the unique consistent one defining
 the same ideal.
+
+One engine, `_unload_steps`, runs every unloading step of the package, on
+its caller's excesses and rows.  `unload` wraps it for a `WeightedCluster`.
+`_Stage` holds a cluster in lists that change in place and unloads them by
+the same engine: the Cartier builder grows its stages in one, and the
+analyzer's K_w is one with a single point appended.
 """
 
 from __future__ import annotations
@@ -16,7 +22,14 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
 
-from .cluster import ClusterSkeleton, restrict
+from .cluster import (
+    ClusterSkeleton,
+    _inherit_verdict,
+    check_attachment,
+    extend_adjacency,
+    restrict,
+    restrict_adjacency,
+)
 from .errors import CapExceededError, ClusterError
 
 
@@ -293,6 +306,84 @@ def _unload_steps(
         else:
             break
     return count, touched, steps
+
+
+class _Stage:
+    """A weighted cluster held in lists that change in place, for every
+    append-and-unload of the package: a stage of the Cartier construction,
+    and the analyzer's K_w, the base cluster with one point appended.
+
+    `parents`, `proximities`, `tags`, `nu` and `rho` are per point;
+    `proximate_to` holds each point's ascending row of the points proximate
+    to it, `dual_rows` the dual graph's rows as `ClusterSkeleton.dual_rows`
+    does, and `tag_index` each tag's point.  These are the names a skeleton
+    reads them by, so `check_attachment` and `cartier.check_interior_excess`
+    read a stage as they read a skeleton, and `_unload_steps` unloads `rho`
+    on the rows as they are.  A skeleton is made of a stage only to hand it
+    out, as a traced Cartier stage or the builder's result.
+    """
+
+    def __init__(self, cluster: WeightedCluster):
+        sk = cluster.skeleton
+        self.parents = list(sk.parents)
+        self.proximities = list(sk.proximities)
+        self.tags = list(sk.tags)
+        self.tag_index = dict(sk.tag_index)
+        self.proximate_to = [list(row) for row in sk.proximate_to]
+        self.dual_rows = dict(sk.dual_rows)
+        self.nu = list(cluster.nu)
+        self.rho = list(excesses(cluster))
+
+    def append(self, targets: Sequence[int], tag: str) -> None:
+        """Append a point of multiplicity 1 proximate to `targets`, as
+        `extend_point` would, with its checks: each target's excess falls by
+        1, and the new point's is 1."""
+        targets = frozenset(targets)
+        parent = check_attachment(self, targets, tag)
+        n = len(self.tags)
+        self.parents.append(parent)
+        self.proximities.append(targets)
+        self.tags.append(tag)
+        self.tag_index[tag] = n
+        for q in targets:
+            self.proximate_to[q].append(n)
+            self.rho[q] -= 1
+        self.proximate_to.append([])
+        extend_adjacency(self.dual_rows, targets)
+        self.nu.append(1)
+        self.rho.append(1)
+
+    def keep(self, kept: Sequence[int]) -> None:
+        """Keep the points `kept`, ascending and closed under proximity
+        targets, numbered 0, 1, ... in order, as `restrict` numbers them."""
+        if len(kept) == len(self.tags):
+            return
+        self.dual_rows = restrict_adjacency(self.dual_rows, self.proximities, kept)
+        index = {old: new for new, old in enumerate(kept)}
+        parents, proximities, prox_to = self.parents, self.proximities, self.proximate_to
+        self.parents = [None if parents[p] is None else index[parents[p]] for p in kept]
+        self.proximities = [frozenset(index[q] for q in proximities[p]) for p in kept]
+        self.proximate_to = [[index[q] for q in prox_to[p] if q in index] for p in kept]
+        self.tags = [self.tags[p] for p in kept]
+        self.tag_index = {tag: p for p, tag in enumerate(self.tags)}
+        self.nu = [self.nu[p] for p in kept]
+        self.rho = [self.rho[p] for p in kept]
+
+    def cluster(self, base: ClusterSkeleton) -> WeightedCluster:
+        """The stage as a weighted cluster, known valid when `base` is."""
+        skeleton = ClusterSkeleton(tuple(self.parents), tuple(self.proximities), tuple(self.tags))
+        return WeightedCluster(_inherit_verdict(base, skeleton), tuple(self.nu))
+
+    def unload(self, negative: list[int]) -> tuple[int, list[int]]:
+        """Unload the stage in place and untraced, from its ascending
+        `negative` points, by `unload`'s engine on the stage's `rho`,
+        `proximate_to` and dual-graph rows, then read nu back off `rho`.
+        Returns the step count and the touched points."""
+        count, touched, _ = _unload_steps(
+            self.rho, negative, self.proximate_to, self.dual_rows, _default_cap(self.nu), False
+        )
+        self.nu = _multiplicities(self.rho, self.proximate_to)
+        return count, touched
 
 
 # -- Dropping zero points ----------------------------------------------------------

@@ -7,9 +7,13 @@ cross-checks, and prints one PASS line with the corpus size it covered.
 
 import random
 import time
+from collections import Counter
 
 from sandwiched import (
+    FreeOn,
     WeightedCluster,
+    analyze,
+    canonical,
     dual_graph,
     enumerate_singularities,
     excesses,
@@ -197,8 +201,6 @@ def test_criterion_8_synthesis_round_trip():
     """Synthesized minimal singularities reproduce their resolution graph up
     to weighted isomorphism and attain component count = multiplicity + 1."""
     rng = random.Random(808)
-    from sandwiched import analyze
-
     for _ in range(120):
         spec = random_minimal_graph_spec(rng, max_vertices=8, max_weight=6)
         cluster, w = synthesize(spec)
@@ -262,3 +264,63 @@ def test_criterion_9_on_non_reduced_cycles_of_make_dr():
     assert non_minimal >= 190, (reports, non_minimal)
     print(f"\nACCEPTANCE 9 PASS: make_dr(r, s), r=1..15, s=0..15: {reports} "
           f"singularities, {non_minimal} non-minimal")
+
+
+SCALES = (7, 1_000, 2**70, 10**40)
+
+
+def _named(report, tags):
+    """Every field of a singular report but w, each point named by its tag:
+    the same for two admissible orders of one cluster."""
+    graph = report.resolution_graph
+
+    def points(ps):
+        return frozenset(tags[p] for p in ps)
+
+    return (
+        points(report.T_Q),
+        tags[report.o_Q],
+        frozenset(zip(tags, report.epsilon)),
+        points(report.B_Q),
+        points(report.B1_Q),
+        points(report.B2_Q),
+        points(report.Kplus_Q),
+        frozenset(zip(tags, report.z)),
+        (report.mult, report.emdim, report.br, report.minimal),
+        (report.branches_equality, report.embed_equality),
+        frozenset((tags[v], graph.weight(v)) for v in graph.vertices),
+        frozenset(frozenset((tags[u], tags[v])) for u, v in graph.edges),
+    )
+
+
+def test_criterion_10_scale_and_order(corpus):
+    """The ideal I^c has the blow-up of I for every c >= 1, so the cluster c·K
+    gives K's report at every boundary point, in every field; and a report
+    describes the surface, not the admissible order the points are listed
+    in, so the singularities of the `canonical` relabelling of K are K's,
+    point for point by tag."""
+    rng = random.Random(1010)
+    clusters = {}
+    for instance in corpus:
+        clusters.setdefault(id(instance.cluster), (instance.cluster, []))[1].append(instance)
+    analyses = reordered = 0
+    for K, instances in clusters.values():
+        sk = K.skeleton
+        c = rng.choice(SCALES)
+        scaled = WeightedCluster(sk, tuple(c * m for m in K.nu))
+        for instance in instances:
+            assert analyze(scaled, instance.w) == instance.report, (K, instance.w, c)
+            analyses += 1
+        for p in sk.points:
+            assert analyze(scaled, FreeOn(p)) == analyze(K, FreeOn(p)), (K, p, c)
+            analyses += 1
+        relabelled = canonical(sk)
+        nu = K.by_tag()
+        other = WeightedCluster(relabelled, tuple(nu[t] for t in relabelled.tags))
+        assert Counter(_named(r, sk.tags) for r in enumerate_singularities(K)) == Counter(
+            _named(r, relabelled.tags) for r in enumerate_singularities(other)
+        ), K
+        reordered += relabelled.tags != sk.tags
+    assert reordered > 0
+    print(f"\nACCEPTANCE 10 PASS: {analyses} analyses of {len(clusters)} clusters "
+          f"scaled by c in {{7, 1000, 2^70, 10^40}}; {reordered} clusters reordered")

@@ -15,10 +15,18 @@ Core claims:
     - the excess-shift and fundamental-cycle verifications hold on random
       instances, as do the dicritical split facts
     - the resolution graph carries base-cluster weights and, on minimal
-      singularities, its weight-minus-degree sum gives the multiplicity
+      singularities, its weight-minus-degree sum gives the multiplicity; on
+      the corpus it is the dual graph induced on T_Q
+    - `analyze`, at the smooth and singular free points of the corpus
+      clusters, and `enumerate_singularities` on make_dr(100) make no
+      `ClusterSkeleton` and call neither the public `unload` nor
+      `extend_point` nor `dual_graph`: K_w is one `weighted._Stage`,
+      unloaded in place, and a smooth analysis makes none; calls are
+      counted by a profile hook, not timed
 """
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -36,11 +44,9 @@ from sandwiched import (
     enumerate_singularities,
     excesses,
     extend,
-    multiplicities_from_values,
     unload,
-    values,
 )
-from sandwiched import analyzer
+from sandwiched import cluster, weighted
 from sandwiched.analyzer import zero_excess_components
 from sandwiched.oracle import (
     GeneratorConfig,
@@ -50,7 +56,6 @@ from sandwiched.oracle import (
     verify_coef_fund,
     verify_difexcess,
 )
-from sandwiched.weighted import UnloadResult
 
 from conftest import make_dr
 
@@ -121,16 +126,17 @@ def test_analyze_rejects_inconsistent_and_zero_weight_input():
 def test_an_unloading_stopped_early_is_caught(d1, monkeypatch):
     # after the first of its two steps the unloading of K_w on d1 passes every
     # earlier check; only the consistency of the result tells it is unfinished
-    def first_step_only(cluster, *, trace=True):
-        step = unload(cluster).steps[0]
-        v = list(values(cluster))
-        v[step.point] += step.increment
-        stopped = multiplicities_from_values(cluster.skeleton, v)
-        steps = (step,) if trace else ()
-        return UnloadResult(stopped, steps, excesses(stopped), 1, frozenset({step.point}))
+    def first_step_only(rho, queue, proximate_to, dual_rows, cap, trace):
+        p = queue[0]
+        w = len(proximate_to[p]) + 1
+        inc = (w - 1 - rho[p]) // w
+        rho[p] += inc * w
+        for x in dual_rows[p]:
+            rho[x] -= inc
+        return 1, [p], []
 
     assert len(unload(extend(d1, FreeOn(1))).steps) == 2
-    monkeypatch.setattr(analyzer, "unload", first_step_only)
+    monkeypatch.setattr(weighted, "_unload_steps", first_step_only)
     with pytest.raises(InternalCheckError, match="unloaded cluster is not consistent"):
         analyze(d1, FreeOn(1))
 
@@ -328,6 +334,56 @@ def test_resolution_graph_weight_sum_on_minimal_reports():
                 )
                 assert total == report.mult
     assert seen_minimal > 0
+
+
+def test_the_resolution_graph_is_the_dual_graph_induced_on_the_contracted_set(corpus):
+    for instance in corpus:
+        report = instance.report
+        graph = dual_graph(instance.cluster.skeleton)
+        assert report.resolution_graph == graph.induced(report.T_Q)
+
+
+def _calls(codes, run) -> dict:
+    """The number of calls of each code object of `codes` while `run()` runs."""
+    counts = dict.fromkeys(codes, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+SKELETON_ROUTE = (
+    cluster.ClusterSkeleton.__init__.__code__,
+    weighted.unload.__code__,
+    cluster.extend_point.__code__,
+    cluster.dual_graph.__code__,
+)
+
+
+def test_an_analysis_makes_no_skeleton_and_one_stage_when_singular(corpus):
+    STAGE = weighted._Stage.__init__.__code__
+    clusters = list({id(instance.cluster): instance.cluster for instance in corpus}.values())
+    seen = {True: 0, False: 0}
+    for K in clusters[:500]:
+        for p in K.skeleton.points:
+            reports = []
+            calls = _calls((*SKELETON_ROUTE, STAGE), lambda: reports.append(analyze(K, FreeOn(p))))
+            (report,) = reports
+            assert [calls[code] for code in SKELETON_ROUTE] == [0, 0, 0, 0], (K, p)
+            assert calls[STAGE] == (not report.smooth), (K, p)
+            seen[report.smooth] += 1
+    assert min(seen.values()) > 500, seen
+    K = make_dr(100)
+    calls = _calls((*SKELETON_ROUTE, STAGE), lambda: enumerate_singularities(K))
+    assert [calls[code] for code in SKELETON_ROUTE] == [0, 0, 0, 0]
+    assert calls[STAGE] == 1
 
 
 # -- tame unloading of extensions ------------------------------------------------------------

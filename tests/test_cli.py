@@ -19,7 +19,8 @@ Core claims:
       `sandwiched.__all__` resolves
     - a usage error (no subcommand, a missing or invalid option, an unknown
       subcommand) exits 1 with one line, not argparse's exit 2; `--help`
-      exits 0
+      exits 0; so does `export --view dual` in a form other than `dot`,
+      which the dual view does not have
     - every exit 3 names its cause on stderr: the failed certificate checks
       of `cartier`, a failed check inside the builder, the failure count of
       `selftest`
@@ -227,6 +228,13 @@ def test_export_views(d1_file, capsys):
     assert code == 0 and json.loads(out)["schema"] == 1
     code, out, _ = run(capsys, "export", d1_file, "--format", "dsl")
     assert code == 0 and out == D1
+
+
+@pytest.mark.parametrize("form", ["json", "dsl"])
+def test_export_of_the_dual_view_in_another_form_than_dot_is_an_input_error(d1_file, capsys, form):
+    code, out, err = run(capsys, "export", d1_file, "--view", "dual", "--format", form)
+    assert (code, out) == (1, "")
+    assert err == "error: export --view dual has only a dot form\n"
 
 
 def test_byte_identical_runs(d1_file, capsys):

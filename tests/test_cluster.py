@@ -5,14 +5,13 @@ Core claims:
     - a skeleton is validated once; extend_point and non-empty restrictions
       of a valid skeleton inherit its verdict soundly, and a broken skeleton
       raises in every operation that checks it
-    - extend_point carries the proximity caches its source holds, equal to
-      a fresh rebuild, and restricting to every point is the identity
+    - restricting to every point is the identity
     - proximity matrices transcribe the structure and invert integrally
     - the dual graph is a tree obeying the intersection edge rule: replaying
       the blow-ups point by point gives the graph of the static rule in the
       oracle, and the adjacency rows of an appended point derived by the
       local blow-up rule equal fresh ones
-    - the skeleton's `dual_rows`, carried through chains of free and
+    - the skeleton's `dual_rows`, on skeletons grown by chains of free and
       satellite appends, equal those of a fresh skeleton and of the static
       rule; a restriction that drops points derives them afresh, and
       `restrict_adjacency` gives the same rows from the source's; and no
@@ -209,33 +208,6 @@ def test_unknown_or_empty_verdict_is_not_passed_on(monkeypatch):
     assert len(calls) == 2
 
 
-CACHES = ("proximate_to", "tag_index", "dual_rows")
-
-
-def test_extend_point_carries_the_caches_its_source_holds():
-    # a carried cache equals the one a cache-free copy computes, and a cache
-    # the source does not hold is not carried
-    rng = random.Random(53)
-    extended = {1: 0, 2: 0}
-    for _ in range(2000):
-        sk = random_skeleton(rng, 10, 0.5).require_valid()
-        for name in rng.sample(CACHES, rng.randint(0, len(CACHES))):
-            getattr(sk, name)
-        p = rng.choice(list(sk.points))
-        for targets in [(p,)] + [(p, q) for q in sk.proximities[p]]:
-            try:
-                ext = extend_point(sk, targets, rng.choice((None, "fresh")))
-            except ClusterError:  # the satellite position is occupied
-                continue
-            fresh = ClusterSkeleton(ext.parents, ext.proximities, ext.tags)
-            for name in CACHES:
-                assert (name in ext.__dict__) == (name in sk.__dict__)
-                if name in ext.__dict__:
-                    assert getattr(ext, name) == getattr(fresh, name)
-            extended[len(targets)] += 1
-    assert min(extended.values()) > 1000
-
-
 def test_restrict_keeping_every_point_returns_the_skeleton():
     rng = random.Random(59)
     for _ in range(2000):
@@ -355,10 +327,9 @@ def _assert_reference_rows(sk):
     assert sk.dual_rows == fresh.dual_rows == static_dual_graph(fresh).adjacency
 
 
-def test_carried_dual_rows_equal_fresh_ones():
+def test_dual_rows_of_grown_skeletons_equal_fresh_ones():
     # seeded generator skeletons and chains grown from the origin alone, each
-    # grown point by point by free and satellite appends; the source holds
-    # its rows, so every append carries them
+    # grown point by point by free and satellite appends
     rng = random.Random(73)
     starts = [random_skeleton(rng, 10, 0.5) for _ in range(600)]
     starts += [chain_skeleton(1) for _ in range(60)]
@@ -372,7 +343,6 @@ def test_carried_dual_rows_equal_fresh_ones():
                 ext = extend_point(sk, targets)
             except ClusterError:  # the satellite position is occupied
                 continue
-            assert "dual_rows" in ext.__dict__
             _assert_reference_rows(ext)
             appended[len(targets)] += 1
             sk = ext

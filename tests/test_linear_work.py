@@ -216,7 +216,7 @@ def test_verify_makes_a_fixed_number_of_passes_whatever_the_dicriticals(monkeypa
 def test_build_and_verify_read_the_base_dual_rows(monkeypatch):
     comb, leaves, report = _comb()
     calls = {"extend_adjacency": 0, "append": 0}
-    for module, name in ((cluster_module, "extend_adjacency"), (cartier, "extend_adjacency")):
+    for module, name in ((cluster_module, "extend_adjacency"), (weighted, "extend_adjacency")):
         def counted(*args, _real=getattr(module, name)):
             calls["extend_adjacency"] += 1
             return _real(*args)
