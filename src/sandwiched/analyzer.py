@@ -172,8 +172,8 @@ def _analyze(
         return SingularityReport(w=w, smooth=True)
 
     n = len(sk)
-    k_w = _Stage(cluster)
-    k_w.append(targets, _fresh_tag("w", sk.tags))
+    k_w = _Stage(cluster, rho_before)
+    k_w.append(targets, _fresh_tag("w", sk.tag_index))
     _, touched = k_w.unload(negative)
     nu_after, rho_after = k_w.nu, k_w.rho
     unloaded = WeightedCluster(sk, tuple(nu_after[:n]))
@@ -201,8 +201,7 @@ def _analyze(
         "a multiplicity moved by more than one",
     )
 
-    k_plus = frozenset(p for p in sk.points if rho_before[p] > 0)
-    _check(not (k_plus & set(t_q)), "a dicritical point was unloaded")
+    _check(not any(rho_before[p] > 0 for p in t_q), "a dicritical point was unloaded")
 
     b_q = tuple(p for p in sk.points if eps[p] == -1)
     t_set = frozenset(t_q)
@@ -214,7 +213,8 @@ def _analyze(
     _check(set(b2_q) <= t_set, "a contracted-satellite point lies outside the contracted set")
 
     rows = sk.dual_rows
-    kplus_q = tuple(sorted(p for p in k_plus if any(q in t_set for q in rows[p])))
+    # K⁺_Q: the dicritical points next to T_Q in the dual graph
+    kplus_q = tuple(sorted({q for p in t_q for q in rows[p] if rho_before[q] > 0}))
 
     z = tuple(v_after[p] - v_before[p] for p in sk.points)
     _check(all(z[p] >= 1 for p in t_q), "fundamental cycle not >= 1 on the contracted set")
@@ -277,9 +277,8 @@ def _analyze(
         tuple(len(sk.proximate_to[p]) + 1 for p in t_q),
     )
     if minimal:
-        total = sum(
-            resolution.weight(p) - resolution.degree(p) for p in resolution.vertices
-        )
+        # the sum of weight minus degree: each edge counts at both its ends
+        total = sum(resolution.weights) - 2 * len(resolution.edges)
         _check(total == mult, "resolution-graph weight sum does not give the multiplicity")
 
     return SingularityReport(

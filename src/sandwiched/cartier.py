@@ -177,7 +177,8 @@ def build(
     fresh_tags = (t for t in (f"w{i}" for i in count()) if t not in sk.tag_index)
 
     # multiplicities are linear in excesses: the sum of alpha[p] simple clusters
-    stage = _Stage(multiplicities_from_excesses(sk, [alpha.get(p, 0) for p in sk.points]))
+    start = [alpha.get(p, 0) for p in sk.points]
+    stage = _Stage(multiplicities_from_excesses(sk, start), start)
     stage.keep([q for q in sk.points if stage.nu[q] > 0])
     stages = [stage.cluster(sk)] if trace else []
 

@@ -69,11 +69,12 @@ class ClusterSkeleton:
     def proximate_to(self) -> tuple[tuple[int, ...], ...]:
         """For each q, the points of the cluster proximate to q (ascending)."""
         rows: list[list[int]] = [[] for _ in self.points]
+        # p ascends, so every row does
         for p in self.points:
             for q in self.proximities[p]:
                 if 0 <= q < len(rows):
                     rows[q].append(p)
-        return tuple(tuple(sorted(row)) for row in rows)
+        return tuple(tuple(row) for row in rows)
 
     def geq(self, p: int, q: int) -> bool:
         """True if p is infinitely near or equal to q."""
@@ -253,7 +254,7 @@ def extend_point(
     (`proximate_to`, `tag_index`, `dual_rows`) is computed on demand."""
     targets = frozenset(targets)
     if tag is None:
-        tag = _fresh_tag("w", skeleton.tags)
+        tag = _fresh_tag("w", skeleton.tag_index)
     parent = check_attachment(skeleton, targets, tag)
     extended = ClusterSkeleton(
         skeleton.parents + (parent,),
@@ -311,8 +312,7 @@ def _inherit_verdict(source: ClusterSkeleton, derived: ClusterSkeleton) -> Clust
     return derived
 
 
-def _fresh_tag(stem: str, used: Sequence[str]) -> str:
-    taken = set(used)
+def _fresh_tag(stem: str, taken: Collection[str]) -> str:
     if stem not in taken:
         return stem
     i = 1

@@ -321,9 +321,12 @@ class _Stage:
     read a stage as they read a skeleton, and `_unload_steps` unloads `rho`
     on the rows as they are.  A skeleton is made of a stage only to hand it
     out, as a traced Cartier stage or the builder's result.
+
+    A stage starts from `cluster` and its caller's excess vector `rho`,
+    which must be `excesses(cluster)`: every caller already holds it.
     """
 
-    def __init__(self, cluster: WeightedCluster):
+    def __init__(self, cluster: WeightedCluster, rho: Sequence[int]):
         sk = cluster.skeleton
         self.parents = list(sk.parents)
         self.proximities = list(sk.proximities)
@@ -332,7 +335,7 @@ class _Stage:
         self.proximate_to = [list(row) for row in sk.proximate_to]
         self.dual_rows = dict(sk.dual_rows)
         self.nu = list(cluster.nu)
-        self.rho = list(excesses(cluster))
+        self.rho = list(rho)
 
     def append(self, targets: Sequence[int], tag: str) -> None:
         """Append a point of multiplicity 1 proximate to `targets`, as

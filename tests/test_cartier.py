@@ -362,11 +362,11 @@ def test_reattached_points_have_excess_zero_and_move_no_other():
             expected = _reattach_by_extend_point(cluster, base)
         except ClusterError as error:  # a base satellite's position is taken by an added one
             with pytest.raises(ClusterError) as raised:
-                _reattach(_Stage(cluster), base)
+                _reattach(_Stage(cluster, excesses(cluster)), base)
             assert str(raised.value) == str(error)
             occupied += 1
             continue
-        grown = _reattach(_Stage(cluster), base)
+        grown = _reattach(_Stage(cluster, excesses(cluster)), base)
         assert grown == expected
         assert grown.skeleton.__dict__.get("_verdict") == ()
         assert (grown == cluster) == all(t in sk.tag_index for t in base.tags)

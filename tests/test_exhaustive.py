@@ -21,6 +21,11 @@ Core claims:
       difference of multiplicities and z its difference of values; the
       resolution graph is the dual graph induced on T_Q: 12,020 analyses,
       4,516 singular
+    - on each of those 4,516 singular reports, K⁺_Q is the points of positive
+      excess next to T_Q in the dual graph, the oracle's graph routes read
+      the report's multiplicity (`graph_multiplicity`), branch count
+      (`graph_branches`) and z on T_Q (`laufer_cycle`) off its resolution
+      graph, and `verify_difexcess` and `verify_coef_fund` hold
 """
 
 import itertools
@@ -32,13 +37,21 @@ from sandwiched import (
     analyze,
     dual_graph,
     enumerate_singularities,
+    excesses,
     extend,
     unload,
     values,
 )
 from sandwiched.cartier import CartierRequest, build
 from sandwiched.cluster import validate
-from sandwiched.oracle import reference_unload
+from sandwiched.oracle import (
+    graph_branches,
+    graph_multiplicity,
+    laufer_cycle,
+    reference_unload,
+    verify_coef_fund,
+    verify_difexcess,
+)
 from sandwiched.weighted import multiplicities_from_excesses
 
 MAX_POINTS = 5
@@ -119,7 +132,7 @@ def test_analyze_equals_the_skeleton_route_at_every_boundary_point():
             continue
         clusters += 1
         sk, n = K.skeleton, len(K.skeleton)
-        graph, v = dual_graph(sk), values(K)
+        graph, v, rho = dual_graph(sk), values(K), excesses(K)
         for w in [FreeOn(p) for p in sk.points] + [Satellite(p, q) for p, q in graph.edges]:
             report = analyze(K, w)
             result = unload(extend(K, w), trace=False)
@@ -133,4 +146,11 @@ def test_analyze_equals_the_skeleton_route_at_every_boundary_point():
             assert report.epsilon == tuple(nu_after[p] - K.nu[p] for p in sk.points), (K, w)
             assert report.z == tuple(v_after[p] - v[p] for p in sk.points), (K, w)
             assert report.resolution_graph == graph.induced(report.T_Q), (K, w)
+            t_set, resolution = set(report.T_Q), report.resolution_graph
+            next_to_t = (p for p in sk.points if any(q in t_set for q in graph.adjacency[p]))
+            assert report.Kplus_Q == tuple(p for p in next_to_t if rho[p] > 0), (K, w)
+            assert graph_multiplicity(resolution) == report.mult, (K, w)
+            assert graph_branches(resolution) == report.br, (K, w)
+            assert laufer_cycle(resolution) == {p: report.z[p] for p in report.T_Q}, (K, w)
+            assert verify_difexcess(K, report) and verify_coef_fund(K, report), (K, w)
     assert (clusters, analyses, singular) == (1_500, 12_020, 4_516)
