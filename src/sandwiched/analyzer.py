@@ -17,7 +17,8 @@ Each invariant that admits two independent formulas is computed both ways and
 compared; a mismatch raises InternalCheckError (a bug, never bad input).  The
 checks read the vectors the analysis already holds: the unloaded cluster must
 be consistent, by the excesses the unloading ends with, which also give the
-branch count.
+branch count.  The fundamental cycle z is the values of epsilon, and on T_Q
+it must give those excesses: p's final excess there is -Z·E_p.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional, Union
 
 from .cluster import ClusterSkeleton, DualGraph, _fresh_tag, bfs, extend_point
 from .errors import ClusterError, InternalCheckError
-from .weighted import WeightedCluster, _Stage, excesses, self_intersection, values
+from .weighted import WeightedCluster, _Stage, excesses, values
 
 
 @dataclass(frozen=True)
@@ -149,20 +150,18 @@ def _targets(sk: ClusterSkeleton, w: BoundaryPoint) -> tuple[int, ...]:
 
 def analyze(cluster: WeightedCluster, w: BoundaryPoint) -> SingularityReport:
     """Full report for the point of the blow-up determined by w."""
-    return _analyze(cluster, w, _require_base_cluster(cluster), None)
+    return _analyze(cluster, w, _require_base_cluster(cluster))
 
 
 def _analyze(
-    cluster: WeightedCluster,
-    w: BoundaryPoint,
-    rho_before: tuple[int, ...],
-    v_before: Optional[tuple[int, ...]],
+    cluster: WeightedCluster, w: BoundaryPoint, rho_before: tuple[int, ...]
 ) -> SingularityReport:
-    """`analyze` on a checked base cluster with excesses `rho_before`; its
-    values are computed at most once, unless `v_before` already is them.
+    """`analyze` on a checked base cluster with excesses `rho_before`.
 
     K_w is a `_Stage` of the base with w appended, unloaded in place, and
-    made only for a singular point."""
+    made only for a singular point.  The fundamental cycle z is the values
+    of epsilon, one `values` pass, and it is checked against the excesses
+    the unloading ends with: -Z·E_p is p's final excess on T_Q."""
     sk = cluster.skeleton
     targets = _targets(sk, w)
     # appending w lowers each target's excess by 1, so K_w needs unloading
@@ -176,14 +175,14 @@ def _analyze(
     k_w.append(targets, _fresh_tag("w", sk.tag_index))
     _, touched = k_w.unload(negative)
     nu_after, rho_after = k_w.nu, k_w.rho
-    unloaded = WeightedCluster(sk, tuple(nu_after[:n]))
-
-    if v_before is None:
-        v_before = values(cluster)
-    v_after = values(unloaded)
     _check(nu_after[n] == 0, "attached point kept nonzero multiplicity after unloading")
 
-    t_q = tuple(p for p in sk.points if v_after[p] > v_before[p])
+    eps = tuple(nu_after[p] - m for p, m in enumerate(cluster.nu))
+    # values are linear in nu, so the values' increment is the values of eps;
+    # unloading only raises values, so T_Q is z's support, and a negative z
+    # fails the trace check
+    z = values(WeightedCluster(sk, eps))
+    t_q = tuple(p for p in sk.points if z[p])
     _check(bool(t_q), "inconsistent extension produced no unloaded points")
     _check(
         frozenset(t_q) == frozenset(touched) - {n},
@@ -194,7 +193,6 @@ def _analyze(
     o_q = t_q[0]
     _check(_all_infinitely_near(sk, t_q, o_q), "contracted set has no unique minimal point")
 
-    eps = tuple(nu_after[p] - cluster.nu[p] for p in sk.points)
     _check(eps[o_q] == 1, "multiplicity at the minimal contracted point did not grow by 1")
     _check(
         all(eps[p] in (-1, 0) for p in sk.points if p != o_q),
@@ -216,16 +214,15 @@ def _analyze(
     # K⁺_Q: the dicritical points next to T_Q in the dual graph
     kplus_q = tuple(sorted({q for p in t_q for q in rows[p] if rho_before[q] > 0}))
 
-    z = tuple(v_after[p] - v_before[p] for p in sk.points)
-    _check(all(z[p] >= 1 for p in t_q), "fundamental cycle not >= 1 on the contracted set")
-    for p, targets in enumerate(sk.proximities):
-        recursion = eps[p]
-        for q in targets:
-            recursion += z[q]
-        _check(z[p] == recursion, "fundamental cycle fails its proximity recursion")
+    # rho_before is 0 on T_Q, so p's final excess there is (A·z)_p = -Z·E_p;
+    # z is 0 off T_Q, so the whole dual row may be summed
+    for p in t_q:
+        excess = (len(sk.proximate_to[p]) + 1) * z[p] - sum(z[q] for q in rows[p])
+        _check(excess == rho_after[p], "fundamental cycle does not give the excesses on T_Q")
 
     mult = 1 + len(b_q)
-    mult_by_self_intersection = self_intersection(unloaded) - self_intersection(cluster)
+    # the self-intersection difference: (m + e)² - m² summed over the points
+    mult_by_self_intersection = sum(e * (2 * m + e) for m, e in zip(cluster.nu, eps))
     _check(mult == mult_by_self_intersection, "multiplicity formulas disagree")
     emdim = mult + 1
 
@@ -330,10 +327,9 @@ def enumerate_singularities(cluster: WeightedCluster) -> list[SingularityReport]
     component.
     """
     rho = _require_base_cluster(cluster)
-    v = values(cluster)
     reports = []
     for component in _zero_excess_components(rho, cluster.skeleton.dual_rows):
-        report = _analyze(cluster, FreeOn(component[0]), rho, v)
+        report = _analyze(cluster, FreeOn(component[0]), rho)
         _check(not report.smooth, "zero-excess component analyzed as smooth")
         _check(
             report.T_Q == component,

@@ -368,22 +368,25 @@ SKELETON_ROUTE = (
 
 
 def test_an_analysis_makes_no_skeleton_and_one_stage_when_singular(corpus):
-    STAGE = weighted._Stage.__init__.__code__
+    STAGE, VALUES = weighted._Stage.__init__.__code__, weighted.values.__code__
     clusters = list({id(instance.cluster): instance.cluster for instance in corpus}.values())
     seen = {True: 0, False: 0}
     for K in clusters[:500]:
         for p in K.skeleton.points:
             reports = []
-            calls = _calls((*SKELETON_ROUTE, STAGE), lambda: reports.append(analyze(K, FreeOn(p))))
+            calls = _calls(
+                (*SKELETON_ROUTE, STAGE, VALUES), lambda: reports.append(analyze(K, FreeOn(p)))
+            )
             (report,) = reports
             assert [calls[code] for code in SKELETON_ROUTE] == [0, 0, 0, 0], (K, p)
-            assert calls[STAGE] == (not report.smooth), (K, p)
+            # one values pass, z's, per singular analysis and none per smooth one
+            assert calls[STAGE] == calls[VALUES] == (not report.smooth), (K, p)
             seen[report.smooth] += 1
     assert min(seen.values()) > 500, seen
     K = make_dr(100)
-    calls = _calls((*SKELETON_ROUTE, STAGE), lambda: enumerate_singularities(K))
+    calls = _calls((*SKELETON_ROUTE, STAGE, VALUES), lambda: enumerate_singularities(K))
     assert [calls[code] for code in SKELETON_ROUTE] == [0, 0, 0, 0]
-    assert calls[STAGE] == 1
+    assert calls[STAGE] == calls[VALUES] == 1
 
 
 # -- tame unloading of extensions ------------------------------------------------------------

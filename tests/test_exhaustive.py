@@ -25,7 +25,17 @@ Core claims:
       excess next to T_Q in the dual graph, the oracle's graph routes read
       the report's multiplicity (`graph_multiplicity`), branch count
       (`graph_branches`) and z on T_Q (`laufer_cycle`) off its resolution
-      graph, and `verify_difexcess` and `verify_coef_fund` hold
+      graph, and `verify_difexcess` and `verify_coef_fund` hold; on T_Q,
+      w_p·z_p minus z over p's dual-graph row (-Z·E_p) is p's excess in the
+      unloaded cluster of multiplicities `nu_prime`
+    - at each of those 12,020 boundary points, the base held as a
+      `weighted._Stage` with w appended has the parents, proximities, tags,
+      tag index, `proximate_to` rows, dual-graph rows, multiplicities and
+      excesses of `extend(K, w)`, and after unloading the multiplicities and
+      excesses of `unload(extend(K, w), trace=False)`
+
+`benchmarks/exhaustive_domain.py` runs the full domain, excesses in
+{0, 1, 2} on every skeleton of at most N points, on these generators.
 """
 
 import itertools
@@ -34,6 +44,7 @@ from sandwiched import (
     ClusterSkeleton,
     FreeOn,
     Satellite,
+    WeightedCluster,
     analyze,
     dual_graph,
     enumerate_singularities,
@@ -43,26 +54,27 @@ from sandwiched import (
     values,
 )
 from sandwiched.cartier import CartierRequest, build
-from sandwiched.cluster import validate
+from sandwiched.cluster import _fresh_tag, validate
 from sandwiched.oracle import (
     graph_branches,
     graph_multiplicity,
     laufer_cycle,
+    nu_prime,
     reference_unload,
     verify_coef_fund,
     verify_difexcess,
 )
-from sandwiched.weighted import multiplicities_from_excesses
+from sandwiched.weighted import _Stage, multiplicities_from_excesses
 
 MAX_POINTS = 5
 
 
-def _skeletons():
-    """Every valid skeleton of at most MAX_POINTS points, by size: each one
-    of n points grown by a point proximate to any one earlier point or any
-    two, kept when `validate` finds no problem."""
+def _skeletons(points):
+    """Every valid skeleton of at most `points` points, by size: each one of
+    n points grown by a point proximate to any one earlier point or any two,
+    kept when `validate` finds no problem."""
     by_size = [[ClusterSkeleton((None,), (frozenset(),), ("O",))]]
-    while len(by_size) < MAX_POINTS:
+    while len(by_size) < points:
         grown = []
         for sk in by_size[-1]:
             n = len(sk)
@@ -80,15 +92,16 @@ def _skeletons():
     return by_size
 
 
-SKELETONS = _skeletons()
+SKELETONS = _skeletons(MAX_POINTS)
 
 
-def _clusters(values_small, values_at_max):
-    """Every skeleton weighted by every excess vector over `values_small`,
-    or over `values_at_max` at MAX_POINTS points."""
-    for size in SKELETONS:
+def _clusters(values_small, values_at_max, skeletons=SKELETONS):
+    """Every skeleton of `skeletons` (by size, as `_skeletons` gives them)
+    weighted by every excess vector over `values_small`, or over
+    `values_at_max` at the largest size."""
+    for size in skeletons:
         for sk in size:
-            values = values_at_max if len(sk) == MAX_POINTS else values_small
+            values = values_at_max if len(sk) == len(skeletons) else values_small
             for rho in itertools.product(values, repeat=len(sk)):
                 yield multiplicities_from_excesses(sk, rho)
 
@@ -153,4 +166,34 @@ def test_analyze_equals_the_skeleton_route_at_every_boundary_point():
             assert graph_branches(resolution) == report.br, (K, w)
             assert laufer_cycle(resolution) == {p: report.z[p] for p in report.T_Q}, (K, w)
             assert verify_difexcess(K, report) and verify_coef_fund(K, report), (K, w)
+            z, rho_after = report.z, excesses(WeightedCluster(sk, nu_prime(K, report)))
+            for p in report.T_Q:
+                minus_z_dot_e = graph.weight(p) * z[p] - sum(z[q] for q in graph.adjacency[p])
+                assert minus_z_dot_e == rho_after[p], (K, w, p)
     assert (clusters, analyses, singular) == (1_500, 12_020, 4_516)
+
+
+def test_the_stage_equals_the_extend_point_chain_at_every_boundary_point():
+    stages = unloaded = 0
+    for K in _clusters(range(3), range(2)):
+        if min(K.nu) <= 0:
+            continue
+        sk = K.skeleton
+        for targets in [(p,) for p in sk.points] + list(dual_graph(sk).edges):
+            stage = _Stage(K, excesses(K))
+            stage.append(targets, _fresh_tag("w", sk.tag_index))
+            extended = extend(K, FreeOn(*targets) if len(targets) == 1 else Satellite(*targets))
+            ext = extended.skeleton
+            assert (stage.parents, stage.proximities) == (list(ext.parents), list(ext.proximities))
+            assert (stage.tags, stage.tag_index) == (list(ext.tags), ext.tag_index), (K, targets)
+            assert [tuple(row) for row in stage.proximate_to] == list(ext.proximate_to)
+            assert stage.dual_rows == ext.dual_rows, (K, targets)
+            assert (stage.nu, stage.rho) == (list(extended.nu), list(excesses(extended)))
+            stages += 1
+            negative = [q for q in sorted(targets) if stage.rho[q] < 0]
+            if negative:
+                stage.unload(negative)
+                unloaded += 1
+            result = unload(extended, trace=False)
+            assert (stage.nu, stage.rho) == (list(result.cluster.nu), list(result.rho))
+    assert (stages, unloaded) == (12_020, 4_516)
