@@ -9,8 +9,9 @@ components T_Q, the multiplicity-drop set B_Q, the dicritical components
 through Q, the fundamental cycle, the multiplicity, embedding dimension,
 branch count and minimality tests.  K_w is not consistent exactly when w
 is proximate to a point of excess 0, so a smooth point is decided from the
-base's excesses alone; for a singular one K_w is a `weighted._Stage` of the
-base with w appended, unloaded in place by the package's one unloading
+base's excesses alone; for a singular one K_w is three copies of the
+base's lists with w appended (`weighted._appended`: excesses, `proximate_to`
+rows and dual-graph rows), unloaded in place by the package's one unloading
 engine, and no skeleton is made for it.
 
 Each invariant that admits two independent formulas is computed both ways and
@@ -18,7 +19,8 @@ compared; a mismatch raises InternalCheckError (a bug, never bad input).  The
 checks read the vectors the analysis already holds: the unloaded cluster must
 be consistent, by the excesses the unloading ends with, which also give the
 branch count.  The fundamental cycle z is the values of epsilon, and on T_Q
-it must give those excesses: p's final excess there is -Z·E_p.
+it must give those excesses: p's final excess there is -Z·E_p.  The checks
+on epsilon read its nonzero entries only.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .cluster import ClusterSkeleton, DualGraph, _fresh_tag, bfs, extend_point
+from . import weighted
+from .cluster import ClusterSkeleton, DualGraph, bfs, extend_point
 from .errors import ClusterError, InternalCheckError
-from .weighted import WeightedCluster, _Stage, excesses, values
+from .weighted import WeightedCluster, _appended, _default_cap, _multiplicities, _values, excesses
 
 
 @dataclass(frozen=True)
@@ -106,12 +109,10 @@ def _all_infinitely_near(sk: ClusterSkeleton, points, q: int) -> bool:
 def _require_base_cluster(cluster: WeightedCluster) -> tuple[int, ...]:
     """Check the cluster can be analyzed; return its excess vector."""
     cluster.skeleton.require_valid()
-    if any(m <= 0 for m in cluster.nu):
-        raise ClusterError(
-            "analysis needs a base-point cluster: all multiplicities positive"
-        )
+    if min(cluster.nu) <= 0:
+        raise ClusterError("analysis needs a base-point cluster: all multiplicities positive")
     rho = excesses(cluster)
-    if any(r < 0 for r in rho):
+    if min(rho) < 0:
         raise ClusterError("analysis needs a consistent cluster")
     return rho
 
@@ -158,10 +159,12 @@ def _analyze(
 ) -> SingularityReport:
     """`analyze` on a checked base cluster with excesses `rho_before`.
 
-    K_w is a `_Stage` of the base with w appended, unloaded in place, and
-    made only for a singular point.  The fundamental cycle z is the values
-    of epsilon, one `values` pass, and it is checked against the excesses
-    the unloading ends with: -Z·E_p is p's final excess on T_Q."""
+    K_w is `weighted._appended`'s lists, unloaded in place, and made only
+    for a singular point.  The fundamental cycle z is the values of
+    epsilon, one `_values` pass, and it is checked against the excesses the
+    unloading ends with: -Z·E_p is p's final excess on T_Q.  The checks on
+    epsilon, B_Q and the self-intersection difference read the points
+    whose multiplicity moved."""
     sk = cluster.skeleton
     targets = _targets(sk, w)
     # appending w lowers each target's excess by 1, so K_w needs unloading
@@ -171,18 +174,20 @@ def _analyze(
         return SingularityReport(w=w, smooth=True)
 
     n = len(sk)
-    k_w = _Stage(cluster, rho_before)
-    k_w.append(targets, _fresh_tag("w", sk.tag_index))
-    _, touched = k_w.unload(negative)
-    nu_after, rho_after = k_w.nu, k_w.rho
+    rho_after, prox_to, rows_w = _appended(sk, rho_before, targets)
+    # the module attribute, so a test may stand in for the engine
+    _, touched, _ = weighted._unload_steps(
+        rho_after, negative, prox_to, rows_w, _default_cap((*cluster.nu, 1)), False
+    )
+    nu_after = _multiplicities(rho_after, prox_to)
     _check(nu_after[n] == 0, "attached point kept nonzero multiplicity after unloading")
 
-    eps = tuple(nu_after[p] - m for p, m in enumerate(cluster.nu))
+    eps = tuple([a - m for a, m in zip(nu_after, cluster.nu)])
     # values are linear in nu, so the values' increment is the values of eps;
     # unloading only raises values, so T_Q is z's support, and a negative z
     # fails the trace check
-    z = values(WeightedCluster(sk, eps))
-    t_q = tuple(p for p in sk.points if z[p])
+    z = tuple(_values(eps, sk.proximities))
+    t_q = tuple([p for p, v in enumerate(z) if v])
     _check(bool(t_q), "inconsistent extension produced no unloaded points")
     _check(
         frozenset(t_q) == frozenset(touched) - {n},
@@ -194,14 +199,12 @@ def _analyze(
     _check(_all_infinitely_near(sk, t_q, o_q), "contracted set has no unique minimal point")
 
     _check(eps[o_q] == 1, "multiplicity at the minimal contracted point did not grow by 1")
-    _check(
-        all(eps[p] in (-1, 0) for p in sk.points if p != o_q),
-        "a multiplicity moved by more than one",
-    )
+    moved = [(p, e) for p, e in enumerate(eps) if e]
+    _check(all(e == -1 for p, e in moved if p != o_q), "a multiplicity moved by more than one")
 
     _check(not any(rho_before[p] > 0 for p in t_q), "a dicritical point was unloaded")
 
-    b_q = tuple(p for p in sk.points if eps[p] == -1)
+    b_q = [p for p, e in moved if e == -1]
     t_set = frozenset(t_q)
     b1_q, b2_q = [], []
     for p in b_q:
@@ -222,7 +225,8 @@ def _analyze(
 
     mult = 1 + len(b_q)
     # the self-intersection difference: (m + e)² - m² summed over the points
-    mult_by_self_intersection = sum(e * (2 * m + e) for m, e in zip(cluster.nu, eps))
+    # whose multiplicity moved
+    mult_by_self_intersection = sum([e * (2 * cluster.nu[p] + e) for p, e in moved])
     _check(mult == mult_by_self_intersection, "multiplicity formulas disagree")
     emdim = mult + 1
 

@@ -11,8 +11,9 @@ the same ideal.
 One engine, `_unload_steps`, runs every unloading step of the package, on
 its caller's excesses and rows.  `unload` wraps it for a `WeightedCluster`.
 `_Stage` holds a cluster in lists that change in place and unloads them by
-the same engine: the Cartier builder grows its stages in one, and the
-analyzer's K_w is one with a single point appended.
+the same engine: the Cartier builder grows its stages in one.  The
+analyzer's K_w, the base with a single point appended, is the three lists
+of `_appended`, which the engine unloads as they are.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 from .cluster import (
     ClusterSkeleton,
+    _fresh_tag,
     _inherit_verdict,
     check_attachment,
     extend_adjacency,
@@ -50,12 +52,18 @@ class WeightedCluster:
 
 def values(cluster: WeightedCluster) -> tuple[int, ...]:
     """v_p = nu_p + sum of v_q over the points q that p is proximate to."""
+    return tuple(_values(cluster.nu, cluster.skeleton.proximities))
+
+
+def _values(nu: Sequence[int], proximities) -> list[int]:
+    """The values of `nu` on a skeleton with these `proximities`: nu_p plus
+    the values of p's targets, which come before p."""
     v: list[int] = []
-    for m, targets in zip(cluster.nu, cluster.skeleton.proximities):
+    for m, targets in zip(nu, proximities):
         for q in targets:
             m += v[q]
         v.append(m)
-    return tuple(v)
+    return v
 
 
 def multiplicities_from_values(
@@ -206,11 +214,11 @@ def _unload_steps(
     records (none unless `trace`).
 
     `queue` is the ascending list of the points with a negative excess, so
-    already a heap, and is consumed.  The caller's storage gives the rest:
-    `proximate_to[p]` is the row of points proximate to p, so
-    w_p = len(proximate_to[p]) + 1, and `dual_rows[p]` p's dual-graph
-    neighbours, ascending.  A step past `cap` raises `CapExceededError`,
-    whose `trace` holds the records taken.
+    already a heap, and is consumed; an empty one takes no step.  The
+    caller's storage gives the rest: `proximate_to[p]` is the row of points
+    proximate to p, so w_p = len(proximate_to[p]) + 1, and `dual_rows[p]`
+    p's dual-graph neighbours, ascending.  A step past `cap` raises
+    `CapExceededError`, whose `trace` holds the records taken.
 
     A step at p raises the value v_p by inc = ceil(-rho_p / w_p) and leaves
     every other value alone.  The excesses are rho = A·v, A the dual tree's
@@ -249,6 +257,8 @@ def _unload_steps(
     tame_steps: list = [None] * len(rho) if trace else []
     records: dict[tuple[int, int], UnloadStep] = {}
     count = 0
+    if not queue:
+        return count, touched, steps
     p = heappop(queue)
     while True:
         row = rows[p]
@@ -308,10 +318,31 @@ def _unload_steps(
     return count, touched, steps
 
 
+def _appended(skeleton: ClusterSkeleton, rho: Sequence[int], targets) -> tuple[list, list, dict]:
+    """K_w, the cluster of excesses `rho` on `skeleton` with a point w of
+    multiplicity 1 appended, proximate to `targets`, as the three lists
+    `_unload_steps` reads: its excesses, its `proximate_to` rows and its
+    dual-graph rows.
+
+    w passes `check_attachment` first, as `extend_point` would check it.
+    Each list is one copy of the skeleton's: each target's excess falls by
+    1 and its row gains w, as a new tuple, and w's excess is 1.  The
+    skeleton's rows are left as they are.
+    """
+    check_attachment(skeleton, frozenset(targets), _fresh_tag("w", skeleton.tag_index))
+    n = len(rho)
+    rho, proximate_to = [*rho, 1], [*skeleton.proximate_to, ()]
+    for q in targets:
+        rho[q] -= 1
+        proximate_to[q] += (n,)
+    rows = dict(skeleton.dual_rows)
+    extend_adjacency(rows, targets)
+    return rho, proximate_to, rows
+
+
 class _Stage:
-    """A weighted cluster held in lists that change in place, for every
-    append-and-unload of the package: a stage of the Cartier construction,
-    and the analyzer's K_w, the base cluster with one point appended.
+    """A weighted cluster held in lists that change in place, for the
+    Cartier construction's append-and-unload of each stage.
 
     `parents`, `proximities`, `tags`, `nu` and `rho` are per point;
     `proximate_to` holds each point's ascending row of the points proximate
@@ -320,7 +351,9 @@ class _Stage:
     reads them by, so `check_attachment` and `cartier.check_interior_excess`
     read a stage as they read a skeleton, and `_unload_steps` unloads `rho`
     on the rows as they are.  A skeleton is made of a stage only to hand it
-    out, as a traced Cartier stage or the builder's result.
+    out, as a traced Cartier stage or the builder's result.  The analyzer
+    appends one point and never drops one, so its K_w is `_appended`'s
+    three lists, not a stage.
 
     A stage starts from `cluster` and its caller's excess vector `rho`,
     which must be `excesses(cluster)`: every caller already holds it.

@@ -20,9 +20,10 @@ Core claims:
     - `analyze`, at the smooth and singular free points of the corpus
       clusters, and `enumerate_singularities` on make_dr(100) make no
       `ClusterSkeleton` and call neither the public `unload` nor
-      `extend_point` nor `dual_graph`: K_w is one `weighted._Stage`,
-      unloaded in place, and a smooth analysis makes none; calls are
-      counted by a profile hook, not timed
+      `extend_point` nor `dual_graph`, and make no `weighted._Stage` and
+      call no public `values`: a singular analysis makes one engine call
+      (`_unload_steps`) and one values pass (`_values`), and a smooth one
+      neither; calls are counted by a profile hook, not timed
 """
 
 import random
@@ -367,26 +368,30 @@ SKELETON_ROUTE = (
 )
 
 
-def test_an_analysis_makes_no_skeleton_and_one_stage_when_singular(corpus):
-    STAGE, VALUES = weighted._Stage.__init__.__code__, weighted.values.__code__
+NO_STAGE = (*SKELETON_ROUTE, weighted._Stage.__init__.__code__, weighted.values.__code__)
+ENGINE, VALUES_PASS = weighted._unload_steps.__code__, weighted._values.__code__
+
+
+def test_an_analysis_makes_no_skeleton_and_no_stage(corpus):
     clusters = list({id(instance.cluster): instance.cluster for instance in corpus}.values())
     seen = {True: 0, False: 0}
     for K in clusters[:500]:
         for p in K.skeleton.points:
             reports = []
             calls = _calls(
-                (*SKELETON_ROUTE, STAGE, VALUES), lambda: reports.append(analyze(K, FreeOn(p)))
+                (*NO_STAGE, ENGINE, VALUES_PASS), lambda: reports.append(analyze(K, FreeOn(p)))
             )
             (report,) = reports
-            assert [calls[code] for code in SKELETON_ROUTE] == [0, 0, 0, 0], (K, p)
-            # one values pass, z's, per singular analysis and none per smooth one
-            assert calls[STAGE] == calls[VALUES] == (not report.smooth), (K, p)
+            assert [calls[code] for code in NO_STAGE] == [0] * len(NO_STAGE), (K, p)
+            # one unloading and one values pass, z's, per singular analysis,
+            # and none per smooth one
+            assert calls[ENGINE] == calls[VALUES_PASS] == (not report.smooth), (K, p)
             seen[report.smooth] += 1
     assert min(seen.values()) > 500, seen
     K = make_dr(100)
-    calls = _calls((*SKELETON_ROUTE, STAGE, VALUES), lambda: enumerate_singularities(K))
-    assert [calls[code] for code in SKELETON_ROUTE] == [0, 0, 0, 0]
-    assert calls[STAGE] == calls[VALUES] == 1
+    calls = _calls((*NO_STAGE, ENGINE, VALUES_PASS), lambda: enumerate_singularities(K))
+    assert [calls[code] for code in NO_STAGE] == [0] * len(NO_STAGE)
+    assert calls[ENGINE] == calls[VALUES_PASS] == 1
 
 
 # -- tame unloading of extensions ------------------------------------------------------------

@@ -33,6 +33,10 @@ Core claims:
       tag index, `proximate_to` rows, dual-graph rows, multiplicities and
       excesses of `extend(K, w)`, and after unloading the multiplicities and
       excesses of `unload(extend(K, w), trace=False)`
+    - at each of those 12,020 boundary points, the analyzer's K_w lists
+      (`weighted._appended`) are the excesses, `proximate_to` rows and
+      dual-graph rows of `extend(K, w)`, and once unloaded by the engine
+      the multiplicities and excesses of `unload(extend(K, w), trace=False)`
 
 `benchmarks/exhaustive_domain.py` runs the full domain, excesses in
 {0, 1, 2} on every skeleton of at most N points, on these generators.
@@ -64,7 +68,14 @@ from sandwiched.oracle import (
     verify_coef_fund,
     verify_difexcess,
 )
-from sandwiched.weighted import _Stage, multiplicities_from_excesses
+from sandwiched.weighted import (
+    _appended,
+    _default_cap,
+    _multiplicities,
+    _Stage,
+    _unload_steps,
+    multiplicities_from_excesses,
+)
 
 MAX_POINTS = 5
 
@@ -197,3 +208,29 @@ def test_the_stage_equals_the_extend_point_chain_at_every_boundary_point():
             result = unload(extended, trace=False)
             assert (stage.nu, stage.rho) == (list(result.cluster.nu), list(result.rho))
     assert (stages, unloaded) == (12_020, 4_516)
+
+
+def test_the_appended_lists_equal_the_extend_point_chain_at_every_boundary_point():
+    lists = unloaded = 0
+    for K in _clusters(range(3), range(2)):
+        if min(K.nu) <= 0:
+            continue
+        sk = K.skeleton
+        for targets in [(p,) for p in sk.points] + list(dual_graph(sk).edges):
+            rho, prox_to, rows = _appended(sk, excesses(K), targets)
+            extended = extend(K, FreeOn(*targets) if len(targets) == 1 else Satellite(*targets))
+            ext = extended.skeleton
+            assert rho == list(excesses(extended)), (K, targets)
+            assert prox_to == list(ext.proximate_to), (K, targets)
+            assert rows == ext.dual_rows, (K, targets)
+            lists += 1
+            negative = [q for q in sorted(targets) if rho[q] < 0]
+            if negative:
+                _unload_steps(rho, negative, prox_to, rows, _default_cap(extended.nu), False)
+                unloaded += 1
+            result = unload(extended, trace=False)
+            assert (_multiplicities(rho, prox_to), rho) == (
+                list(result.cluster.nu),
+                list(result.rho),
+            ), (K, targets)
+    assert (lists, unloaded) == (12_020, 4_516)

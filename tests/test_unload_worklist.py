@@ -30,7 +30,9 @@ Core claims:
     - the engine behind `unload`, driven directly on list storage (rows of
       `proximate_to` as lists and a dict of dual-graph rows, as the Cartier
       stage holds them), gives `unload`'s excesses, touched points, step
-      count and, traced, its steps, on seeded generator instances
+      count and, traced, its steps, on seeded generator instances; from an
+      empty queue it takes no step and leaves the excesses as they are, and
+      so does a Cartier stage unloaded from no negative point
     - an `UnloadStep` is a frozen value: its fields cannot be assigned, its
       repr names them, and it is not equal to the tuple of its fields
     - one traced call gives equal steps one shared record, tame and non-tame
@@ -61,7 +63,7 @@ from sandwiched import (
 from sandwiched import oracle
 from sandwiched.analyzer import extend, zero_excess_components
 from sandwiched.oracle import GeneratorConfig, random_skeleton, reference_unload
-from sandwiched.weighted import UnloadStep, _default_cap, _unload_steps
+from sandwiched.weighted import UnloadStep, _default_cap, _Stage, _unload_steps
 
 from conftest import make_dr
 
@@ -135,6 +137,19 @@ def test_the_engine_on_list_storage_agrees_with_unload():
             assert tuple(steps) == (expected.steps if trace else ())
             stepped += trace
     assert stepped > 500
+
+
+def test_the_engine_takes_no_step_from_an_empty_queue():
+    K = WeightedCluster(chain_skeleton(3), (2, 1, 1))
+    sk, rho = K.skeleton, list(excesses(K))
+    for trace in (False, True):
+        assert _unload_steps(
+            rho, [], sk.proximate_to, sk.dual_rows, _default_cap(K.nu), trace
+        ) == (0, [], [])
+        assert tuple(rho) == excesses(K)
+    stage = _Stage(K, excesses(K))
+    assert stage.unload([]) == (0, [])
+    assert (stage.nu, stage.rho) == (list(K.nu), list(excesses(K)))
 
 
 def test_matches_reference_on_make_dr_extensions():
