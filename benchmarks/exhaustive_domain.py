@@ -5,7 +5,10 @@ positive.
 On each cluster it analyzes every free point and every satellite on a
 dual-graph edge, and checks each singular report's multiplicity and branch
 count against the oracle's graph routes (`graph_multiplicity`,
-`graph_branches`).  It then builds, untraced, at every alpha in
+`graph_branches`).  A report belongs to the point Q of the blow-up, not to
+w: at each boundary point with a target of excess 0, `analyze` must give,
+in every field but w, the report `enumerate_singularities` gives for the
+zero-excess component that holds that target.  It then builds, untraced, at every alpha in
 {1, 2}^K⁺_Q: once on the reports of `enumerate_singularities`, and once on
 every singular analysis; every certificate must pass.  The clusters come
 from the generators of `tests/test_exhaustive.py`, whose tier-1 slice is a
@@ -16,14 +19,15 @@ From the root of a checkout:
     PYTHONPATH=src python benchmarks/exhaustive_domain.py [--points N]
 
 prints the counts, the agreements, the certificates, a SHA-256 digest of
-the `repr` of every report in domain order, and the time of each part.  It
-exits 1 on any disagreement or failed certificate.  At 5 points (the
-default) it reads 11,648 clusters, 103,352 analyses and 29,968 singular
-reports; 36,316 builds on the 9,902 `enumerate_singularities` reports and
-123,680 on every singular analysis.
+the `repr` of every analysis report in domain order, and the time of each
+part.  It exits 1 on any disagreement or failed certificate.  At 5 points
+(the default) it reads 11,648 clusters, 103,352 analyses and 29,968
+singular reports; 36,316 builds on the 9,902 `enumerate_singularities`
+reports and 123,680 on every singular analysis.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import sys
@@ -34,7 +38,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from test_exhaustive import _clusters, _skeletons  # noqa: E402
 
-from sandwiched import FreeOn, Satellite, analyze, dual_graph, enumerate_singularities  # noqa: E402
+from sandwiched import (  # noqa: E402
+    FreeOn,
+    Satellite,
+    analyze,
+    dual_graph,
+    enumerate_singularities,
+    excesses,
+)
 from sandwiched.cartier import CartierRequest, build  # noqa: E402
 from sandwiched.oracle import graph_branches, graph_multiplicity  # noqa: E402
 
@@ -58,23 +69,35 @@ def main(argv=None) -> int:
 
     skeletons = _skeletons(args.points)
     digest = hashlib.sha256()
-    clusters = analyses = singular = agree = enumerated = 0
+    clusters = analyses = singular = agree = over_singular = same_q = enumerated = 0
     enum_builds = enum_certified = all_builds = all_certified = 0
-    # seconds spent analyzing, building on `enumerate_singularities`' reports
-    # and building on every singular analysis; nothing is kept across clusters
+    # seconds spent analyzing, enumerating and building on the enumerated
+    # reports, and building on every singular analysis; nothing is kept
+    # across clusters
     seconds = [0.0, 0.0, 0.0]
     clock = time.perf_counter
     for K in _clusters(range(3), range(3), skeletons):
         if min(K.nu) <= 0:
             continue
         clusters += 1
-        graph = dual_graph(K.skeleton)
+        start = clock()
+        reports = enumerate_singularities(K)
+        seconds[1] += clock() - start
+        # each zero-excess point's singular point, by its enumerated report
+        over = {p: report for report in reports for p in report.T_Q}
+        rho, graph = excesses(K), dual_graph(K.skeleton)
         for w in [FreeOn(p) for p in K.skeleton.points] + [Satellite(*e) for e in graph.edges]:
             start = clock()
             report = analyze(K, w)
             seconds[0] += clock() - start
             digest.update(repr(report).encode())
             analyses += 1
+            # w lies over a singular point exactly when a target has excess 0
+            targets = (w.point,) if isinstance(w, FreeOn) else (w.p, w.q)
+            q = next((p for p in targets if rho[p] == 0), None)
+            if q is not None:
+                over_singular += 1
+                same_q += q in over and dataclasses.replace(over[q], w=w) == report
             if report.smooth:
                 continue
             singular += 1
@@ -87,7 +110,7 @@ def main(argv=None) -> int:
             all_builds += builds
             all_certified += certified
         start = clock()
-        for report in enumerate_singularities(K):
+        for report in reports:
             enumerated += 1
             builds, certified = _builds(K, report)
             enum_builds += builds
@@ -99,6 +122,10 @@ def main(argv=None) -> int:
     print(f"analyses: {analyses:,}, {singular:,} singular")
     print(f"graph_multiplicity and graph_branches agree: {agree:,} of {singular:,}")
     print(
+        f"boundary points over a singular point that give its enumerate_singularities "
+        f"report but for w: {same_q:,} of {over_singular:,}"
+    )
+    print(
         f"enumerate_singularities: {enumerated:,} reports, "
         f"{enum_certified:,} of {enum_builds:,} builds certified"
     )
@@ -108,7 +135,8 @@ def main(argv=None) -> int:
         f"time: analyses {seconds[0]:.1f} s, enumerate builds {seconds[1]:.1f} s, "
         f"analysis builds {seconds[2]:.1f} s"
     )
-    ok = agree == singular and enum_certified == enum_builds and all_certified == all_builds
+    ok = agree == singular == over_singular == same_q
+    ok = ok and enum_certified == enum_builds and all_certified == all_builds
     if not ok:
         print("a report disagrees or a certificate failed", file=sys.stderr)
     return 0 if ok else 1

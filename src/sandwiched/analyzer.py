@@ -9,10 +9,16 @@ components T_Q, the multiplicity-drop set B_Q, the dicritical components
 through Q, the fundamental cycle, the multiplicity, embedding dimension,
 branch count and minimality tests.  K_w is not consistent exactly when w
 is proximate to a point of excess 0, so a smooth point is decided from the
-base's excesses alone; for a singular one K_w is three copies of the
-base's lists with w appended (`weighted._appended`: excesses, `proximate_to`
-rows and dual-graph rows), unloaded in place by the package's one unloading
-engine, and no skeleton is made for it.
+base's excesses alone.
+
+A report belongs to Q, not to w: every free point on E_p with p in T_Q,
+and every satellite at E_p ∩ E_q with p or q in T_Q, maps to Q.  So a
+singular analysis takes K_w to be the base with a free point on w's lowest
+target of excess 0, whatever w is, and reports the caller's w.  That K_w is
+three copies of the base's lists with the point appended
+(`weighted._appended`: excesses, `proximate_to` rows and dual-graph rows),
+unloaded in place by the package's one unloading engine from that one
+target, and no skeleton is made for it.
 
 Each invariant that admits two independent formulas is computed both ways and
 compared; a mismatch raises InternalCheckError (a bug, never bad input).  The
@@ -20,7 +26,10 @@ checks read the vectors the analysis already holds: the unloaded cluster must
 be consistent, by the excesses the unloading ends with, which also give the
 branch count.  The fundamental cycle z is the values of epsilon, and on T_Q
 it must give those excesses: p's final excess there is -Z·E_p.  The checks
-on epsilon read its nonzero entries only.
+on epsilon read its nonzero entries only.  Last, T_Q must be the target's
+zero-excess component in the dual tree, the support of Laufer's computation
+sequence for the fundamental cycle, read off the dual rows the K⁺_Q line
+reads.
 """
 
 from __future__ import annotations
@@ -57,6 +66,8 @@ BoundaryPoint = Union[FreeOn, Satellite]
 class SingularityReport:
     """Everything the calculus attaches to a point Q of the blown-up surface.
 
+    Every field but `w`, the boundary point the caller asked about, belongs
+    to Q: each boundary point over Q gives the same report but for `w`.
     `epsilon` and `z` are full vectors over the points of the base cluster;
     z is nonzero exactly on T_Q (the fundamental cycle).  All sets are sorted
     tuples of point indices of the base cluster.
@@ -159,25 +170,28 @@ def _analyze(
 ) -> SingularityReport:
     """`analyze` on a checked base cluster with excesses `rho_before`.
 
-    K_w is `weighted._appended`'s lists, unloaded in place, and made only
+    K_w is `weighted._appended`'s lists for a free point on w's lowest
+    target of excess 0, unloaded in place from that target, and made only
     for a singular point.  The fundamental cycle z is the values of
     epsilon, one `_values` pass, and it is checked against the excesses the
     unloading ends with: -Z·E_p is p's final excess on T_Q.  The checks on
     epsilon, B_Q and the self-intersection difference read the points
-    whose multiplicity moved."""
+    whose multiplicity moved.  The last check reads T_Q as the target's
+    zero-excess component."""
     sk = cluster.skeleton
-    targets = _targets(sk, w)
     # appending w lowers each target's excess by 1, so K_w needs unloading
-    # (Q is singular) exactly when some target has excess 0
-    negative = sorted(q for q in targets if rho_before[q] == 0)
-    if not negative:
+    # (Q is singular) exactly when some target has excess 0; every point of
+    # E_target maps to Q, so a free point on the lowest such target gives Q
+    targets = _targets(sk, w)
+    target = min((q for q in targets if rho_before[q] == 0), default=None)
+    if target is None:
         return SingularityReport(w=w, smooth=True)
 
     n = len(sk)
-    rho_after, prox_to, rows_w = _appended(sk, rho_before, targets)
+    rho_after, prox_to, rows_w = _appended(sk, rho_before, target)
     # the module attribute, so a test may stand in for the engine
     _, touched, _ = weighted._unload_steps(
-        rho_after, negative, prox_to, rows_w, _default_cap((*cluster.nu, 1)), False
+        rho_after, [target], prox_to, rows_w, _default_cap((*cluster.nu, 1)), False
     )
     nu_after = _multiplicities(rho_after, prox_to)
     _check(nu_after[n] == 0, "attached point kept nonzero multiplicity after unloading")
@@ -214,8 +228,9 @@ def _analyze(
     _check(set(b2_q) <= t_set, "a contracted-satellite point lies outside the contracted set")
 
     rows = sk.dual_rows
-    # K⁺_Q: the dicritical points next to T_Q in the dual graph
-    kplus_q = tuple(sorted({q for p in t_q for q in rows[p] if rho_before[q] > 0}))
+    # K⁺_Q: the dicritical points among T_Q's neighbours in the dual graph
+    boundary = {q for p in t_q for q in rows[p]} - t_set
+    kplus_q = tuple(sorted(q for q in boundary if rho_before[q] > 0))
 
     # rho_before is 0 on T_Q, so p's final excess there is (A·z)_p = -Z·E_p;
     # z is 0 off T_Q, so the whole dual row may be summed
@@ -282,6 +297,16 @@ def _analyze(
         total = sum(resolution.weights) - 2 * len(resolution.edges)
         _check(total == mult, "resolution-graph weight sum does not give the multiplicity")
 
+    # T_Q is zero-excess, so it is the target's zero-excess component when it
+    # holds the target, is connected (a subtree: one edge fewer than points)
+    # and every neighbour outside it is dicritical
+    _check(
+        target in t_set
+        and len(resolution.edges) == len(t_q) - 1
+        and len(boundary) == len(kplus_q),
+        "contracted set differs from its zero-excess component",
+    )
+
     return SingularityReport(
         w=w,
         smooth=False,
@@ -306,11 +331,8 @@ def _analyze(
 def zero_excess_components(cluster: WeightedCluster) -> list[tuple[int, ...]]:
     """Connected components of the zero-excess points in the dual graph,
     ordered by their smallest point."""
-    return _zero_excess_components(excesses(cluster), cluster.skeleton.dual_rows)
-
-
-def _zero_excess_components(rho: tuple[int, ...], rows: dict) -> list[tuple[int, ...]]:
-    zero = {p for p, r in enumerate(rho) if r == 0}
+    zero = {p for p, r in enumerate(excesses(cluster)) if r == 0}
+    rows = cluster.skeleton.dual_rows
     restricted = {p: tuple(q for q in rows[p] if q in zero) for p in zero}
     components = []
     seen: set[int] = set()
@@ -326,20 +348,20 @@ def enumerate_singularities(cluster: WeightedCluster) -> list[SingularityReport]
     """One report per singular point of the blow-up.
 
     The singular points correspond to the connected components of the
-    zero-excess set; each is analyzed through a free point on its
-    lowest-index member, and the contracted set must come back equal to the
-    component.
+    zero-excess set.  The zero-excess points are walked in ascending order,
+    and each one that no earlier report contracts is the lowest point of a
+    new component: it is analyzed through a free point on it, and the
+    analysis checks that its contracted set is that component.
     """
     rho = _require_base_cluster(cluster)
     reports = []
-    for component in _zero_excess_components(rho, cluster.skeleton.dual_rows):
-        report = _analyze(cluster, FreeOn(component[0]), rho)
-        _check(not report.smooth, "zero-excess component analyzed as smooth")
-        _check(
-            report.T_Q == component,
-            "contracted set differs from its zero-excess component",
-        )
-        reports.append(report)
+    contracted: set[int] = set()
+    for p, r in enumerate(rho):
+        if r == 0 and p not in contracted:
+            report = _analyze(cluster, FreeOn(p), rho)
+            _check(not report.smooth, "zero-excess component analyzed as smooth")
+            contracted.update(report.T_Q)
+            reports.append(report)
     return reports
 
 

@@ -12,8 +12,9 @@ One engine, `_unload_steps`, runs every unloading step of the package, on
 its caller's excesses and rows.  `unload` wraps it for a `WeightedCluster`.
 `_Stage` holds a cluster in lists that change in place and unloads them by
 the same engine: the Cartier builder grows its stages in one.  The
-analyzer's K_w, the base with a single point appended, is the three lists
-of `_appended`, which the engine unloads as they are.
+analyzer's K_w, the base with one free point appended, is the three lists
+of `_appended`, which the engine unloads as they are from that point's
+target.
 """
 
 from __future__ import annotations
@@ -318,25 +319,24 @@ def _unload_steps(
     return count, touched, steps
 
 
-def _appended(skeleton: ClusterSkeleton, rho: Sequence[int], targets) -> tuple[list, list, dict]:
-    """K_w, the cluster of excesses `rho` on `skeleton` with a point w of
-    multiplicity 1 appended, proximate to `targets`, as the three lists
+def _appended(sk: ClusterSkeleton, rho: Sequence[int], target: int) -> tuple[list, list, dict]:
+    """K_w, the cluster of excesses `rho` on `sk` with a free point w
+    of multiplicity 1 appended on `target`, as the three lists
     `_unload_steps` reads: its excesses, its `proximate_to` rows and its
     dual-graph rows.
 
     w passes `check_attachment` first, as `extend_point` would check it.
-    Each list is one copy of the skeleton's: each target's excess falls by
-    1 and its row gains w, as a new tuple, and w's excess is 1.  The
+    Each list is one copy of the skeleton's: the target's excess falls by
+    1 and its rows gain w, as new tuples, and w's excess is 1.  The
     skeleton's rows are left as they are.
     """
-    check_attachment(skeleton, frozenset(targets), _fresh_tag("w", skeleton.tag_index))
+    check_attachment(sk, frozenset((target,)), _fresh_tag("w", sk.tag_index))
     n = len(rho)
-    rho, proximate_to = [*rho, 1], [*skeleton.proximate_to, ()]
-    for q in targets:
-        rho[q] -= 1
-        proximate_to[q] += (n,)
-    rows = dict(skeleton.dual_rows)
-    extend_adjacency(rows, targets)
+    rho, proximate_to = [*rho, 1], [*sk.proximate_to, ()]
+    rho[target] -= 1
+    proximate_to[target] += (n,)
+    rows = dict(sk.dual_rows)
+    extend_adjacency(rows, (target,))
     return rho, proximate_to, rows
 
 
@@ -352,8 +352,9 @@ class _Stage:
     read a stage as they read a skeleton, and `_unload_steps` unloads `rho`
     on the rows as they are.  A skeleton is made of a stage only to hand it
     out, as a traced Cartier stage or the builder's result.  The analyzer
-    appends one point and never drops one, so its K_w is `_appended`'s
-    three lists, not a stage.
+    appends one free point and never drops one, so its K_w is
+    `_appended`'s three lists, not a stage; a stage also appends
+    satellites.
 
     A stage starts from `cluster` and its caller's excess vector `rho`,
     which must be `excesses(cluster)`: every caller already holds it.

@@ -8,6 +8,7 @@ cross-checks, and prints one PASS line with the corpus size it covered.
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 
 from sandwiched import (
     FreeOn,
@@ -21,6 +22,7 @@ from sandwiched import (
     unload,
     values,
 )
+from sandwiched.analyzer import zero_excess_components
 from sandwiched.cartier import CartierRequest, build
 from sandwiched.oracle import (
     graph_branches,
@@ -324,3 +326,23 @@ def test_criterion_10_scale_and_order(corpus):
     assert reordered > 0
     print(f"\nACCEPTANCE 10 PASS: {analyses} analyses of {len(clusters)} clusters "
           f"scaled by c in {{7, 1000, 2^70, 10^40}}; {reordered} clusters reordered")
+
+
+def test_criterion_11_a_report_belongs_to_q_not_to_w(corpus):
+    """Every boundary point over a singular point Q of the blow-up, free or
+    satellite, gives Q's report in every field but w: the report
+    `enumerate_singularities` gives for the zero-excess component holding
+    w's targets of excess 0, found by a search of the dual graph."""
+    clusters = {}
+    for instance in corpus:
+        K, w = instance.cluster, instance.w
+        if id(K) not in clusters:
+            reports = enumerate_singularities(K)
+            assert [report.T_Q for report in reports] == zero_excess_components(K), K
+            clusters[id(K)] = excesses(K), {p: r for r in reports for p in r.T_Q}
+        rho, over = clusters[id(K)]
+        targets = (w.point,) if isinstance(w, FreeOn) else (w.p, w.q)
+        q = next(p for p in targets if rho[p] == 0)
+        assert instance.report == replace(over[q], w=w), (K, w)
+    print(f"\nACCEPTANCE 11 PASS: {len(corpus)} analyses of {len(clusters)} clusters "
+          f"equal their singular point's report but for w")

@@ -11,23 +11,28 @@ Core claims:
     - all boundary points on one zero-excess component give the same report
     - enumerate finds one singularity per zero-excess component
     - an unloading of K_w that stops while some excess is negative raises
-      InternalCheckError
+      InternalCheckError; so does a K_w appended and unloaded at a point
+      of another zero-excess component, whose contracted set misses w's
+      target
     - the excess-shift and fundamental-cycle verifications hold on random
       instances, as do the dicritical split facts
     - the resolution graph carries base-cluster weights and, on minimal
       singularities, its weight-minus-degree sum gives the multiplicity; on
       the corpus it is the dual graph induced on T_Q
-    - `analyze`, at the smooth and singular free points of the corpus
-      clusters, and `enumerate_singularities` on make_dr(100) make no
-      `ClusterSkeleton` and call neither the public `unload` nor
+    - `analyze`, at the smooth and singular free points and satellites of
+      the corpus clusters, and `enumerate_singularities` on make_dr(100)
+      make no `ClusterSkeleton` and call neither the public `unload` nor
       `extend_point` nor `dual_graph`, and make no `weighted._Stage` and
       call no public `values`: a singular analysis makes one engine call
-      (`_unload_steps`) and one values pass (`_values`), and a smooth one
-      neither; calls are counted by a profile hook, not timed
+      (`_unload_steps`), handed a one-point queue, satellites included, and
+      one values pass (`_values`), and a smooth one neither;
+      `enumerate_singularities` makes no `bfs` call; calls are counted by a
+      profile hook, not timed
 """
 
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -47,7 +52,7 @@ from sandwiched import (
     extend,
     unload,
 )
-from sandwiched import cluster, weighted
+from sandwiched import analyzer, cluster, dsl, weighted
 from sandwiched.analyzer import zero_excess_components
 from sandwiched.oracle import (
     GeneratorConfig,
@@ -58,7 +63,7 @@ from sandwiched.oracle import (
     verify_difexcess,
 )
 
-from conftest import make_dr
+from conftest import FORK, make_dr
 
 
 # -- extension ---------------------------------------------------------------------
@@ -140,6 +145,19 @@ def test_an_unloading_stopped_early_is_caught(d1, monkeypatch):
     monkeypatch.setattr(weighted, "_unload_steps", first_step_only)
     with pytest.raises(InternalCheckError, match="unloaded cluster is not consistent"):
         analyze(d1, FreeOn(1))
+
+
+def test_a_contracted_set_that_misses_the_target_is_caught(monkeypatch):
+    # FORK's zero-excess points a1 and b1 lie in two components; a K_w built
+    # and unloaded at b1 passes every other check of the analysis at a1,
+    # and only the last one finds that T_Q is not a1's component
+    fork = dsl.parse(FORK)["k"]
+    a1, b1 = (fork.skeleton.index_of(tag) for tag in ("a1", "b1"))
+    appended, engine = analyzer._appended, weighted._unload_steps
+    monkeypatch.setattr(analyzer, "_appended", lambda sk, rho, target: appended(sk, rho, b1))
+    monkeypatch.setattr(weighted, "_unload_steps", lambda rho, _, *rest: engine(rho, [b1], *rest))
+    with pytest.raises(InternalCheckError, match="contracted set differs from its zero-excess"):
+        analyze(fork, FreeOn(a1))
 
 
 # -- the worked example -----------------------------------------------------------------
@@ -344,20 +362,24 @@ def test_the_resolution_graph_is_the_dual_graph_induced_on_the_contracted_set(co
         assert report.resolution_graph == graph.induced(report.T_Q)
 
 
-def _calls(codes, run) -> dict:
-    """The number of calls of each code object of `codes` while `run()` runs."""
+def _calls(codes, run) -> tuple[dict, list]:
+    """The number of calls of each code object of `codes` while `run()` runs,
+    and the length of the queue each call of the engine starts from."""
     counts = dict.fromkeys(codes, 0)
+    queues = []
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in counts:
             counts[frame.f_code] += 1
+            if frame.f_code is ENGINE:
+                queues.append(len(frame.f_locals["queue"]))
 
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
-    return counts
+    return counts, queues
 
 
 SKELETON_ROUTE = (
@@ -374,24 +396,31 @@ ENGINE, VALUES_PASS = weighted._unload_steps.__code__, weighted._values.__code__
 
 def test_an_analysis_makes_no_skeleton_and_no_stage(corpus):
     clusters = list({id(instance.cluster): instance.cluster for instance in corpus}.values())
-    seen = {True: 0, False: 0}
+    seen = Counter()
     for K in clusters[:500]:
-        for p in K.skeleton.points:
+        sk = K.skeleton
+        edges = [(p, q) for p in sk.points for q in sk.dual_rows[p] if q > p]
+        for w in [FreeOn(p) for p in sk.points] + [Satellite(p, q) for p, q in edges]:
             reports = []
-            calls = _calls(
-                (*NO_STAGE, ENGINE, VALUES_PASS), lambda: reports.append(analyze(K, FreeOn(p)))
+            calls, queues = _calls(
+                (*NO_STAGE, ENGINE, VALUES_PASS), lambda: reports.append(analyze(K, w))
             )
             (report,) = reports
-            assert [calls[code] for code in NO_STAGE] == [0] * len(NO_STAGE), (K, p)
-            # one unloading and one values pass, z's, per singular analysis,
-            # and none per smooth one
-            assert calls[ENGINE] == calls[VALUES_PASS] == (not report.smooth), (K, p)
-            seen[report.smooth] += 1
-    assert min(seen.values()) > 500, seen
+            assert [calls[code] for code in NO_STAGE] == [0] * len(NO_STAGE), (K, w)
+            # one unloading, from the one point w's report is read off, and
+            # one values pass, z's, per singular analysis, and none per
+            # smooth one
+            assert calls[ENGINE] == calls[VALUES_PASS] == (not report.smooth), (K, w)
+            assert queues == [1] * (not report.smooth), (K, w)
+            seen[type(w), report.smooth] += 1
+    assert min(seen[FreeOn, True], seen[FreeOn, False]) > 500, seen
+    assert min(seen[Satellite, True], seen[Satellite, False]) > 300, seen
     K = make_dr(100)
-    calls = _calls((*NO_STAGE, ENGINE, VALUES_PASS), lambda: enumerate_singularities(K))
-    assert [calls[code] for code in NO_STAGE] == [0] * len(NO_STAGE)
+    no_search = (*NO_STAGE, cluster.bfs.__code__)
+    calls, queues = _calls((*no_search, ENGINE, VALUES_PASS), lambda: enumerate_singularities(K))
+    assert [calls[code] for code in no_search] == [0] * len(no_search)
     assert calls[ENGINE] == calls[VALUES_PASS] == 1
+    assert queues == [1]
 
 
 # -- tame unloading of extensions ------------------------------------------------------------

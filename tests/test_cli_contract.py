@@ -11,10 +11,16 @@ Core claims:
       the same Rees algebra Proj), so `singularities` (JSON and DOT),
       `analyze --at c0` and `cartier --at c0` with alpha 2 on each K⁺_Q tag
       give the same exit code, stdout and stderr on both
+    - a report belongs to the point Q of the blow-up, not to w: on a
+      generator cluster, `analyze --at` at every boundary point over the
+      singular point of component `c<i>` (`free:TAG` for each TAG in its
+      T_Q, `sat:A,B` for each dual-graph edge that touches T_Q) gives the
+      exit code, stderr and JSON of `analyze --at c<i>`, but for `w`
 """
 
 import contextlib
 import io
+import json
 import random
 
 import pytest
@@ -131,3 +137,27 @@ def test_a_scaled_cluster_gives_the_same_runs(cluster_file, pair):
     for argv in runs:
         want = _run(cluster_file, serialize("k", cluster), argv)
         assert _run(cluster_file, serialize("k", scaled), argv) == want, argv
+
+
+def _but_w(run: tuple[int, str, str]) -> tuple:
+    """An `analyze --format json` run with the report's `w` left out."""
+    code, out, err = run
+    return code, [(key, value) for key, value in json.loads(out).items() if key != "w"], err
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_every_boundary_point_over_a_component_gives_its_report(cluster_file, seed):
+    cluster = _random_cluster(random.Random(seed), GeneratorConfig())
+    sk, text = cluster.skeleton, serialize("k", cluster)
+    for i, component in enumerate(zero_excess_components(cluster)):
+        want = _but_w(_run(cluster_file, text, ["analyze", "--at", f"c{i}"]))
+        t_set = set(component)
+        specs = [f"free:{sk.tags[p]}" for p in component] + [
+            f"sat:{sk.tags[p]},{sk.tags[q]}"
+            for p in sk.points
+            for q in sk.dual_rows[p]
+            if q > p and (p in t_set or q in t_set)
+        ]
+        for spec in specs:
+            assert _but_w(_run(cluster_file, text, ["analyze", "--at", spec])) == want, spec

@@ -33,16 +33,23 @@ Core claims:
       tag index, `proximate_to` rows, dual-graph rows, multiplicities and
       excesses of `extend(K, w)`, and after unloading the multiplicities and
       excesses of `unload(extend(K, w), trace=False)`
-    - at each of those 12,020 boundary points, the analyzer's K_w lists
+    - at each of the 6,760 free points among them, the analyzer's K_w lists
       (`weighted._appended`) are the excesses, `proximate_to` rows and
       dual-graph rows of `extend(K, w)`, and once unloaded by the engine
-      the multiplicities and excesses of `unload(extend(K, w), trace=False)`
+      from w's target the multiplicities and excesses of
+      `unload(extend(K, w), trace=False)`: 1,809 take a step
+    - a report belongs to the point Q of the blow-up, not to w: at each of
+      the 4,516 boundary points over a singular point Q, `analyze` gives, in
+      every field but w, the report `enumerate_singularities` gives for Q's
+      zero-excess component (`zero_excess_components`), the one holding w's
+      targets of excess 0
 
 `benchmarks/exhaustive_domain.py` runs the full domain, excesses in
 {0, 1, 2} on every skeleton of at most N points, on these generators.
 """
 
 import itertools
+from dataclasses import replace
 
 from sandwiched import (
     ClusterSkeleton,
@@ -57,6 +64,7 @@ from sandwiched import (
     unload,
     values,
 )
+from sandwiched.analyzer import zero_excess_components
 from sandwiched.cartier import CartierRequest, build
 from sandwiched.cluster import _fresh_tag, validate
 from sandwiched.oracle import (
@@ -184,6 +192,25 @@ def test_analyze_equals_the_skeleton_route_at_every_boundary_point():
     assert (clusters, analyses, singular) == (1_500, 12_020, 4_516)
 
 
+def test_every_boundary_point_over_a_singular_point_gives_its_components_report():
+    clusters = analyses = 0
+    for K in _clusters(range(3), range(2)):
+        if min(K.nu) <= 0:
+            continue
+        clusters += 1
+        sk, rho = K.skeleton, excesses(K)
+        reports = enumerate_singularities(K)
+        assert [report.T_Q for report in reports] == zero_excess_components(K), K
+        over = {p: report for report in reports for p in report.T_Q}
+        for w in [FreeOn(p) for p in sk.points] + [Satellite(*e) for e in dual_graph(sk).edges]:
+            targets = (w.point,) if isinstance(w, FreeOn) else (w.p, w.q)
+            zero = [q for q in targets if rho[q] == 0]
+            if zero:
+                assert analyze(K, w) == replace(over[zero[0]], w=w), (K, w)
+                analyses += 1
+    assert (clusters, analyses) == (1_500, 4_516)
+
+
 def test_the_stage_equals_the_extend_point_chain_at_every_boundary_point():
     stages = unloaded = 0
     for K in _clusters(range(3), range(2)):
@@ -210,27 +237,26 @@ def test_the_stage_equals_the_extend_point_chain_at_every_boundary_point():
     assert (stages, unloaded) == (12_020, 4_516)
 
 
-def test_the_appended_lists_equal_the_extend_point_chain_at_every_boundary_point():
+def test_the_appended_lists_equal_the_extend_point_chain_at_every_free_point():
     lists = unloaded = 0
     for K in _clusters(range(3), range(2)):
         if min(K.nu) <= 0:
             continue
         sk = K.skeleton
-        for targets in [(p,) for p in sk.points] + list(dual_graph(sk).edges):
-            rho, prox_to, rows = _appended(sk, excesses(K), targets)
-            extended = extend(K, FreeOn(*targets) if len(targets) == 1 else Satellite(*targets))
+        for p in sk.points:
+            rho, prox_to, rows = _appended(sk, excesses(K), p)
+            extended = extend(K, FreeOn(p))
             ext = extended.skeleton
-            assert rho == list(excesses(extended)), (K, targets)
-            assert prox_to == list(ext.proximate_to), (K, targets)
-            assert rows == ext.dual_rows, (K, targets)
+            assert rho == list(excesses(extended)), (K, p)
+            assert prox_to == list(ext.proximate_to), (K, p)
+            assert rows == ext.dual_rows, (K, p)
             lists += 1
-            negative = [q for q in sorted(targets) if rho[q] < 0]
-            if negative:
-                _unload_steps(rho, negative, prox_to, rows, _default_cap(extended.nu), False)
+            if rho[p] < 0:
+                _unload_steps(rho, [p], prox_to, rows, _default_cap(extended.nu), False)
                 unloaded += 1
             result = unload(extended, trace=False)
             assert (_multiplicities(rho, prox_to), rho) == (
                 list(result.cluster.nu),
                 list(result.rho),
-            ), (K, targets)
-    assert (lists, unloaded) == (12_020, 4_516)
+            ), (K, p)
+    assert (lists, unloaded) == (6_760, 1_809)
