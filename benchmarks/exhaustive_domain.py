@@ -20,10 +20,12 @@ From the root of a checkout:
 
 prints the counts, the agreements, the certificates, a SHA-256 digest of
 the `repr` of every analysis report in domain order, and the time of each
-part.  It exits 1 on any disagreement or failed certificate.  At 5 points
-(the default) it reads 11,648 clusters, 103,352 analyses and 29,968
-singular reports; 36,316 builds on the 9,902 `enumerate_singularities`
-reports and 123,680 on every singular analysis.
+part.  It exits 1 on any disagreement or failed certificate, and when the
+digest differs from the one recorded in DIGESTS for that size: a rewrite
+of an engine must not alter a report.  At 5 points (the default) it reads
+11,648 clusters, 103,352 analyses and 29,968 singular reports; 36,316
+builds on the 9,902 `enumerate_singularities` reports and 123,680 on every
+singular analysis.
 """
 
 import argparse
@@ -48,6 +50,13 @@ from sandwiched import (  # noqa: E402
 )
 from sandwiched.cartier import CartierRequest, build  # noqa: E402
 from sandwiched.oracle import graph_branches, graph_multiplicity  # noqa: E402
+
+# the report digest at each number of points, as the analyzer gives it
+DIGESTS = {
+    4: "281a9dec12215cf5e23abdbaaa2ce205f13e59640157c6eb364203e0cf78230b",
+    5: "8240c6ce67b431c1d3c7bcf6192dd1187d5e216962e36800fa48e96c58daa15e",
+    6: "a3458416cd2b2fd86c4843da79e6cd49deaf1634837a44ffed88dfc4183b07fd",
+}
 
 
 def _builds(K, report) -> tuple[int, int]:
@@ -139,6 +148,10 @@ def main(argv=None) -> int:
     ok = ok and enum_certified == enum_builds and all_certified == all_builds
     if not ok:
         print("a report disagrees or a certificate failed", file=sys.stderr)
+    recorded = DIGESTS.get(args.points)
+    if recorded is not None and digest.hexdigest() != recorded:
+        print(f"report digest differs from the recorded {recorded}", file=sys.stderr)
+        ok = False
     return 0 if ok else 1
 
 

@@ -9,7 +9,11 @@ negative; unloading turns any cluster into the unique consistent one defining
 the same ideal.
 
 One engine, `_unload_steps`, runs every unloading step of the package, on
-its caller's excesses and rows.  `unload` wraps it for a `WeightedCluster`.
+its caller's excesses and rows.  A run of tame hand-offs down a chain of
+links, points of w = 2 between p - 1 and p + 1, is most of a long
+unloading on a chain; the engine takes it in one move, with the steps,
+records and excesses of the stepwise order.  `unload` wraps it for a
+`WeightedCluster`.
 `_Stage` holds a cluster in lists that change in place and unloads them by
 the same engine: the Cartier builder grows its stages in one.  The
 analyzer's K_w, the base with one free point appended, is the three lists
@@ -26,7 +30,6 @@ from typing import Iterable, Optional, Sequence
 
 from .cluster import (
     ClusterSkeleton,
-    _fresh_tag,
     _inherit_verdict,
     check_attachment,
     extend_adjacency,
@@ -247,11 +250,34 @@ def _unload_steps(
     every crossing point above p are pushed.  A step that hands off costs
     O(deg_p), any other O(deg_p + log n).
 
+    Runs down links.  A link is a point p of w_p = 2 whose dual-graph
+    neighbours are exactly p - 1 and p + 1, as its row reads at its first
+    step: the points of a free chain, and of make_dr's satellite chain.  On
+    a chain of links Laufer's sequence carries each unit of the cycle down
+    the chain one link per step, by hand-off, so the chain weighted
+    (1, ..., 1, 200) takes 19,290 steps.  At a tame step at a link p, let s
+    be the lowest point such that every point of p - 1, ..., s is a link
+    whose row was read and whose excess is 0.  The lowest-index order then
+    steps p, p - 1, ..., s back to back: each of them raises its own
+    excess from -1 to 1, takes its lower neighbour from 0 to -1 and hands
+    it off, and takes its upper one, stepped just before, from 1 to 0.
+    So the run is one move, of a constant number of writes and a read of
+    each of its points: rho_{p+1} falls by 1 (pushed if it crosses),
+    rho_p ends at 0 and rho_s at 1 and the links between stay at 0,
+    rho_{s-1} falls by 1 (handed off if it crosses), the count grows by
+    p - s + 1 and a traced call appends the tame records of p, ..., s in
+    that order.  These are the steps, the records and the excesses of the
+    stepwise order, and the heap holds the same points.  A run that would
+    pass the cap is stepped one step at a time, so it raises at the same
+    step with the same records.  Points not yet read are stepped alone,
+    which keeps `touched` and its order, and so is every upward wave: its
+    pushed points interleave with others.
+
     Step records are frozen values shared within a call (see `UnloadStep`):
     a long trace repeats a few steps many times, and building a record
     costs more than a step's arithmetic.
     """
-    # p -> (w_p, p's dual-graph neighbours below p, those above p)
+    # p -> (w_p, p's dual-graph neighbours below p, those above p, p is a link)
     rows: list = [None] * len(rho)
     touched: list[int] = []
     steps: list[UnloadStep] = []
@@ -266,11 +292,45 @@ def _unload_steps(
         if row is None:
             neighbours = dual_rows[p]
             split = bisect(neighbours, p)
-            row = rows[p] = (len(proximate_to[p]) + 1, neighbours[:split], neighbours[split:])
+            w = len(proximate_to[p]) + 1
+            link = w == 2 and len(neighbours) == 2 and neighbours[0] == p - 1 and neighbours[1] == p + 1
+            row = rows[p] = (w, neighbours[:split], neighbours[split:], link)
             touched.append(p)
-        w, below, above = row
+        w, below, above, link = row
         rho_p = rho[p]
         if rho_p == -1:
+            if link:
+                # the run of tame hand-offs p, p - 1, ..., s down read links of
+                # excess 0, in one move; a run whose last step, count + p - s + 1,
+                # would pass the cap is stepped one step at a time
+                s = p - 1
+                while rho[s] == 0 and (lower := rows[s]) is not None and lower[3]:
+                    s -= 1
+                s += 1
+                if count + p - s < cap:
+                    count += p - s + 1
+                    if trace:
+                        for x in range(p, s - 1, -1):
+                            step = tame_steps[x]
+                            if step is None:
+                                step = tame_steps[x] = UnloadStep(x, 1, True)
+                            steps.append(step)
+                    r = rho[p + 1]
+                    rho[p + 1] = r - 1
+                    if r == 0:
+                        heappush(queue, p + 1)
+                    if s < p:
+                        rho[p] = 0
+                    rho[s] = 1
+                    r = rho[s - 1]
+                    rho[s - 1] = r - 1
+                    if r < 1:
+                        p = s - 1
+                    elif queue:
+                        p = heappop(queue)
+                    else:
+                        break
+                    continue
             inc = 1
             rho[p] = w - 1
             if trace:
@@ -325,12 +385,14 @@ def _appended(sk: ClusterSkeleton, rho: Sequence[int], target: int) -> tuple[lis
     `_unload_steps` reads: its excesses, its `proximate_to` rows and its
     dual-graph rows.
 
-    w passes `check_attachment` first, as `extend_point` would check it.
-    Each list is one copy of the skeleton's: the target's excess falls by
-    1 and its rows gain w, as new tuples, and w's excess is 1.  The
-    skeleton's rows are left as they are.
+    `target` must be a point of `sk`, as `analyzer._targets` checks it.
+    No rule of `check_attachment` can then fail, so it is not run: w has
+    one target, in range, no satellite rule applies to a free point, and
+    the tag `extend_point` would give w is fresh by its making.  Each list
+    is one copy of the skeleton's: the target's excess falls by 1 and its
+    rows gain w, as new tuples, and w's excess is 1.  The skeleton's rows
+    are left as they are.
     """
-    check_attachment(sk, frozenset((target,)), _fresh_tag("w", sk.tag_index))
     n = len(rho)
     rho, proximate_to = [*rho, 1], [*sk.proximate_to, ()]
     rho[target] -= 1

@@ -33,6 +33,10 @@ Core claims:
       count and, traced, its steps, on seeded generator instances; from an
       empty queue it takes no step and leaves the excesses as they are, and
       so does a Cartier stage unloaded from no negative point
+    - the engine takes a run of tame hand-offs down a chain of links in a
+      constant number of writes: on the chain weighted (1, ..., 1, 200),
+      traced and untraced, and on make_dr(100)'s K_w it writes at most one
+      excess per four steps, and ends as on a plain list
     - an `UnloadStep` is a frozen value: its fields cannot be assigned, its
       repr names them, and it is not equal to the tuple of its fields
     - one traced call gives equal steps one shared record, tame and non-tame
@@ -63,7 +67,7 @@ from sandwiched import (
 from sandwiched import oracle
 from sandwiched.analyzer import extend, zero_excess_components
 from sandwiched.oracle import GeneratorConfig, random_skeleton, reference_unload
-from sandwiched.weighted import UnloadStep, _default_cap, _Stage, _unload_steps
+from sandwiched.weighted import UnloadStep, _appended, _default_cap, _Stage, _unload_steps
 
 from conftest import make_dr
 
@@ -150,6 +154,42 @@ def test_the_engine_takes_no_step_from_an_empty_queue():
     stage = _Stage(K, excesses(K))
     assert stage.unload([]) == (0, [])
     assert (stage.nu, stage.rho) == (list(K.nu), list(excesses(K)))
+
+
+class WriteCountingList(list):
+    """An excess list that counts the element writes made to it."""
+
+    writes = 0
+
+    def __setitem__(self, index, value):
+        self.writes += 1
+        super().__setitem__(index, value)
+
+
+def test_a_run_of_tame_hand_offs_down_links_is_one_move():
+    # unloading a chain of (-2)-curves carries each unit down the chain one
+    # tame hand-off per link; the engine takes such a run in a constant
+    # number of writes, so a long unloading writes far fewer excesses than
+    # it takes steps, and otherwise runs as the plain list does
+    chain = WeightedCluster(chain_skeleton(200), (1,) * 199 + (200,))
+    K = make_dr(100)
+    target = excesses(K).index(0)
+    rho, prox_to, rows = _appended(K.skeleton, excesses(K), target)
+    sk = chain.skeleton
+    cases = [
+        (excesses(chain), [198], sk.proximate_to, sk.dual_rows, _default_cap(chain.nu), False),
+        (excesses(chain), [198], sk.proximate_to, sk.dual_rows, _default_cap(chain.nu), True),
+        (rho, [target], prox_to, rows, _default_cap((*K.nu, 1)), False),
+    ]
+    for rho, queue, *rest in cases:
+        assert queue == [p for p, r in enumerate(rho) if r < 0]
+        plain, counted = list(rho), WriteCountingList(rho)
+        expected = _unload_steps(plain, list(queue), *rest)
+        assert _unload_steps(counted, list(queue), *rest) == expected
+        assert counted == plain
+        steps = expected[0]
+        assert steps > 10_000
+        assert counted.writes * 4 <= steps, (counted.writes, steps)
 
 
 def test_matches_reference_on_make_dr_extensions():
