@@ -25,8 +25,8 @@ points proximate to it, each proximate to the one before, so the next one
 attaches to the last of them in the stage's `proximate_to` row, or to the
 anchor when none is left.
 
-The stage lives in lists that grow in place (`weighted._Stage`, the list
-type of the analyzer's K_w too): the points' parents, proximities and
+The stage lives in lists that grow in place (`weighted._Stage`, which
+serves the builder alone): the points' parents, proximities and
 tags, the rows of `proximate_to` and of the dual graph, the tag index, the
 multiplicities nu and the excesses rho.  Appending
 a point of multiplicity 1 makes `extend_point`'s checks, updates each list

@@ -321,7 +321,6 @@ def _cmd_synthesize(args) -> int:
     report = analyze(cluster, boundary)
     _emit(dsl.serialize("synthesized", cluster), args.emit_cluster)
     payload = dsl.report_json(cluster, report)
-    payload["w"] = dsl.boundary_json(cluster.skeleton, boundary)
     sys.stdout.write(_json(payload))
     return EXIT_OK
 

@@ -11,9 +11,9 @@ the same ideal.
 One engine, `_unload_steps`, runs every unloading step of the package, on
 its caller's excesses and rows.  A run of tame hand-offs down a chain of
 links, points of w = 2 between p - 1 and p + 1, is most of a long
-unloading on a chain; the engine takes it in one move, with the steps,
-records and excesses of the stepwise order.  `unload` wraps it for a
-`WeightedCluster`.
+unloading on a chain; the engine takes it as one tame step at the run's
+last link, with the steps, records and excesses of the stepwise order.
+`unload` wraps it for a `WeightedCluster`.
 `_Stage` holds a cluster in lists that change in place and unloads them by
 the same engine: the Cartier builder grows its stages in one.  The
 analyzer's K_w, the base with one free point appended, is the three lists
@@ -260,18 +260,19 @@ def _unload_steps(
     whose row was read and whose excess is 0.  The lowest-index order then
     steps p, p - 1, ..., s back to back: each of them raises its own
     excess from -1 to 1, takes its lower neighbour from 0 to -1 and hands
-    it off, and takes its upper one, stepped just before, from 1 to 0.
-    So the run is one move, of a constant number of writes and a read of
-    each of its points: rho_{p+1} falls by 1 (pushed if it crosses),
-    rho_p ends at 0 and rho_s at 1 and the links between stay at 0,
-    rho_{s-1} falls by 1 (handed off if it crosses), the count grows by
-    p - s + 1 and a traced call appends the tame records of p, ..., s in
-    that order.  These are the steps, the records and the excesses of the
-    stepwise order, and the heap holds the same points.  A run that would
-    pass the cap is stepped one step at a time, so it raises at the same
-    step with the same records.  Points not yet read are stepped alone,
-    which keeps `touched` and its order, and so is every upward wave: its
-    pushed points interleave with others.
+    it off, and takes its upper one, stepped just before, from 1 to 0.  So
+    the run lowers rho_{p+1} by 1 (pushed if it crosses), leaves p, ...,
+    s + 1 at 0 and s at 1, lowers rho_{s-1} by 1 (handed off if it
+    crosses), and pushes no other point: it is one tame step at s with
+    p's upper row and s's lower row.  The engine sets rho_p to 0, counts
+    the p - s steps before s's and appends their tame records, p first,
+    when traced, and the common tame step does the rest.  These are the
+    steps, the records and the excesses of the stepwise order, and the
+    heap holds the same points.  A run that would pass the cap is stepped
+    one step at a time, so it raises at the same step with the same
+    records.  Points not yet read are stepped alone, which keeps `touched`
+    and its order, and so is every upward wave: its pushed points
+    interleave with others.
 
     Step records are frozen values shared within a call (see `UnloadStep`):
     a long trace repeats a few steps many times, and building a record
@@ -301,36 +302,23 @@ def _unload_steps(
         if rho_p == -1:
             if link:
                 # the run of tame hand-offs p, p - 1, ..., s down read links of
-                # excess 0, in one move; a run whose last step, count + p - s + 1,
-                # would pass the cap is stepped one step at a time
+                # excess 0 is one tame step at s, with p's upper row and s's
+                # lower row; a run whose last step, count + p - s + 1, would
+                # pass the cap is stepped one step at a time
                 s = p - 1
                 while rho[s] == 0 and (lower := rows[s]) is not None and lower[3]:
                     s -= 1
                 s += 1
-                if count + p - s < cap:
-                    count += p - s + 1
+                if s < p and count + p - s < cap:
+                    count += p - s
                     if trace:
-                        for x in range(p, s - 1, -1):
+                        for x in range(p, s, -1):
                             step = tame_steps[x]
                             if step is None:
                                 step = tame_steps[x] = UnloadStep(x, 1, True)
                             steps.append(step)
-                    r = rho[p + 1]
-                    rho[p + 1] = r - 1
-                    if r == 0:
-                        heappush(queue, p + 1)
-                    if s < p:
-                        rho[p] = 0
-                    rho[s] = 1
-                    r = rho[s - 1]
-                    rho[s - 1] = r - 1
-                    if r < 1:
-                        p = s - 1
-                    elif queue:
-                        p = heappop(queue)
-                    else:
-                        break
-                    continue
+                    rho[p] = 0
+                    p, below = s, rows[s][1]
             inc = 1
             rho[p] = w - 1
             if trace:

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 from sandwiched import (
     FreeOn,
+    Satellite,
     WeightedCluster,
     analyze,
     canonical,
@@ -346,3 +347,22 @@ def test_criterion_11_a_report_belongs_to_q_not_to_w(corpus):
         assert instance.report == replace(over[q], w=w), (K, w)
     print(f"\nACCEPTANCE 11 PASS: {len(corpus)} analyses of {len(clusters)} clusters "
           f"equal their singular point's report but for w")
+
+
+def test_criterion_12_smooth_exactly_when_the_skeleton_route_takes_no_step(corpus):
+    """A boundary point is smooth exactly when K_w, built on the skeleton
+    by `extend`, unloads in no step.  The corpus keeps singular analyses
+    only, so this criterion reads every free point and every satellite on
+    a dual-graph edge of its clusters, smooth ones included."""
+    clusters = {id(instance.cluster): instance.cluster for instance in corpus}
+    points = smooth = 0
+    for K in clusters.values():
+        spots = [FreeOn(p) for p in K.skeleton.points]
+        spots += [Satellite(u, v) for u, v in dual_graph(K.skeleton).edges]
+        for w in spots:
+            report = analyze(K, w)
+            assert report.smooth == (unload(extend(K, w), trace=False).step_count == 0), (K, w)
+            points += 1
+            smooth += report.smooth
+    print(f"\nACCEPTANCE 12 PASS: {points} boundary points of {len(clusters)} clusters, "
+          f"{smooth} smooth, smooth exactly when K_w takes no unloading step")

@@ -197,6 +197,7 @@ def test_synthesize(tmp_path, capsys):
     payload = json.loads(out.split("\n", 2)[2])
     assert payload["mult"] == 2
     assert len(payload["Kplus_Q"]) == 3
+    assert payload["w"] == {"kind": "free", "on": "a"}
 
 
 def test_synthesize_a_vertex_named_weight(tmp_path, capsys):
