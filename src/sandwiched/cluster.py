@@ -483,8 +483,9 @@ def extend_adjacency(adjacency: dict, targets: Collection[int]) -> None:
     """Update, in place, the dual graph's `adjacency` rows of a skeleton to
     those of `extend_point(skeleton, targets)`.
 
-    The one statement of the blow-up rule, for `dual_rows` and for the
-    lists of a `weighted._Stage`.
+    The one statement of the blow-up rule, for `dual_rows`, for the lists
+    of a `weighted._Stage` and for the analyzer's K_w, the rows
+    `weighted._appended` copies.
     Blowing up the new point n changes the graph only locally: a free point
     on E_p adds n to the row of p; a satellite at E_a ∩ E_b separates a and
     b and adds n to both rows.  n is the largest index, so every row stays

@@ -9,10 +9,11 @@ negative; unloading turns any cluster into the unique consistent one defining
 the same ideal.
 
 One engine, `_unload_steps`, runs every unloading step of the package, on
-its caller's excesses and rows.  A run of tame hand-offs down a chain of
-links, points of w = 2 between p - 1 and p + 1, is most of a long
-unloading on a chain; the engine takes it as one tame step at the run's
-last link, with the steps, records and excesses of the stepwise order.
+its caller's excesses and rows, from one min-heap of the negative points.
+A run of tame steps down a chain of links, points of w = 2 between p - 1
+and p + 1, is most of a long unloading on a chain; the engine takes it as
+one tame step at the run's last link, with the steps, records and
+excesses of the stepwise order.
 `unload` wraps it for a `WeightedCluster`.
 `_Stage` holds a cluster in lists that change in place and unloads them by
 the same engine: the Cartier builder grows its stages in one.  The
@@ -23,7 +24,6 @@ target.
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
@@ -231,82 +231,73 @@ def _unload_steps(
     x of p, and moves no other excess.  The lowest-index negative point is
     always unloaded next.
 
-    The first step at p reads w_p and p's row of `dual_rows`, split into
-    the neighbours below p (targets of p) and those above it, and keeps
+    The first step at p reads w_p and p's row of `dual_rows` and keeps
     them for the call; the points whose row was read are the touched ones,
     in the order first unloaded.  A tame step (rho_p = -1, the unit step of
     Laufer's computation sequence and almost every step of a long
     unloading) sets inc = 1 and rho_p = w_p - 1 without a division.
 
-    Worklist invariant: a min-heap of point indices plus the hand-off hold
-    exactly the points with a negative excess, each once.  A step leaves p
-    with excess >= 0 and lowers every other excess it changes, so a
-    neighbour enters the worklist exactly when the step takes it from >= 0
-    to below 0, and a negative point stays negative until it is unloaded.
-    Before the step p is the lowest negative point, so every point below p
-    has excess >= 0, and the lowest target the step takes below 0 is the
-    lowest negative point after it: it is handed to the next step directly,
-    with no push and no pop.  A second crossing target (p a satellite) and
-    every crossing point above p are pushed.  A step that hands off costs
-    O(deg_p), any other O(deg_p + log n).
+    Worklist invariant: at every pop, the min-heap `queue` holds exactly
+    the points with a negative excess, each once.  A step leaves p with
+    excess >= 0 and lowers every other excess it changes, so a neighbour
+    is pushed exactly when the step takes it from >= 0 to below 0, and a
+    negative point stays negative until it is popped and unloaded.  The
+    pop is the lowest negative point, and a step costs O(deg_p) plus
+    O(log n) for each heap call.
 
     Runs down links.  A link is a point p of w_p = 2 whose dual-graph
     neighbours are exactly p - 1 and p + 1, as its row reads at its first
     step: the points of a free chain, and of make_dr's satellite chain.  On
     a chain of links Laufer's sequence carries each unit of the cycle down
-    the chain one link per step, by hand-off, so the chain weighted
-    (1, ..., 1, 200) takes 19,290 steps.  At a tame step at a link p, let s
-    be the lowest point such that every point of p - 1, ..., s is a link
-    whose row was read and whose excess is 0.  The lowest-index order then
-    steps p, p - 1, ..., s back to back: each of them raises its own
-    excess from -1 to 1, takes its lower neighbour from 0 to -1 and hands
-    it off, and takes its upper one, stepped just before, from 1 to 0.  So
-    the run lowers rho_{p+1} by 1 (pushed if it crosses), leaves p, ...,
-    s + 1 at 0 and s at 1, lowers rho_{s-1} by 1 (handed off if it
-    crosses), and pushes no other point: it is one tame step at s with
-    p's upper row and s's lower row.  The engine sets rho_p to 0, counts
+    the chain one link per step, so the chain weighted (1, ..., 1, 200)
+    takes 19,290 steps.  At a tame step at a link p, let s be the lowest
+    point such that every point of p - 1, ..., s is a link whose row was
+    read and whose excess is 0.  The lowest-index order then steps p,
+    p - 1, ..., s back to back: each of them raises its own excess from -1
+    to 1, takes its lower neighbour from 0 to -1, the next pop, and takes
+    its upper one, stepped just before, from 1 to 0.  So the run lowers
+    rho_{p+1} by 1, leaves p, ..., s + 1 at 0 and s at 1, and lowers
+    rho_{s-1} by 1: it is one tame step at s with neighbours s - 1 and
+    p + 1, each pushed if it crosses.  The engine sets rho_p to 0, counts
     the p - s steps before s's and appends their tame records, p first,
     when traced, and the common tame step does the rest.  These are the
     steps, the records and the excesses of the stepwise order, and the
-    heap holds the same points.  A run that would pass the cap is stepped
-    one step at a time, so it raises at the same step with the same
-    records.  Points not yet read are stepped alone, which keeps `touched`
-    and its order, and so is every upward wave: its pushed points
+    heap holds the same points at the next pop.  A run that would pass the
+    cap is stepped one step at a time, so it raises at the same step with
+    the same records.  Points not yet read are stepped alone, which keeps
+    `touched` and its order, and so is every upward wave: its pushed points
     interleave with others.
 
     Step records are frozen values shared within a call (see `UnloadStep`):
     a long trace repeats a few steps many times, and building a record
     costs more than a step's arithmetic.
     """
-    # p -> (w_p, p's dual-graph neighbours below p, those above p, p is a link)
+    # p -> (w_p, p's dual-graph neighbours, p is a link)
     rows: list = [None] * len(rho)
     touched: list[int] = []
     steps: list[UnloadStep] = []
     tame_steps: list = [None] * len(rho) if trace else []
     records: dict[tuple[int, int], UnloadStep] = {}
     count = 0
-    if not queue:
-        return count, touched, steps
-    p = heappop(queue)
-    while True:
+    while queue:
+        p = heappop(queue)
         row = rows[p]
         if row is None:
             neighbours = dual_rows[p]
-            split = bisect(neighbours, p)
             w = len(proximate_to[p]) + 1
             link = w == 2 and len(neighbours) == 2 and neighbours[0] == p - 1 and neighbours[1] == p + 1
-            row = rows[p] = (w, neighbours[:split], neighbours[split:], link)
+            row = rows[p] = (w, neighbours, link)
             touched.append(p)
-        w, below, above, link = row
+        w, neighbours, link = row
         rho_p = rho[p]
         if rho_p == -1:
             if link:
-                # the run of tame hand-offs p, p - 1, ..., s down read links of
-                # excess 0 is one tame step at s, with p's upper row and s's
-                # lower row; a run whose last step, count + p - s + 1, would
-                # pass the cap is stepped one step at a time
+                # the run of tame steps p, p - 1, ..., s down read links of
+                # excess 0 is one tame step at s, with neighbours p + 1 and
+                # s - 1; a run whose last step, count + p - s + 1, would pass
+                # the cap is stepped one step at a time
                 s = p - 1
-                while rho[s] == 0 and (lower := rows[s]) is not None and lower[3]:
+                while rho[s] == 0 and (lower := rows[s]) is not None and lower[2]:
                     s -= 1
                 s += 1
                 if s < p and count + p - s < cap:
@@ -318,7 +309,7 @@ def _unload_steps(
                                 step = tame_steps[x] = UnloadStep(x, 1, True)
                             steps.append(step)
                     rho[p] = 0
-                    p, below = s, rows[s][1]
+                    p, neighbours = s, (s - 1, p + 1)
             inc = 1
             rho[p] = w - 1
             if trace:
@@ -340,30 +331,11 @@ def _unload_steps(
             raise CapExceededError(
                 f"unloading exceeded the {cap}-step safety cap", trace=tuple(steps)
             )
-        for x in above:
+        for x in neighbours:
             r = rho[x]
             rho[x] = r - inc
             if 0 <= r < inc:
                 heappush(queue, x)
-        # every point below p has excess >= 0, so the lowest one the step
-        # takes below 0 is the lowest negative point: the next step's
-        handoff = -1
-        for x in below:
-            r = rho[x]
-            rho[x] = r - inc
-            if r < inc:
-                if handoff < 0:
-                    handoff = x
-                else:
-                    # p is a satellite and both its targets cross
-                    heappush(queue, max(x, handoff))
-                    handoff = min(x, handoff)
-        if handoff >= 0:
-            p = handoff
-        elif queue:
-            p = heappop(queue)
-        else:
-            break
     return count, touched, steps
 
 

@@ -4,7 +4,9 @@ Core claims:
     - exit codes encode the outcome: 0 smooth/ok, 1 input error, 2 a
       singularity was found
     - analyze reproduces the worked example through the JSON surface
-    - a document that defines no cluster is an input error, for validate too
+    - a document that defines no cluster is an input error, for validate too,
+      and so is a `--name` that names no cluster of the file; validate
+      prints each broken rule, an origin given a parent among them
     - unload is the identity on consistent input
     - cartier emits the expected cluster and a passing certificate; at a
       smooth point it is an input error, reported by the request's own check
@@ -13,7 +15,10 @@ Core claims:
       memory or recursion depth end in a one-line message and an exit code,
       never a traceback; so does a weight, a component number, a
       multiplicity or a selftest seed or cluster count that is not an ASCII
-      integer or is too long to convert, and a negative cluster count
+      integer or is too long to convert, a multiplicity entry without `=`,
+      and a negative cluster count
+    - `analyze --format dot` at a smooth point is an input error: there is
+      no resolution graph to export
     - importing the package and every runtime module does not import the
       oracle (only `selftest` and the tests need it), and every name in
       `sandwiched.__all__` resolves
@@ -77,6 +82,14 @@ def test_validate_reports_diagnostics(tmp_path, capsys):
     assert "satellite-inheritance" in out
 
 
+def test_validate_names_a_second_origin(tmp_path, capsys):
+    path = tmp_path / "bad.cluster"
+    path.write_text("cluster bad { O -> O ; p1 -> O }\n", encoding="utf-8")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert "bad: [single-origin] at point 0: origin must have no parent and no proximities\n" in out
+
+
 def test_validate_rejects_a_document_without_clusters(tmp_path, capsys):
     path = tmp_path / "empty.cluster"
     path.write_text("# nothing\n", encoding="utf-8")
@@ -127,6 +140,12 @@ def test_analyze_dot_resolution_graph(d1_file, capsys):
     code, out, _ = run(capsys, "analyze", d1_file, "--at", "c0", "--format", "dot")
     assert code == 2
     assert '"O" [label="O (2)"];' in out
+
+
+def test_analyze_dot_at_a_smooth_point_is_an_input_error(d1_file, capsys):
+    code, out, err = run(capsys, "analyze", d1_file, "--at", "free:q1", "--format", "dot")
+    assert (code, out) == (1, "")
+    assert err == "error: smooth points have no resolution graph to export\n"
 
 
 def test_singularities_json(d1_file, capsys):
@@ -267,6 +286,12 @@ def test_missing_name_on_multi_cluster_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_unknown_name_is_an_input_error(d1_file, capsys):
+    code, out, err = run(capsys, "unload", d1_file, "--name", "nope")
+    assert (code, out) == (1, "")
+    assert err == f"error: {d1_file}: no cluster named 'nope'\n"
+
+
 def test_cartier_seed_point_flag(d1_file, capsys):
     code, out, _ = run(
         capsys, "cartier", d1_file, "--at", "c0", "--alpha", "q1=2",
@@ -339,8 +364,9 @@ def test_bad_component_number_is_an_input_error(d1_file, capsys, at, message):
         ("q1=" + "1" * 5000, "multiplicity of 'q1' has too many digits"),
         ("q1=-1", "prescribed multiplicities must be positive"),
         ("q1=2,q1=3", "multiplicity of 'q1' given twice"),
+        ("q1", "bad multiplicity entry 'q1'; expected TAG=N"),
     ],
-    ids=["full-width", "underscore", "superscript", "5000-digits", "negative", "repeated"],
+    ids=["full-width", "underscore", "superscript", "5000-digits", "negative", "repeated", "no-equals"],
 )
 def test_bad_multiplicity_is_an_input_error(d1_file, capsys, alpha, message):
     code, out, err = run(capsys, "cartier", d1_file, "--at", "c0", "--alpha", alpha)

@@ -37,10 +37,12 @@ Core claims:
       the K_w that `enumerate_singularities` unloads on make_dr(100) (10,001
       steps): a step reads no proximity row, only the first step at a point
       reads that point's dual-graph row
-    - on the same two unloadings, `unload` makes at most n heap pushes and
-      n + 1 heap pops: a step that takes a point below the unloaded one
-      across 0 hands it to the next step without the heap, so the heap
-      calls do not grow with the step count
+    - on the same two unloadings, `unload` makes at most 3n heap pushes
+      and exactly one pop more than it pushes, since each starts from one
+      negative point: a run of tame steps down links is one step, which
+      pushes at most its two ends, so the heap calls grow with n, not with
+      the step count (586 pushes for the chain's 19,290 steps, 396 for the
+      K_w's 10,001)
 
 Every read of the base skeleton's `parents` goes through `CountedParents`,
 and every read of an unloaded skeleton's `proximities` through
@@ -374,10 +376,11 @@ def test_unload_reads_each_proximity_row_a_bounded_number_of_times(metered, shap
 
 
 @LONG_UNLOADS
-def test_unload_makes_at_most_n_pushes_and_n_plus_one_pops(heap_calls, shape, steps):
+def test_unload_makes_at_most_3n_pushes_and_one_pop_more(heap_calls, shape, steps):
     K = shape()
     n = len(K.skeleton)
     for trace in (False, True):
         heap_calls.update(push=0, pop=0)
         assert unload(K, trace=trace).step_count == steps
-        assert heap_calls["push"] <= n and heap_calls["pop"] <= n + 1, heap_calls
+        assert heap_calls["push"] <= 3 * n, heap_calls
+        assert heap_calls["pop"] == heap_calls["push"] + 1, heap_calls

@@ -10,7 +10,9 @@ Core claims:
     - the self-check compares the resolution graph with the input by name,
       so it rejects an isomorphic relabelling of the input, and it rejects
       a smooth report with InternalCheckError
-    - graph specs reject non-trees, low weights, and weight < degree
+    - graph specs reject non-trees, low weights, and weight < degree; a
+      graph file's error names the line at fault, a vertex weighted twice
+      or a disconnected graph among them
     - `synthesize` validates its spec once
     - the edge-list file format round-trips; a weight is ASCII digits, a
       vertex name is a DSL name, and only a first word `weight` declares one
@@ -131,8 +133,12 @@ def test_graph_file_errors_carry_position():
         ("weight c=2\nweight a=2\nweight b=2\nweight d=2\nc a\nc b\nc d\n", 1,
          "weight of c is below its degree"),
         ("weight a=2\nweight b=2\n# no edge\n", 3, "not a tree: wrong edge count"),
+        ("weight a=2\nweight a=3\n", 2, "weight of 'a' declared twice"),
+        ("weight a=2\nweight b=2\nweight c=2\nweight d=2\na b\nb a\nc d\n", 7,
+         "not a tree: graph is disconnected"),
     ],
-    ids=["unknown-vertex", "loop", "low-weight", "below-degree", "not-a-tree"],
+    ids=["unknown-vertex", "loop", "low-weight", "below-degree", "not-a-tree", "weight-twice",
+         "disconnected"],
 )
 def test_graph_errors_name_the_line_at_fault(text, line, message):
     with pytest.raises(ParseError, match=f"^line {line}, column 1: {message}"):

@@ -13,16 +13,15 @@ Core claims:
       cap it raises at the same step as the traced call, with an empty trace
     - whatever order the reference loop unloads in, it ends on the cluster
       `unload` reaches, and that cluster has no negative excess
-    - the heap plus the hand-off hold exactly the negative points, each once:
-      a step lowers every excess it changes but the unloaded point's; a step
-      that takes a point below the unloaded one across 0 hands the lowest
-      such point to the next step with no push and no pop, and every other
-      crossing is one push (pushes + hand-offs = net crossings); every entry
-      pushed is popped as a step, so none is stale (initial negatives +
-      pushes = pops); and every step is a pop or a hand-off (pops + hand-offs
-      = steps), with the hand-offs counted by replaying the trace, not by the
-      engine.  This holds on instances where the earlier multiplicity-form
-      step raised a negative point out of the negatives and lowered it back
+    - at every pop the engine's heap holds exactly the negative points of
+      its excess list, each once, checked against the list itself by a
+      `heappop` stand-in: a step lowers every excess it changes but the
+      unloaded point's (checked by replaying the trace); every entry pushed
+      is popped as a step, so none is stale (initial negatives + pushes =
+      pops); and no crossing is pushed twice (pushes <= the replay's net
+      crossings, fewer where a run down links takes several steps in one).
+      This holds on instances where the earlier multiplicity-form step
+      raised a negative point out of the negatives and lowered it back
     - a step moves the excesses along the dual tree, where a satellite
       proximate to two points separates them: on every weighting of a
       5-point skeleton with such a satellite, `unload` matches the reference
@@ -33,7 +32,7 @@ Core claims:
       count and, traced, its steps, on seeded generator instances; from an
       empty queue it takes no step and leaves the excesses as they are, and
       so does a Cartier stage unloaded from no negative point
-    - the engine takes a run of tame hand-offs down a chain of links in a
+    - the engine takes a run of tame steps down a chain of links in a
       constant number of writes: on the chain weighted (1, ..., 1, 200),
       traced and untraced, and on make_dr(100)'s K_w it writes at most one
       excess per four steps, and ends as on a plain list
@@ -64,7 +63,7 @@ from sandwiched import (
     excesses,
     unload,
 )
-from sandwiched import oracle
+from sandwiched import oracle, weighted
 from sandwiched.analyzer import extend, zero_excess_components
 from sandwiched.oracle import GeneratorConfig, random_skeleton, reference_unload
 from sandwiched.weighted import UnloadStep, _appended, _default_cap, _Stage, _unload_steps
@@ -168,7 +167,7 @@ class WriteCountingList(list):
 
 def test_a_run_of_tame_hand_offs_down_links_is_one_move():
     # unloading a chain of (-2)-curves carries each unit down the chain one
-    # tame hand-off per link; the engine takes such a run in a constant
+    # tame step per link; the engine takes such a run in a constant
     # number of writes, so a long unloading writes far fewer excesses than
     # it takes steps, and otherwise runs as the plain list does
     chain = WeightedCluster(chain_skeleton(200), (1,) * 199 + (200,))
@@ -308,15 +307,13 @@ def crossings(K, steps):
     """Replay `steps` on K by the definition of a step, checking that a step
     lowers every excess but the unloaded point's.  Return the number of net
     crossings over all steps (points whose excess goes from >= 0 before the
-    step to < 0 after it), the number of hand-offs (steps with a crossing
-    below the unloaded point) and the number of re-pushes a
-    multiplicity-form step would make: points x next to the unloaded point
-    p (a target of p or proximate to p), negative before the step, >= 0
-    after raising nu_p and lowering nu at the points proximate to p, and
-    < 0 after the step."""
+    step to < 0 after it) and the number of re-pushes a multiplicity-form
+    step would make: points x next to the unloaded point p (a target of p
+    or proximate to p), negative before the step, >= 0 after raising nu_p
+    and lowering nu at the points proximate to p, and < 0 after the step."""
     sk = K.skeleton
     nu = list(K.nu)
-    net = handoffs = repushes = 0
+    net = repushes = 0
     for step in steps:
         p, inc = step.point, step.increment
         before = excesses(WeightedCluster(sk, tuple(nu)))
@@ -324,45 +321,59 @@ def crossings(K, steps):
         for u in sk.proximate_to[p]:
             nu[u] -= inc
         after = excesses(WeightedCluster(sk, tuple(nu)))
-        crossed = []
         for x in sk.points:
             if x != p:
                 assert after[x] <= before[x]
-                if before[x] >= 0 > after[x]:
-                    crossed.append(x)
-        net += len(crossed)
-        handoffs += any(x < p for x in crossed)
+                net += before[x] >= 0 > after[x]
         for x in sk.proximities[p] | set(sk.proximate_to[p]):
             raised = before[x] + inc * sum(
                 x in sk.proximities[u] for u in sk.proximate_to[p]
             )
             repushes += before[x] < 0 <= raised and after[x] < 0
-    return net, handoffs, repushes
+    return net, repushes
 
 
-def test_heap_holds_exactly_the_negative_points(heap_calls):
+def test_heap_holds_exactly_the_negative_points(heap_calls, monkeypatch):
     rng = random.Random(20261018)
     found = []
     for _ in range(4000):
         sk = random_skeleton(rng, 10, 0.6)
         K = WeightedCluster(sk, tuple(rng.randint(-3, 5) for _ in sk.points))
-        net, handoffs, repushes = crossings(K, reference_unload(K).steps)
+        net, repushes = crossings(K, reference_unload(K).steps)
         if repushes:
-            found.append((K, net, handoffs))
+            found.append((K, net, assert_same_unload(K)))
     assert len(found) >= 500
 
-    total_handoffs = 0
-    for K, net, handoffs in found:
-        heap_calls.update(push=0, pop=0)
-        result = assert_same_unload(K)
-        pushes, pops = heap_calls["push"], heap_calls["pop"]
-        assert pushes + handoffs == net
-        # every entry is popped once, as a step: none is stale
-        initial = sum(r < 0 for r in excesses(K))
-        assert initial + pushes == pops
-        assert pops + handoffs == result.step_count
-        total_handoffs += handoffs
-    assert total_handoffs > 500  # the hand-off is exercised, not just the heap
+    rho: list[int] = []
+    counting_pop = weighted.heappop
+
+    def checking_pop(queue):
+        # the heap is exactly the ascending negative points of the engine's
+        # own excess list, each once
+        assert sorted(queue) == [x for x, r in enumerate(rho) if r < 0]
+        return counting_pop(queue)
+
+    monkeypatch.setattr(weighted, "heappop", checking_pop)
+    total_pushes = 0
+    for K, net, expected in found:
+        sk = K.skeleton
+        for trace in (False, True):
+            heap_calls.update(push=0, pop=0)
+            rho[:] = excesses(K)
+            queue = [p for p, r in enumerate(rho) if r < 0]
+            initial = len(queue)
+            step_count, touched, steps = _unload_steps(
+                rho, queue, sk.proximate_to, sk.dual_rows, _default_cap(K.nu), trace
+            )
+            assert (step_count, tuple(rho)) == (expected.step_count, expected.rho)
+            assert frozenset(touched) == expected.touched
+            assert tuple(steps) == (expected.steps if trace else ())
+            pushes, pops = heap_calls["push"], heap_calls["pop"]
+            # every entry is popped once, as a step: none is stale
+            assert initial + pushes == pops
+            assert pushes <= net
+        total_pushes += pushes
+    assert total_pushes > 5000  # steps push points, not just the initial negatives
 
 
 def test_matches_reference_on_every_small_weighting_of_a_separating_satellite():
