@@ -1,9 +1,10 @@
 """Size ladders of the paper's constructions, timed with pytest-benchmark.
 
-Fourteen series, each a pytest-benchmark test:
+Fifteen series, each a pytest-benchmark test:
 
-- `chain_unload`: `unload` on the chain weighted (1, ..., 1, n), at 50, 100,
-  200 and 400 points; records the step count `steps`.  Every round unloads
+- `chain_unload` and `chain_unload_untraced`: `unload` on the chain
+  weighted (1, ..., 1, n), traced and with `trace=False`, at 50, 100, 200,
+  400 and 800 points; records the step count `steps`.  Every round unloads
   the same skeleton, so its dual-graph rows are derived once and stay
   cached.
 - `enumerate_make_dr`: `enumerate_singularities(make_dr(r))` at 2r + 1
@@ -119,6 +120,7 @@ from sandwiched.synthesis import MinimalGraphSpec, synthesize  # noqa: E402
 
 ROUNDS = 100
 SIZES = (50, 100, 200, 400)
+UNLOAD_SIZES = (50, 100, 200, 400, 800)
 MAX_POINTS = (4, 6, 8, 10)
 CLUSTERS = 200
 ALPHAS = (25, 50, 100, 200, 400)
@@ -157,7 +159,7 @@ def calibrated(benchmark, target, arguments, rounds=ROUNDS):
     return result
 
 
-@pytest.mark.parametrize("points", SIZES)
+@pytest.mark.parametrize("points", UNLOAD_SIZES)
 def test_chain_unload(benchmark, points):
     K = WeightedCluster(chain_skeleton(points), (1,) * (points - 1) + (points,))
     benchmark.extra_info["points"] = points
@@ -165,7 +167,15 @@ def test_chain_unload(benchmark, points):
     benchmark.extra_info["steps"] = len(result.steps)
 
 
-@pytest.mark.parametrize("points", SIZES)
+@pytest.mark.parametrize("points", UNLOAD_SIZES)
+def test_chain_unload_untraced(benchmark, points):
+    K = WeightedCluster(chain_skeleton(points), (1,) * (points - 1) + (points,))
+    benchmark.extra_info["points"] = points
+    result = calibrated(benchmark, functools.partial(unload, trace=False), lambda: (K,))
+    benchmark.extra_info["steps"] = result.step_count
+
+
+@pytest.mark.parametrize("points", UNLOAD_SIZES)
 def test_enumerate_make_dr(benchmark, points):
     K = make_dr(points // 2)
     benchmark.extra_info["points"] = len(K.skeleton)

@@ -37,6 +37,7 @@ from .weighted import (
     drop_zero_points,
     excesses,
     is_consistent,
+    multiplicities_from_excesses,
     unload,
     values,
 )
@@ -131,6 +132,36 @@ def random_boundary_points(cluster: WeightedCluster, rng: random.Random) -> list
     if dicriticals and rng.random() < 0.3:
         out.append(FreeOn(rng.choice(dicriticals)))
     return out
+
+
+def random_link_chain(rng: random.Random) -> WeightedCluster:
+    """A chain of links with a few branches, for the unloading engine: 5 to
+    60 points, each free on the point before it with probability 0.85, free
+    on an earlier point with 0.1, and otherwise a satellite on the point
+    before it and one of that point's targets (free on it when no pair is
+    left).  The excesses are random, 0 with probability 0.8, 1 with 0.1 and
+    -1 to -3 otherwise, so its unloading runs down links, and stretches of
+    them break at both ends."""
+    parents: list[Optional[int]] = [None]
+    prox: list[frozenset[int]] = [frozenset()]
+    occupied = set()
+    for p in range(1, rng.randint(5, 60)):
+        draw, parent = rng.random(), p - 1
+        if 0.85 <= draw < 0.95:
+            parent = rng.randrange(p)
+        targets = frozenset({parent})
+        if draw >= 0.95:
+            pairs = [frozenset({parent, q}) for q in prox[parent]]
+            pairs = [pair for pair in pairs if pair not in occupied]
+            if pairs:
+                targets = rng.choice(pairs)
+                occupied.add(targets)
+        parents.append(parent)
+        prox.append(targets)
+    tags = tuple("O" if p == 0 else f"p{p}" for p in range(len(prox)))
+    skeleton = ClusterSkeleton(tuple(parents), tuple(prox), tags).require_valid()
+    rho = [rng.choice((0,) * 8 + (1, rng.randint(-3, -1))) for _ in prox]
+    return multiplicities_from_excesses(skeleton, rho)
 
 
 def random_minimal_graph_spec(

@@ -22,7 +22,8 @@ with the input graph name for name, which is stronger than isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
+from typing import Iterator, Optional
 
 from .analyzer import FreeOn, analyze
 from .cluster import DualGraph, SkeletonBuilder, adjacency, bfs
@@ -39,9 +40,16 @@ class MinimalGraphSpec(DualGraph):
     conditions above.
     """
 
+    @cached_property
+    def _verdict(self) -> Optional[tuple[str, object]]:
+        """The first (message, culprit) of `_problems`, or None for a valid
+        spec.  The spec is immutable, so the conditions are checked at most
+        once per object, however often it is validated."""
+        return next(self._problems(), None)
+
     def require_valid(self) -> "MinimalGraphSpec":
-        for message, _ in self._problems():
-            raise ClusterError(message)
+        if self._verdict is not None:
+            raise ClusterError(self._verdict[0])
         return self
 
     def _problems(self) -> Iterator[tuple[str, object]]:
@@ -246,7 +254,8 @@ def parse_graph_spec(text: str) -> MinimalGraphSpec:
     spec = MinimalGraphSpec(
         tuple(vertices), tuple(edges), tuple(weights[v] for v in vertices)
     )
-    for message, culprit in spec._problems():  # a fault of the whole graph: the last line
+    if spec._verdict is not None:  # a fault of the whole graph: the last line
+        message, culprit = spec._verdict
         raise ParseError(message, line_of.get(culprit, len(text.splitlines()) or 1), 1)
     return spec
 

@@ -13,7 +13,9 @@ its caller's excesses and rows, from one min-heap of the negative points.
 A run of tame steps down a chain of links, points of w = 2 between p - 1
 and p + 1, is most of a long unloading on a chain; the engine takes it as
 one tame step at the run's last link, with the steps, records and
-excesses of the stepwise order.
+excesses of the stepwise order.  It remembers the stretch of zero links
+each run leaves behind, so a later run down the same links jumps across
+the stretch instead of reading it link by link.
 `unload` wraps it for a `WeightedCluster`.
 `_Stage` holds a cluster in lists that change in place and unloads them by
 the same engine: the Cartier builder grows its stages in one.  The
@@ -268,6 +270,31 @@ def _unload_steps(
     `touched` and its order, and so is every upward wave: its pushed points
     interleave with others.
 
+    Stretches.  A run p -> s leaves the links p, ..., s + 1 at excess 0,
+    and the engine keeps them as a stretch, `runs[p] = (s + 1, t)`, t the
+    step count after the run's steps before s's.  When a stretch's top is
+    popped, its entry moves down to the point below: a stretch wears down
+    from the top, as the units it carries arrive there.  Once a stretch
+    is kept, each point has a stamp, `last[x]`, the step count when x was
+    last popped or a run last ended at x (0 before the first stretch, as
+    no stamp can matter before there is a stretch to check).  A run whose
+    walk starts at the key s = p - 1 of a stretch (lo, t) whose ends s and
+    lo both bear stamps of at most t jumps to lo - 1 without reading the
+    links between, and walks on from there.
+    The jump is exact: every point of lo, ..., s is still a link of excess
+    0.  A link's only dual-graph neighbours are x - 1 and x + 1, so the
+    first change inside a stretch is at one of its ends: the step of the
+    neighbour outside lowers it, or a run ends at lo (a run cannot end
+    higher up, where the point below is a zero link).  A run that crosses
+    the whole stretch leaves every point of it at 0, as it found it.  A
+    lowered end is negative until it is popped, and every point below the
+    popped p has excess >= 0, so a lowered end has been popped since t and
+    bears a later stamp.  The steps, records, `touched` and its order, the
+    final excesses and every cap overrun are therefore those of the
+    stepwise order.  A traced call makes each link's shared tame record
+    when it first reads the link's row, and every point of a run is a
+    link, so a run appends its p - s records as one slice.
+
     Step records are frozen values shared within a call (see `UnloadStep`):
     a long trace repeats a few steps many times, and building a record
     costs more than a step's arithmetic.
@@ -278,9 +305,16 @@ def _unload_steps(
     steps: list[UnloadStep] = []
     tame_steps: list = [None] * len(rho) if trace else []
     records: dict[tuple[int, int], UnloadStep] = {}
+    # a stretch's top -> (its lowest point, t), and each point's stamp
+    runs: dict[int, tuple[int, int]] = {}
+    last: list[int] = []
     count = 0
     while queue:
         p = heappop(queue)
+        if runs:
+            last[p] = count
+            if p in runs:
+                runs[p - 1] = runs.pop(p)
         row = rows[p]
         if row is None:
             neighbours = dual_rows[p]
@@ -288,27 +322,34 @@ def _unload_steps(
             link = w == 2 and len(neighbours) == 2 and neighbours[0] == p - 1 and neighbours[1] == p + 1
             row = rows[p] = (w, neighbours, link)
             touched.append(p)
+            if trace and link:
+                tame_steps[p] = UnloadStep(p, 1, True)
         w, neighbours, link = row
         rho_p = rho[p]
         if rho_p == -1:
             if link:
                 # the run of tame steps p, p - 1, ..., s down read links of
-                # excess 0 is one tame step at s, with neighbours p + 1 and
-                # s - 1; a run whose last step, count + p - s + 1, would pass
-                # the cap is stepped one step at a time
+                # excess 0, across the stretch below p if neither of its
+                # ends has stepped since it was kept, is one tame step at
+                # s, with neighbours p + 1 and s - 1; a run whose last
+                # step, count + p - s + 1, would pass the cap is stepped
+                # one step at a time
                 s = p - 1
+                run = runs.get(s)
+                if run is not None and last[s] <= run[1] >= last[run[0]]:
+                    s = run[0] - 1
                 while rho[s] == 0 and (lower := rows[s]) is not None and lower[2]:
                     s -= 1
                 s += 1
                 if s < p and count + p - s < cap:
                     count += p - s
                     if trace:
-                        for x in range(p, s, -1):
-                            step = tame_steps[x]
-                            if step is None:
-                                step = tame_steps[x] = UnloadStep(x, 1, True)
-                            steps.append(step)
+                        steps += tame_steps[p:s:-1]
                     rho[p] = 0
+                    if not runs:
+                        last = [0] * len(rho)
+                    runs[p] = (s + 1, count)
+                    last[s] = count
                     p, neighbours = s, (s - 1, p + 1)
             inc = 1
             rho[p] = w - 1

@@ -43,12 +43,18 @@ Core claims:
       pushes at most its two ends, so the heap calls grow with n, not with
       the step count (586 pushes for the chain's 19,290 steps, 396 for the
       K_w's 10,001)
+    - an untraced `_unload_steps` reads its excess list at most 16n times
+      on the chains weighted (1, ..., 1, n) at n = 200 and 800 (19,290 and
+      316,354 steps) and on the K_w that `_appended` makes of make_dr(100)
+      (10,001 steps): a run down links jumps across the stretch of zero
+      links an earlier run left, rather than reading it link by link
 
 Every read of the base skeleton's `parents` goes through `CountedParents`,
 and every read of an unloaded skeleton's `proximities` through
 `CountedProximities`: tuples whose `__getitem__` counts; every read of an
-unloading stage's dual-graph rows through `CountedRows`; the heap calls
-through the `heap_calls` fixture.  No clock is read: the counts and the
+unloading stage's dual-graph rows through `CountedRows`; every read of the
+engine's excess list through `CountedExcesses`; the heap calls through the
+`heap_calls` fixture.  No clock is read: the counts and the
 allocation peak do not depend on the machine's speed.
 """
 
@@ -73,7 +79,13 @@ from sandwiched.cartier import CartierRequest, build, verify
 from sandwiched.cluster import ClusterSkeleton
 from sandwiched.oracle import random_minimal_graph_spec
 from sandwiched.synthesis import synthesize
-from sandwiched.weighted import dicritical_set, multiplicities_from_excesses
+from sandwiched.weighted import (
+    _appended,
+    _unload_steps,
+    dicritical_set,
+    excesses,
+    multiplicities_from_excesses,
+)
 
 from conftest import make_d1, make_dr
 
@@ -384,3 +396,43 @@ def test_unload_makes_at_most_3n_pushes_and_one_pop_more(heap_calls, shape, step
         assert unload(K, trace=trace).step_count == steps
         assert heap_calls["push"] <= 3 * n, heap_calls
         assert heap_calls["pop"] == heap_calls["push"] + 1, heap_calls
+
+
+class CountedExcesses(list):
+    """An excess list that counts its reads through `[]`."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def _chain_lists(n: int) -> tuple:
+    sk = chain_skeleton(n)
+    return excesses(WeightedCluster(sk, (1,) * (n - 1) + (n,))), sk.proximate_to, sk.dual_rows
+
+
+def _make_dr_kw_lists() -> tuple:
+    K = make_dr(100)
+    (component,) = zero_excess_components(K)
+    return _appended(K.skeleton, excesses(K), component[0])
+
+
+@pytest.mark.parametrize(
+    "lists, steps",
+    [
+        (lambda: _chain_lists(200), 19_290),
+        (lambda: _chain_lists(800), 316_354),
+        (_make_dr_kw_lists, 10_001),
+    ],
+    ids=["chain-200", "chain-800", "make_dr-K_w"],
+)
+def test_a_run_down_links_reads_its_stretch_once(lists, steps):
+    rho, proximate_to, dual_rows = lists()
+    n = len(rho)
+    counted = CountedExcesses(rho)
+    queue = [p for p, r in enumerate(rho) if r < 0]
+    count, _, _ = _unload_steps(counted, queue, proximate_to, dual_rows, 10 * steps, False)
+    assert count == steps
+    assert counted.reads <= 16 * n, (counted.reads, n)

@@ -261,3 +261,19 @@ def test_synthesize_validates_the_spec_once(monkeypatch):
     for spec in specs:
         synthesize(spec)
     assert calls == specs
+
+
+def test_parse_and_synthesize_check_the_spec_once(monkeypatch):
+    # the verdict is kept on the spec: `parse_graph_spec` checks it, and
+    # `synthesize` validates it again without checking the conditions again
+    calls = []
+    real = MinimalGraphSpec._problems
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(MinimalGraphSpec, "_problems", counting)
+    spec = parse_graph_spec("weight a=3\nweight b=2\nweight c=2\na b\na c\n")
+    synthesize(spec)
+    assert calls == [spec]

@@ -6,6 +6,12 @@ Core claims:
       raw weightings the generator unloads), on the codimension-one
       extensions of the make_dr family and on chains weighted (1, ..., 1, n)
     - under a small cap both raise CapExceededError with the same partial trace
+    - on 600 seeded branchy chains of links with random excesses
+      (`oracle.random_link_chain`), `unload` gives the reference loop's
+      cluster and steps, traced and untraced, and under caps that fall
+      before runs down links and inside them it raises at the reference's
+      step with its partial trace: there the stretches of zero links that
+      runs leave behind break at both ends
     - `unload(K, trace=False)` keeps no step record and otherwise agrees with
       the traced call on every instance above and on weights up to 10^40: the
       same cluster, `step_count == len(steps)`, the same touched points, and
@@ -65,7 +71,12 @@ from sandwiched import (
 )
 from sandwiched import oracle, weighted
 from sandwiched.analyzer import extend, zero_excess_components
-from sandwiched.oracle import GeneratorConfig, random_skeleton, reference_unload
+from sandwiched.oracle import (
+    GeneratorConfig,
+    random_link_chain,
+    random_skeleton,
+    reference_unload,
+)
 from sandwiched.weighted import UnloadStep, _appended, _default_cap, _Stage, _unload_steps
 
 from conftest import make_dr
@@ -189,6 +200,39 @@ def test_a_run_of_tame_hand_offs_down_links_is_one_move():
         steps = expected[0]
         assert steps > 10_000
         assert counted.writes * 4 <= steps, (counted.writes, steps)
+
+
+def test_stretches_of_links_break_as_the_stepwise_order_does():
+    # branchy chains of links with random excesses: their unloadings run
+    # across remembered stretches of links and break stretches at both ends.
+    # Each is compared with the reference loop's first 200 steps, to the end
+    # when it takes fewer, and under caps that fall before runs and inside them
+    rng = random.Random(20261021)
+    inside = full = 0
+    for _ in range(600):
+        K = random_link_chain(rng)
+        try:
+            want = reference_unload(K, cap=200)
+            trace, caps = want.steps, []
+        except CapExceededError as overrun:
+            want, trace, caps = None, overrun.trace, [200]
+        caps += rng.sample(range(len(trace)), min(3, len(trace)))
+        for cap in caps:
+            # the overrun step, trace[cap], goes on a run down links
+            before, step = trace[cap - 1], trace[cap]
+            inside += cap > 0 and before.tame and step.tame and step.point == before.point - 1
+        for trace_mode in (False, True):
+            for cap in caps:
+                with pytest.raises(CapExceededError) as got:
+                    unload(K, cap=cap, trace=trace_mode)
+                assert str(got.value) == f"unloading exceeded the {cap}-step safety cap"
+                assert got.value.trace == (trace[: cap + 1] if trace_mode else ())
+        if want is not None:
+            result = unload(K)
+            assert (result.cluster, result.steps) == (want.cluster, want.steps)
+            assert_untraced_agrees(K, result)
+            full += 1
+    assert full > 200 and inside > 600, (full, inside)
 
 
 def test_matches_reference_on_make_dr_extensions():
