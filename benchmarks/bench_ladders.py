@@ -1,6 +1,6 @@
 """Size ladders of the paper's constructions, timed with pytest-benchmark.
 
-Fifteen series, each a pytest-benchmark test:
+Eighteen series, each a pytest-benchmark test:
 
 - `chain_unload` and `chain_unload_untraced`: `unload` on the chain
   weighted (1, ..., 1, n), traced and with `trace=False`, at 50, 100, 200,
@@ -53,12 +53,21 @@ Fifteen series, each a pytest-benchmark test:
   points.  They are cold: each round's set-up makes a fresh copy of the
   skeleton and validates it, so the round derives the dual-graph rows
   from scratch.  They record the number of `edges`.
+- `dual_rows_free_fan`: `ClusterSkeleton.dual_rows` on a fresh, validated
+  copy of the free fan, the origin with every other point free on it, at
+  2,000, 4,000, 8,000 and 16,000 points: the origin's row grows by one
+  entry per point.  It records the number of `edges`.
+- `synthesize_star` and `synthesize_random`: `synthesize` on perfbench's
+  `tree_spec` star of 1,000, 2,000, 4,000 and 8,000 vertices (2,000 to
+  16,000 points) and random tree of 200, 800 and 3,200 vertices, each
+  vertex weighted max(2, degree).  Their `points` is the synthesized
+  cluster's.  These three series time BIG_ROUNDS rounds, not ROUNDS.
 
 On a shared machine the CPU speed swings by up to 2x for seconds at a
 time: raw medians of two runs of one tree were seen to differ by up to 60%
 at one size (Xeon vCPU, Python 3.11).  So every series is timed by
-`calibrated`, for ROUNDS rounds (STAIRCASE_ROUNDS for the staircase)
-after one warm-up: each round's set-up makes
+`calibrated`, for ROUNDS rounds (STAIRCASE_ROUNDS for the staircase,
+BIG_ROUNDS for the free fan and the synthesized trees) after one warm-up: each round's set-up makes
 the arguments and then times the pure-Python calibration loop of
 `perfbench/run.py`, and the round's time is scaled by the loop's reference
 time over its measured time.  The median of the scaled times is recorded as
@@ -107,7 +116,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from conftest import make_d1, make_dr  # noqa: E402
 from run import CALIBRATION_REF_NS, calibration_loop  # noqa: E402
-from workloads import sized_cluster  # noqa: E402
+from workloads import sized_cluster, tree_spec  # noqa: E402
 
 import sandwiched  # noqa: E402
 from sandwiched import ClusterSkeleton, FreeOn, Satellite, WeightedCluster, analyze, chain_skeleton, dual_graph  # noqa: E402
@@ -131,6 +140,10 @@ HUB_COMPONENTS = (26, 51, 101, 201)
 DUAL_GRAPH_SIZES = (100, 1_000, 10_000)
 STAIRCASE_SIZES = (500, 1_000, 2_000)
 STAIRCASE_ROUNDS = 10
+FREE_FAN_SIZES = (2_000, 4_000, 8_000, 16_000)
+STAR_VERTICES = (1_000, 2_000, 4_000, 8_000)
+RANDOM_TREE_VERTICES = (200, 800, 3_200)
+BIG_ROUNDS = 10
 
 
 def calibrated(benchmark, target, arguments, rounds=ROUNDS):
@@ -317,6 +330,37 @@ def test_dual_graph_chain(benchmark, points):
 @pytest.mark.parametrize("points", DUAL_GRAPH_SIZES)
 def test_dual_graph_sized(benchmark, points):
     run_dual_graph(benchmark, sized_cluster(sandwiched, random.Random(3), points).skeleton)
+
+
+@pytest.mark.parametrize("points", FREE_FAN_SIZES)
+def test_dual_rows_free_fan(benchmark, points):
+    parents = (None,) + (0,) * (points - 1)
+    proximities = (frozenset(),) + (frozenset((0,)),) * (points - 1)
+    tags = tuple(f"p{p}" for p in range(points))
+
+    def fresh():
+        return (ClusterSkeleton(parents, proximities, tags).require_valid(),)
+
+    benchmark.extra_info["points"] = points
+    rows = calibrated(benchmark, lambda sk: sk.dual_rows, fresh, BIG_ROUNDS)
+    benchmark.extra_info["edges"] = sum(map(len, rows.values())) // 2
+
+
+def run_synthesize(benchmark, shape, vertices):
+    spec = tree_spec(sandwiched, random.Random(3), vertices, shape)
+    cluster, _ = synthesize(spec)
+    benchmark.extra_info["points"] = len(cluster.skeleton)
+    calibrated(benchmark, synthesize, lambda: (spec,), BIG_ROUNDS)
+
+
+@pytest.mark.parametrize("vertices", STAR_VERTICES)
+def test_synthesize_star(benchmark, vertices):
+    run_synthesize(benchmark, "star", vertices)
+
+
+@pytest.mark.parametrize("vertices", RANDOM_TREE_VERTICES)
+def test_synthesize_random(benchmark, vertices):
+    run_synthesize(benchmark, "random", vertices)
 
 
 def growth_exponent(points, seconds):

@@ -16,7 +16,7 @@ part of this domain.
 
 From the root of a checkout:
 
-    PYTHONPATH=src python benchmarks/exhaustive_domain.py [--points N]
+    PYTHONPATH=src python benchmarks/exhaustive_domain.py [--points N | --trees N]
 
 prints the counts, the agreements, the certificates, a SHA-256 digest of
 the `repr` of every analysis report in domain order, and the time of each
@@ -26,6 +26,17 @@ of an engine must not alter a report.  At 5 points (the default) it reads
 11,648 clusters, 103,352 analyses and 29,968 singular reports; 36,316
 builds on the 9,902 `enumerate_singularities` reports and 123,680 on every
 singular analysis.
+
+`--trees N` runs the synthesis domain instead: every tree of at most N
+vertices up to isomorphism, each vertex weighted max(2, degree) plus 0, 1
+or 2, from the generator of `tests/test_synthesis_domain.py`.  Each spec
+must synthesize, so its certificate passes, and `enumerate_singularities`
+on the result must find one singular point whose T_Q is the graph's
+points; the graph file format must give the spec back.  It prints the
+counts, a SHA-256 digest of (skeleton, nu, w) of every synthesized cluster
+in domain order, and the time, and it exits 1 on a failed check, and when
+the digest differs from the one recorded in TREE_DIGESTS for that size.
+At 7 vertices it reads 29,361 specs.
 """
 
 import argparse
@@ -39,6 +50,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from test_exhaustive import _clusters, _skeletons  # noqa: E402
+from test_synthesis_domain import _spec_digest, _tree_specs  # noqa: E402
 
 from sandwiched import (  # noqa: E402
     FreeOn,
@@ -50,12 +62,18 @@ from sandwiched import (  # noqa: E402
 )
 from sandwiched.cartier import CartierRequest, build  # noqa: E402
 from sandwiched.oracle import graph_branches, graph_multiplicity  # noqa: E402
+from sandwiched.synthesis import parse_graph_spec, serialize_graph_spec, synthesize  # noqa: E402
 
 # the report digest at each number of points, as the analyzer gives it
 DIGESTS = {
     4: "281a9dec12215cf5e23abdbaaa2ce205f13e59640157c6eb364203e0cf78230b",
     5: "8240c6ce67b431c1d3c7bcf6192dd1187d5e216962e36800fa48e96c58daa15e",
     6: "a3458416cd2b2fd86c4843da79e6cd49deaf1634837a44ffed88dfc4183b07fd",
+}
+# the synthesis digest at each number of vertices, as the synthesizer gives it
+TREE_DIGESTS = {
+    6: "0a946b4130abaa184371d19c7a8c447e397f6f095b01c2847407b614b3abc478",
+    7: "957bff8f19d3ba3013fe1e0b00f669c867fcdce34ba0392728a0f6c54d85e96d",
 }
 
 
@@ -69,10 +87,45 @@ def _builds(K, report) -> tuple[int, int]:
     return builds, certified
 
 
+def trees(vertices: int) -> int:
+    """The synthesis domain to `vertices` vertices: 0 when every check
+    passes and the digest is the recorded one, else 1."""
+    digest = hashlib.sha256()
+    specs = single = round_trips = 0
+    start = time.perf_counter()
+    for spec in _tree_specs(vertices):
+        specs += 1
+        cluster, w = synthesize(spec)  # certifies, or raises
+        _spec_digest(digest, cluster, w)
+        reports = enumerate_singularities(cluster)
+        points = tuple(sorted(map(cluster.skeleton.index_of, spec.vertices)))
+        single += len(reports) == 1 and reports[0].T_Q == points
+        round_trips += parse_graph_spec(serialize_graph_spec(spec)) == spec
+    print(f"specs: {specs:,}, every one certified")
+    print(f"one singular point, with the graph's points as T_Q: {single:,} of {specs:,}")
+    print(f"graph files that give the spec back: {round_trips:,} of {specs:,}")
+    print(f"synthesis digest: {digest.hexdigest()}")
+    print(f"time: {time.perf_counter() - start:.1f} s")
+    ok = single == round_trips == specs
+    if not ok:
+        print("a synthesized cluster or a graph file disagrees", file=sys.stderr)
+    recorded = TREE_DIGESTS.get(vertices)
+    if recorded is not None and digest.hexdigest() != recorded:
+        print(f"synthesis digest differs from the recorded {recorded}", file=sys.stderr)
+        ok = False
+    return 0 if ok else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--points", type=int, default=5, help="largest skeleton size (default 5)")
+    domain = parser.add_mutually_exclusive_group()
+    domain.add_argument("--points", type=int, default=5, help="largest skeleton size (default 5)")
+    domain.add_argument("--trees", type=int, help="run the synthesis domain to this many vertices")
     args = parser.parse_args(argv)
+    if args.trees is not None:
+        if args.trees < 1:
+            parser.error("--trees must be at least 1")
+        return trees(args.trees)
     if args.points < 1:
         parser.error("--points must be at least 1")
 

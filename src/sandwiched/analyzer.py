@@ -214,9 +214,11 @@ def _analyze(
 
     _check(eps[o_q] == 1, "multiplicity at the minimal contracted point did not grow by 1")
     moved = [(p, e) for p, e in enumerate(eps) if e]
-    _check(all(e == -1 for p, e in moved if p != o_q), "a multiplicity moved by more than one")
+    _check(all([e == -1 for p, e in moved if p != o_q]), "a multiplicity moved by more than one")
 
-    _check(not any(rho_before[p] > 0 for p in t_q), "a dicritical point was unloaded")
+    # t_q is not empty, so no point of it is dicritical when its largest
+    # excess before the unloading is at most 0
+    _check(max(map(rho_before.__getitem__, t_q)) <= 0, "a dicritical point was unloaded")
 
     b_q = [p for p, e in moved if e == -1]
     t_set = frozenset(t_q)
@@ -230,13 +232,24 @@ def _analyze(
     rows = sk.dual_rows
     # K⁺_Q: the dicritical points among T_Q's neighbours in the dual graph
     boundary = {q for p in t_q for q in rows[p]} - t_set
-    kplus_q = tuple(sorted(q for q in boundary if rho_before[q] > 0))
+    kplus_q = tuple(sorted([q for q in boundary if rho_before[q] > 0]))
+
+    # the dual graph induced on T_Q: its edges ascend as `dual_graph`'s do
+    prox_to = sk.proximate_to
+    weights = [len(prox_to[p]) + 1 for p in t_q]
+    edges = tuple([(p, q) for p in t_q for q in rows[p] if q > p and q in t_set])
 
     # rho_before is 0 on T_Q, so p's final excess there is (A·z)_p = -Z·E_p;
-    # z is 0 off T_Q, so the whole dual row may be summed
-    for p in t_q:
-        excess = (len(sk.proximate_to[p]) + 1) * z[p] - sum(z[q] for q in rows[p])
-        _check(excess == rho_after[p], "fundamental cycle does not give the excesses on T_Q")
+    # z is 0 off T_Q, so the sum of z over p's dual row is its sum over
+    # p's neighbours in T_Q, each edge read once for both its ends
+    around = dict.fromkeys(t_q, 0)
+    for p, q in edges:
+        around[p] += z[q]
+        around[q] += z[p]
+    _check(
+        all([w_p * z[p] - around[p] == rho_after[p] for p, w_p in zip(t_q, weights)]),
+        "fundamental cycle does not give the excesses on T_Q",
+    )
 
     mult = 1 + len(b_q)
     # the self-intersection difference: (m + e)² - m² summed over the points
@@ -250,10 +263,10 @@ def _analyze(
     _check(min(rho_after) >= 0, "unloaded cluster is not consistent")
     b1_in_t = [p for p in b1_q if p in t_set]
     br = mult - len(b1_in_t)
-    br_by_excess = sum(rho_after[p] for p in t_q)
+    br_by_excess = sum(map(rho_after.__getitem__, t_q))
     _check(br == br_by_excess, "branch-count formulas disagree")
 
-    minimal = all(z[p] == 1 for p in t_q)
+    minimal = all([z[p] == 1 for p in t_q])
     _check(minimal == (br == mult), "reduced fundamental cycle vs branch count disagree")
     _check(minimal == (not b1_in_t), "reduced fundamental cycle vs contracted free drops disagree")
 
@@ -266,7 +279,7 @@ def _analyze(
     kplus_q_set = frozenset(kplus_q)
     flags_branches = (
         not b2_q,
-        all(p in kplus_q_set for p in b_q if p not in t_set),
+        all([p in kplus_q_set for p in b_q if p not in t_set]),
         len(sk.proximities[o_q] & kplus_q_set) == 2,
     )
     _check(
@@ -286,12 +299,7 @@ def _analyze(
     if all(flags_embed):
         _check(minimal, "component-count equality holding on a non-minimal singularity")
 
-    # the dual graph induced on T_Q: its edges ascend as `dual_graph`'s do
-    resolution = DualGraph(
-        t_q,
-        tuple((p, q) for p in t_q for q in rows[p] if q > p and q in t_set),
-        tuple(len(sk.proximate_to[p]) + 1 for p in t_q),
-    )
+    resolution = DualGraph(t_q, edges, tuple(weights))
     if minimal:
         # the sum of weight minus degree: each edge counts at both its ends
         total = sum(resolution.weights) - 2 * len(resolution.edges)

@@ -68,13 +68,14 @@ class ClusterSkeleton:
     @cached_property
     def proximate_to(self) -> tuple[tuple[int, ...], ...]:
         """For each q, the points of the cluster proximate to q (ascending)."""
-        rows: list[list[int]] = [[] for _ in self.points]
+        n, proximities = len(self.parents), self.proximities
+        rows: list[list[int]] = [[] for _ in range(n)]
         # p ascends, so every row does
-        for p in self.points:
-            for q in self.proximities[p]:
-                if 0 <= q < len(rows):
+        for p in range(n):
+            for q in proximities[p]:
+                if 0 <= q < n:
                     rows[q].append(p)
-        return tuple(tuple(row) for row in rows)
+        return tuple(map(tuple, rows))
 
     def geq(self, p: int, q: int) -> bool:
         """True if p is infinitely near or equal to q."""
@@ -103,13 +104,15 @@ class ClusterSkeleton:
 
     @cached_property
     def dual_rows(self) -> dict:
-        """Each point's dual-graph neighbours, ascending: `extend_adjacency`
-        replayed point by point.  Shared by all readers, so read-only."""
+        """Each point's dual-graph neighbours, as an ascending tuple:
+        `extend_adjacency` replayed point by point on rows grown as lists,
+        each frozen once at the end, so a point of high degree costs no
+        more than its edges.  Shared by all readers, so read-only."""
         self.require_valid()
-        rows: dict = {ORIGIN: ()}
+        rows: dict = {ORIGIN: []}
         for q in self.points[1:]:
             extend_adjacency(rows, self.proximities[q])
-        return rows
+        return dict(zip(rows, map(tuple, rows.values())))
 
     @cached_property
     def _verdict(self) -> tuple[Diagnostic, ...]:
@@ -483,24 +486,38 @@ def extend_adjacency(adjacency: dict, targets: Collection[int]) -> None:
     """Update, in place, the dual graph's `adjacency` rows of a skeleton to
     those of `extend_point(skeleton, targets)`.
 
-    The one statement of the blow-up rule, for `dual_rows`, for the lists
+    The one statement of the blow-up rule, for `dual_rows`, for the rows
     of a `weighted._Stage` and for the analyzer's K_w, the rows
     `weighted._appended` copies.
     Blowing up the new point n changes the graph only locally: a free point
     on E_p adds n to the row of p; a satellite at E_a ∩ E_b separates a and
-    b and adds n to both rows.  n is the largest index, so every row stays
-    sorted, and the row of n is its sorted targets.
+    b, removing each from the other's row, and adds n to both rows.  n is
+    the largest index, so every row stays ascending, and the row of n is
+    its sorted targets.
+
+    A row is a list or a tuple.  A list is changed in place: n is appended,
+    and a satellite's separation removes one entry, so a free point costs
+    O(1) however many neighbours its target has.  A tuple is a skeleton's
+    shared row, never changed: the target's row is replaced by a list copy
+    first, and the copy changed.  The row of n is a new list.
     """
     n = len(adjacency)
     if len(targets) == 1:
         (p,) = targets
-        adjacency[p] += (n,)
-        adjacency[n] = (p,)
+        row = adjacency[p]
+        if type(row) is tuple:
+            row = adjacency[p] = list(row)
+        row.append(n)
+        adjacency[n] = [p]
     else:
         a, b = sorted(targets)
-        adjacency[a] = tuple(v for v in adjacency[a] if v != b) + (n,)
-        adjacency[b] = tuple(v for v in adjacency[b] if v != a) + (n,)
-        adjacency[n] = (a, b)
+        for q, other in (a, b), (b, a):
+            row = adjacency[q]
+            if type(row) is tuple:
+                row = adjacency[q] = list(row)
+            row.remove(other)
+            row.append(n)
+        adjacency[n] = [a, b]
 
 
 def restrict_adjacency(
@@ -514,7 +531,9 @@ def restrict_adjacency(
     gone, so its neighbours are its targets: a free point leaves its
     target's row, and a satellite leaves the rows of its two targets, which
     meet again.  The kept points are then numbered in order, as `restrict`
-    numbers them, which keeps every row ascending.
+    numbers them, which keeps every row ascending.  The rows of `adjacency`
+    may be lists or tuples, as `extend_adjacency` leaves them; the rows
+    returned are tuples.
     """
     rows = dict(adjacency)
     kept_set = set(kept)
@@ -526,7 +545,7 @@ def restrict_adjacency(
             rows[q] = tuple(v for v in rows[q] if v != p)
         if len(targets) == 2:
             a, b = targets
-            rows[a] = tuple(sorted(rows[a] + (b,)))
-            rows[b] = tuple(sorted(rows[b] + (a,)))
+            rows[a] = tuple(sorted((*rows[a], b)))
+            rows[b] = tuple(sorted((*rows[b], a)))
     index = {old: new for new, old in enumerate(kept)}
     return {index[p]: tuple(index[v] for v in rows[p]) for p in kept}

@@ -13,10 +13,13 @@ maximally proximate to two points.  Tree edges become free points under
 their parent vertex; each vertex also receives enough extra free leaves
 (weight - 1 - children many) to push its proximate count to weight - 1.
 Multiplicities make every graph vertex excess-zero and every leaf, u and O
-excess-one.  Nothing is trusted: the result self-certifies through the
-analyzer before it is returned.  The point of each vertex is tagged with the
-vertex's name, so the certificate compares the analyzer's resolution graph
-with the input graph name for name, which is stronger than isomorphism.
+excess-one.  The skeleton is laid out in one pass, its tuples built
+directly rather than point by point through `SkeletonBuilder`, and it is
+still validated once.  Nothing is trusted: the result self-certifies
+through the analyzer before it is returned.  The point of each vertex is
+tagged with the vertex's name, so the certificate compares the analyzer's
+resolution graph with the input graph name for name, which is stronger
+than isomorphism.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from .analyzer import FreeOn, analyze
-from .cluster import DualGraph, SkeletonBuilder, adjacency, bfs
+from .cluster import ClusterSkeleton, DualGraph, adjacency, bfs
 from .dsl import INTEGER, is_name
 from .errors import ClusterError, InternalCheckError, ParseError
 from .weighted import WeightedCluster, multiplicities_from_excesses
@@ -82,44 +85,54 @@ class MinimalGraphSpec(DualGraph):
 
 def count_contracted_branches(spec: MinimalGraphSpec) -> int:
     """Branches contracted by the synthesized projection: sum of
-    (weight - degree) over the graph, plus one."""
+    (weight - degree) over the graph, plus one.  Each edge counts at both
+    its ends, so the degrees sum to twice the edge count."""
     spec.require_valid()
-    return sum(spec.weight(v) - spec.degree(v) for v in spec.vertices) + 1
+    return sum(spec.weights) - 2 * len(spec.edges) + 1
 
 
 def synthesize(spec: MinimalGraphSpec) -> tuple[WeightedCluster, FreeOn]:
     """Cluster and boundary point realizing the graph with the extremal
-    contracted-branch count; analyzer-verified before returning."""
+    contracted-branch count; analyzer-verified before returning.
+
+    The skeleton's parents, proximities and tags are laid out in one pass
+    over the tree in breadth-first order, a vertex's extra leaves right
+    after it, and the skeleton is validated once, as `SkeletonBuilder`
+    would validate it."""
     expected = count_contracted_branches(spec)  # validates the spec
-    root = next(v for v in spec.vertices if spec.weight(v) > spec.degree(v))
+    adjacency, weight_of = spec.adjacency, spec._weight_of
+    root = next(v for v, omega in zip(spec.vertices, spec.weights) if omega > len(adjacency[v]))
 
     vertex_rank = {v: i for i, v in enumerate(spec.vertices)}
-    order, parent_vertex = bfs(spec.adjacency, root, vertex_rank.__getitem__)
-    children: dict = {v: [] for v in spec.vertices}
-    for v in order[1:]:
-        children[parent_vertex[v]].append(v)
+    order, parent_vertex = bfs(adjacency, root, vertex_rank.__getitem__)
 
-    builder = SkeletonBuilder()
     used = set(spec.vertices)
-    origin = builder.origin(_fresh("O", used))
-    helper = builder.free(origin, _fresh("u", used))
+    # the origin O, the free point u over it, then each vertex's point and
+    # its extra free leaves; the root, the first vertex, is the satellite
+    # of O and u, and every other vertex is free on its parent's point
+    tags = [_fresh("O", used), _fresh("u", used)]
+    parents: list = [None, 0]
+    rho = [1, 1]
     index: dict = {}
-    extras: dict = {v: [] for v in spec.vertices}
     for v in order:
-        if v == root:
-            index[v] = builder.satellite(helper, origin, v)
-        else:
-            index[v] = builder.free(index[parent_vertex[v]], v)
-        for i in range(spec.weight(v) - 1 - len(children[v])):
-            extras[v].append(builder.free(index[v], _fresh(f"{v}_e{i}", used)))
-    skeleton = builder.build()
+        p = index[v] = len(parents)
+        parents.append(1 if v == root else index[parent_vertex[v]])
+        tags.append(v)
+        rho.append(0)
+        # extra free leaves push the proximate count of v, its children and
+        # its leaves, to its weight - 1; its children are its neighbours
+        # but its parent's vertex, and all of them for the root
+        extras = weight_of[v] - len(adjacency[v]) - (v == root)
+        if extras:
+            parents += [p] * extras
+            tags += [_fresh(f"{v}_e{i}", used) for i in range(extras)]
+            rho += [1] * extras
+    # a free point is proximate to its parent alone
+    proximities = list(map(frozenset, zip(parents)))
+    proximities[0] = frozenset()
+    proximities[index[root]] = frozenset((0, 1))
+    skeleton = ClusterSkeleton(tuple(parents), tuple(proximities), tuple(tags)).require_valid()
 
-    rho = [0] * len(skeleton)
-    rho[origin] = 1
-    rho[helper] = 1
-    for leaves in extras.values():
-        for leaf in leaves:
-            rho[leaf] = 1
     cluster = multiplicities_from_excesses(skeleton, rho)
     boundary = FreeOn(index[root])
 
@@ -154,10 +167,12 @@ def _certify(spec, cluster, report, index, expected):
             raise InternalCheckError(f"synthesis self-check failed: {message}")
     got = report.resolution_graph
     tags = cluster.skeleton.tags
-    got_weights = {tags[v]: got.weight(v) for v in got.vertices}
-    got_edges = {frozenset((tags[u], tags[v])) for u, v in got.edges}
-    want_edges = set(map(frozenset, spec.edges))
-    if got_weights != dict(zip(spec.vertices, spec.weights)) or got_edges != want_edges:
+    got_weights = dict(zip(map(tags.__getitem__, got.vertices), got.weights))
+    # an edge is compared as the names of its ends, in sorted order
+    named = [(tags[u], tags[v]) for u, v in got.edges]
+    got_edges = {(a, b) if a < b else (b, a) for a, b in named}
+    want_edges = {(a, b) if a < b else (b, a) for a, b in spec.edges}
+    if got_weights != spec._weight_of or got_edges != want_edges:
         raise InternalCheckError(
             "synthesis self-check failed: resolution graph is not the input graph"
         )

@@ -391,8 +391,9 @@ def _appended(sk: ClusterSkeleton, rho: Sequence[int], target: int) -> tuple[lis
     one target, in range, no satellite rule applies to a free point, and
     the tag `extend_point` would give w is fresh by its making.  Each list
     is one copy of the skeleton's: the target's excess falls by 1 and its
-    rows gain w, as new tuples, and w's excess is 1.  The skeleton's rows
-    are left as they are.
+    rows gain w, its `proximate_to` row as a new tuple and its dual-graph
+    row as the list copy `extend_adjacency` makes of a shared row, and w's
+    excess is 1.  The skeleton's rows are left as they are.
     """
     n = len(rho)
     rho, proximate_to = [*rho, 1], [*sk.proximate_to, ()]
@@ -413,11 +414,13 @@ class _Stage:
     does, and `tag_index` each tag's point.  These are the names a skeleton
     reads them by, so `check_attachment` and `cartier.check_interior_excess`
     read a stage as they read a skeleton, and `_unload_steps` unloads `rho`
-    on the rows as they are.  A skeleton is made of a stage only to hand it
-    out, as a traced Cartier stage or the builder's result.  The analyzer
-    appends one free point and never drops one, so its K_w is
-    `_appended`'s three lists, not a stage; a stage also appends
-    satellites.
+    on the rows as they are.  The dual-graph rows start as the base
+    skeleton's shared tuples; `extend_adjacency` copies a row to a list the
+    first time an append changes it, and changes the list in place after
+    that.  A skeleton is made of a stage only to hand it out, as a traced
+    Cartier stage or the builder's result.  The analyzer appends one free
+    point and never drops one, so its K_w is `_appended`'s three lists, not
+    a stage; a stage also appends satellites.
 
     A stage starts from `cluster` and its caller's excess vector `rho`,
     which must be `excesses(cluster)`: every caller already holds it.

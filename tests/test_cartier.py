@@ -467,6 +467,12 @@ def _skeleton_of(stage):
     return ClusterSkeleton(tuple(stage.parents), tuple(stage.proximities), tuple(stage.tags))
 
 
+def _frozen_rows(stage) -> dict:
+    """The stage's dual-graph rows as tuples: a stage grows a row it has
+    changed in place, as a list."""
+    return {q: tuple(row) for q, row in stage.dual_rows.items()}
+
+
 def test_growth_stages_attach_where_the_satellite_walk_ends(monkeypatch, corpus):
     appended = []
     real = _Stage.append
@@ -514,7 +520,7 @@ def test_every_materialized_stage_equals_the_extend_point_chain(monkeypatch, cor
     def same_lists(stage, cluster, rho):
         sk = cluster.skeleton
         assert stage.proximate_to == [list(row) for row in sk.proximate_to]
-        assert (stage.tag_index, stage.dual_rows) == (sk.tag_index, sk.dual_rows)
+        assert (stage.tag_index, _frozen_rows(stage)) == (sk.tag_index, sk.dual_rows)
         assert (stage.nu, stage.rho) == (list(cluster.nu), list(rho))
 
     def same(skeleton, cluster_nu):
@@ -613,7 +619,7 @@ def _checked_stages(monkeypatch, corpus):
 
     def snapshot(stage):
         skeleton = _skeleton_of(stage)
-        assert stage.dual_rows == skeleton.dual_rows
+        assert _frozen_rows(stage) == skeleton.dual_rows
         assert stage.proximate_to == [list(row) for row in skeleton.proximate_to]
         assert stage.tag_index == skeleton.tag_index
         return {"skeleton": skeleton, "rho": list(stage.rho), "searched": False}

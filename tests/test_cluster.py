@@ -10,11 +10,12 @@ Core claims:
     - the dual graph is a tree obeying the intersection edge rule: replaying
       the blow-ups point by point gives the graph of the static rule in the
       oracle, and the adjacency rows of an appended point derived by the
-      local blow-up rule equal fresh ones
+      local blow-up rule equal fresh ones, and the shared rows stay as they were
     - the skeleton's `dual_rows`, on skeletons grown by chains of free and
       satellite appends, equal those of a fresh skeleton and of the static
       rule; a restriction that drops points derives them afresh, and
-      `restrict_adjacency` gives the same rows from the source's; and no
+      `restrict_adjacency` gives the same rows from the source's, whether
+      they are tuples or lists; and no
       analysis, enumeration or Cartier build changes a base's rows
     - extend_point names the occupant of a taken satellite position
     - chains are unique tree paths; the open variant drops endpoints
@@ -301,10 +302,14 @@ def test_extended_adjacency_is_the_adjacency_of_the_extension():
                 ext = extend_point(sk, targets)
             except ClusterError:  # the satellite position is occupied
                 continue
-            adjacency = dict(dual_graph(sk).adjacency)
+            shared = dual_graph(sk).adjacency
+            snapshot = dict(shared)
+            adjacency = dict(shared)
             extend_adjacency(adjacency, targets)
             fresh = ClusterSkeleton(ext.parents, ext.proximities, ext.tags)
-            assert adjacency == dual_graph(fresh).adjacency
+            # the changed rows are lists, and the shared tuples stay as they were
+            assert {q: tuple(row) for q, row in adjacency.items()} == dual_graph(fresh).adjacency
+            assert shared == snapshot
             extended[len(targets)] += 1
     assert min(extended.values()) > 300, extended
 
@@ -377,6 +382,9 @@ def test_restricted_rows_are_the_rows_of_the_restriction():
         sub, _ = restrict(sk, kept)
         assert restrict_adjacency(rows, sk.proximities, kept) == static_dual_graph(sub).adjacency
         assert rows == snapshot
+        # a stage's rows, grown in place, are lists
+        listed = {q: list(row) for q, row in rows.items()}
+        assert restrict_adjacency(listed, sk.proximities, kept) == static_dual_graph(sub).adjacency
         for p in set(sk.points) - set(kept):
             dropped[len(sk.proximities[p])] += 1
     assert min(dropped.values()) > 400, dropped

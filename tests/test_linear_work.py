@@ -48,6 +48,16 @@ Core claims:
       316,354 steps) and on the K_w that `_appended` makes of make_dr(100)
       (10,001 steps): a run down links jumps across the stretch of zero
       links an earlier run left, rather than reading it link by link
+    - the blow-up rule grows a row in place: `extend_adjacency` copies at
+      most 2n row entries, counting each row a call replaces rather than
+      changes in place at its length, in deriving `dual_rows` on a
+      20,000-point free fan (the origin with every other point free on
+      it), a 20,000-point satellite fan and a 19,999-point bladed fan (a
+      free fan with a satellite on each blade and the origin), and in
+      `synthesize` on a star of 10,000 vertices; a rule that rebuilt each
+      target's row at each append copies about 3n on the satellite fan,
+      whose rows stay short, and quadratically many on the others (about
+      2·10^8 on the free fan)
 
 Every read of the base skeleton's `parents` goes through `CountedParents`,
 and every read of an unloaded skeleton's `proximities` through
@@ -78,7 +88,7 @@ from sandwiched import cluster as cluster_module
 from sandwiched.cartier import CartierRequest, build, verify
 from sandwiched.cluster import ClusterSkeleton
 from sandwiched.oracle import random_minimal_graph_spec
-from sandwiched.synthesis import synthesize
+from sandwiched.synthesis import MinimalGraphSpec, synthesize
 from sandwiched.weighted import (
     _appended,
     _unload_steps,
@@ -436,3 +446,65 @@ def test_a_run_down_links_reads_its_stretch_once(lists, steps):
     count, _, _ = _unload_steps(counted, queue, proximate_to, dual_rows, 10 * steps, False)
     assert count == steps
     assert counted.reads <= 16 * n, (counted.reads, n)
+
+
+@pytest.fixture
+def row_copies(monkeypatch):
+    """The number of row entries `extend_adjacency` copies, as
+    {"calls": ..., "copied": ...}: each target row a call replaces, rather
+    than changes in place, counts at its length before the call."""
+    counts = {"calls": 0, "copied": 0}
+    real = cluster_module.extend_adjacency
+
+    def counted(adjacency, targets):
+        before = [adjacency[q] for q in targets]
+        real(adjacency, targets)
+        counts["calls"] += 1
+        replaced = [row for q, row in zip(targets, before) if adjacency[q] is not row]
+        counts["copied"] += sum(map(len, replaced))
+
+    for module in (cluster_module, weighted):
+        monkeypatch.setattr(module, "extend_adjacency", counted)
+    return counts
+
+
+def _free_fan(n: int) -> ClusterSkeleton:
+    """The origin and n - 1 free points on it."""
+    parents = (None,) + (0,) * (n - 1)
+    proximities = (frozenset(),) + (frozenset((0,)),) * (n - 1)
+    return ClusterSkeleton(parents, proximities, tuple(f"p{p}" for p in range(n)))
+
+
+def _bladed_fan(n: int) -> ClusterSkeleton:
+    """The origin, (n - 1) // 2 free points on it, then a satellite of each
+    of them and the origin: each satellite separates its blade from the
+    origin's long row."""
+    b = SkeletonBuilder()
+    o = b.origin()
+    blades = [b.free(o) for _ in range((n - 1) // 2)]
+    for blade in blades:
+        b.satellite(blade, o)
+    return b.build()
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [_free_fan, lambda n: _satellite_fan(n)[0].skeleton, _bladed_fan],
+    ids=["free-fan", "satellite-fan", "bladed-fan"],
+)
+def test_dual_rows_grow_in_place(row_copies, shape):
+    sk = shape(POINTS).require_valid()
+    rows = sk.dual_rows
+    assert row_copies["calls"] == len(sk) - 1
+    assert row_copies["copied"] <= 2 * len(sk), row_copies
+    assert all(type(row) is tuple for row in rows.values())
+
+
+def test_synthesize_grows_a_stars_rows_in_place(row_copies):
+    n = POINTS // 2
+    names = tuple(f"v{i}" for i in range(n))
+    edges = tuple((names[0], v) for v in names[1:])
+    spec = MinimalGraphSpec(names, edges, (n - 1,) + (2,) * (n - 1))
+    cluster, _ = synthesize(spec)
+    assert row_copies["calls"] >= len(cluster.skeleton) - 1
+    assert row_copies["copied"] <= 2 * len(cluster.skeleton), row_copies
