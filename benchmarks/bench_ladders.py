@@ -40,9 +40,10 @@ Eighteen series, each a pytest-benchmark test:
   alpha^2; these show what the construction alone costs.
 - `build_hub_untraced`: the untraced build at alpha 3 on every component
   through Q of the singularity that `synthesize` makes from one vertex of
-  weight W, which has W + 1 components through Q, at 26, 51, 101 and 201
-  components; laid out by `components`.  The build series record the
-  number of points `added`.
+  weight W, which has W + 1 components through Q, at 26, 51, 101, 201, 401
+  and 801 components; laid out by `components`.  The sizes above 201 time
+  BIG_ROUNDS rounds, not ROUNDS.  The build series record the number of
+  points `added`.
 - `verify_sized`: `cartier.verify` alone on the build at alpha 1 on every
   component through the first singularity of perfbench's
   `sized_cluster(Random(3), n)`, at 50, 100, 200 and 400 points; the base
@@ -67,7 +68,8 @@ On a shared machine the CPU speed swings by up to 2x for seconds at a
 time: raw medians of two runs of one tree were seen to differ by up to 60%
 at one size (Xeon vCPU, Python 3.11).  So every series is timed by
 `calibrated`, for ROUNDS rounds (STAIRCASE_ROUNDS for the staircase,
-BIG_ROUNDS for the free fan and the synthesized trees) after one warm-up: each round's set-up makes
+BIG_ROUNDS for the free fan, the synthesized trees and the hub above 201
+components) after one warm-up: each round's set-up makes
 the arguments and then times the pure-Python calibration loop of
 `perfbench/run.py`, and the round's time is scaled by the loop's reference
 time over its measured time.  The median of the scaled times is recorded as
@@ -136,7 +138,7 @@ ALPHAS = (25, 50, 100, 200, 400)
 MANY_COMPONENT_ALPHAS = (5, 10, 25, 50)
 UNTRACED_ALPHAS = (1_000, 2_000, 4_000, 8_000)
 UNTRACED_MANY_COMPONENT_ALPHAS = (25, 50, 100, 200)
-HUB_COMPONENTS = (26, 51, 101, 201)
+HUB_COMPONENTS = (26, 51, 101, 201, 401, 801)
 DUAL_GRAPH_SIZES = (100, 1_000, 10_000)
 STAIRCASE_SIZES = (500, 1_000, 2_000)
 STAIRCASE_ROUNDS = 10
@@ -246,10 +248,11 @@ def test_enumerate_small(benchmark, max_points):
     run_cold(benchmark, items, body, len(items))
 
 
-def run_build(benchmark, K, report, alpha, trace=True):
+def run_build(benchmark, K, report, alpha, trace=True, rounds=ROUNDS):
     request = CartierRequest(K, report, {p: alpha for p in report.Kplus_Q})
     benchmark.extra_info["alpha"] = alpha
-    result = calibrated(benchmark, functools.partial(build, trace=trace), lambda: (request,))
+    body = functools.partial(build, trace=trace)
+    result = calibrated(benchmark, body, lambda: (request,), rounds)
     assert result.certificate.passed
     benchmark.extra_info["added"] = len(result.added)
 
@@ -299,7 +302,8 @@ def test_build_hub_untraced(benchmark, components):
     report = analyze(K, w)
     assert len(report.Kplus_Q) == components
     benchmark.extra_info["components"] = components
-    run_build(benchmark, K, report, 3, trace=False)
+    rounds = ROUNDS if components <= 201 else BIG_ROUNDS
+    run_build(benchmark, K, report, 3, trace=False, rounds=rounds)
 
 
 @pytest.mark.parametrize("points", SIZES)

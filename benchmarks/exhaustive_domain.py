@@ -32,11 +32,14 @@ vertices up to isomorphism, each vertex weighted max(2, degree) plus 0, 1
 or 2, from the generator of `tests/test_synthesis_domain.py`.  Each spec
 must synthesize, so its certificate passes, and `enumerate_singularities`
 on the result must find one singular point whose T_Q is the graph's
-points; the graph file format must give the spec back.  It prints the
-counts, a SHA-256 digest of (skeleton, nu, w) of every synthesized cluster
-in domain order, and the time, and it exits 1 on a failed check, and when
-the digest differs from the one recorded in TREE_DIGESTS for that size.
-At 7 vertices it reads 29,361 specs.
+points; the graph file format must give the spec back.  On that singular
+point it builds, untraced, at alpha all 1 and all 2, and every
+certificate must pass.  It prints the counts, a SHA-256 digest of
+(skeleton, nu, w) of every synthesized cluster in domain order, a SHA-256
+digest of (skeleton, nu, added points) of every build in domain order, and
+the time, and it exits 1 on a failed check, and when a digest differs from
+the one recorded in TREE_DIGESTS or BUILD_DIGESTS for that size.  At 7
+vertices it reads 29,361 specs and makes 58,722 builds.
 """
 
 import argparse
@@ -77,6 +80,28 @@ TREE_DIGESTS = {
 }
 
 
+# the build digest at each number of vertices, as the builder gives it
+BUILD_DIGESTS = {
+    6: "784395fe28b2821436c4e0106d94879d0256e5f730cd016651a5d8b73fa1b3e3",
+    7: "1c05d9e3d845b666f227551e3bece0022bdfa51f0d39c953d50896b73d1b1f3d",
+}
+
+
+def _uniform_builds(K, report, digest) -> int:
+    """The untraced builds at alpha all 1 and all 2, each fed to `digest`
+    as (skeleton, nu, added points): the number certified."""
+    certified = 0
+    for alpha in (1, 2):
+        request = CartierRequest(K, report, dict.fromkeys(report.Kplus_Q, alpha))
+        result = build(request, trace=False)
+        certified += result.certificate.passed
+        sk = result.cluster.skeleton
+        proximities = tuple(tuple(sorted(targets)) for targets in sk.proximities)
+        added = tuple((point.tag, point.targets) for point in result.added)
+        digest.update(repr((sk.parents, proximities, sk.tags, result.cluster.nu, added)).encode())
+    return certified
+
+
 def _builds(K, report) -> tuple[int, int]:
     """The untraced builds at every alpha in {1, 2}^K⁺_Q: (builds, certified)."""
     builds = certified = 0
@@ -90,29 +115,41 @@ def _builds(K, report) -> tuple[int, int]:
 def trees(vertices: int) -> int:
     """The synthesis domain to `vertices` vertices: 0 when every check
     passes and the digest is the recorded one, else 1."""
-    digest = hashlib.sha256()
-    specs = single = round_trips = 0
-    start = time.perf_counter()
+    digest, build_digest = hashlib.sha256(), hashlib.sha256()
+    specs = single = round_trips = certified = 0
+    # seconds spent synthesizing and checking, and building
+    seconds = [0.0, 0.0]
+    clock = time.perf_counter
     for spec in _tree_specs(vertices):
         specs += 1
+        start = clock()
         cluster, w = synthesize(spec)  # certifies, or raises
         _spec_digest(digest, cluster, w)
         reports = enumerate_singularities(cluster)
         points = tuple(sorted(map(cluster.skeleton.index_of, spec.vertices)))
         single += len(reports) == 1 and reports[0].T_Q == points
         round_trips += parse_graph_spec(serialize_graph_spec(spec)) == spec
+        seconds[0] += clock() - start
+        start = clock()
+        certified += _uniform_builds(cluster, reports[0], build_digest)
+        seconds[1] += clock() - start
     print(f"specs: {specs:,}, every one certified")
     print(f"one singular point, with the graph's points as T_Q: {single:,} of {specs:,}")
     print(f"graph files that give the spec back: {round_trips:,} of {specs:,}")
+    print(f"builds at alpha all 1 and all 2: {certified:,} of {2 * specs:,} certified")
     print(f"synthesis digest: {digest.hexdigest()}")
-    print(f"time: {time.perf_counter() - start:.1f} s")
-    ok = single == round_trips == specs
+    print(f"build digest: {build_digest.hexdigest()}")
+    print(f"time: synthesis {seconds[0]:.1f} s, builds {seconds[1]:.1f} s")
+    ok = single == round_trips == specs and certified == 2 * specs
     if not ok:
-        print("a synthesized cluster or a graph file disagrees", file=sys.stderr)
-    recorded = TREE_DIGESTS.get(vertices)
-    if recorded is not None and digest.hexdigest() != recorded:
-        print(f"synthesis digest differs from the recorded {recorded}", file=sys.stderr)
-        ok = False
+        print("a synthesized cluster, a graph file or a build disagrees", file=sys.stderr)
+    for name, recorded, got in (
+        ("synthesis", TREE_DIGESTS.get(vertices), digest.hexdigest()),
+        ("build", BUILD_DIGESTS.get(vertices), build_digest.hexdigest()),
+    ):
+        if recorded is not None and got != recorded:
+            print(f"{name} digest differs from the recorded {recorded}", file=sys.stderr)
+            ok = False
     return 0 if ok else 1
 
 

@@ -20,10 +20,21 @@ admissible order: the points of the base cluster present, in base order,
 then the added points in creation order.  A stage drops points or appends
 one at the end, and only the result re-attaches the missing base points,
 among the base points, so no stage re-sorts, and every tag names the same
-point throughout.  The satellites grown for a dicritical are the added
-points proximate to it, each proximate to the one before, so the next one
-attaches to the last of them in the stage's `proximate_to` row, or to the
-anchor when none is left.
+point throughout.  The base points a stage holds are its first points, so
+the stage keeps each base point's index (`_Stage.position`) and their
+number (`_Stage.held`), renumbered only when points are dropped, and a
+point is an added one when its index is at least that number.  The
+satellites grown for a dicritical are the added points proximate to it,
+each proximate to the one before, so the next one attaches to the last of
+them in the stage's `proximate_to` row, or to the anchor when none is left.
+
+The loop keeps the excess at each prescribed dicritical, their total, the
+stage index of each one present, and the first one whose excess is
+positive, and updates them only where the stage changes: an append changes
+excesses at its targets alone, and an unloading also at the points it
+touched and at their dual-graph neighbours.  Prescribed excesses only
+fall, so the first pending dicritical only moves forward, and a stage
+costs no pass over the dicriticals.
 
 The stage lives in lists that grow in place (`weighted._Stage`, which
 serves the builder alone): the points' parents, proximities and
@@ -45,10 +56,15 @@ checks and by restrictions, so it inherits the base's verdict, and no stage
 runs `validate`.
 
 The interior-excess check between prescribed dicriticals runs the
-whole-graph search (`check_interior_excess`) on the first stage and after
-every unloading.  On a stage that only appended a point it runs the search
+whole-graph check (`check_interior_excess`) on the first stage and after
+every unloading.  On a stage that only appended a point it runs the check
 only when a local rule (`_may_break_a_chain`) cannot rule a failure out,
-which reads the rows of the point's targets alone.
+which reads the rows of the point's targets alone.  The check is one walk:
+two present dicriticals fail when a tree edge joins them, or when both lie
+in or next to one component of the points of excess <= 0, so labelling the
+components next to the present dicriticals decides every pair, in time
+linear in the stage, and names the pair a search pair by pair would name
+first.
 
 A result is never trusted on construction: `verify` re-checks it from
 scratch (value identities, localization of the dicritical points, vanishing
@@ -62,20 +78,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Container, Optional, Sequence
 
 from .analyzer import SingularityReport, contracted_neighbor
 from .cluster import ClusterSkeleton, _inherit_verdict, bfs
 from .errors import CapExceededError, ClusterError, InternalCheckError
 from .weighted import (
     WeightedCluster,
+    _excesses,
+    _multiplicities,
     _Stage,
+    _values,
     closed_support,
-    dicritical_set,
     embed_indices,
-    excesses,
     multiplicities_from_excesses,
-    values,
 )
 
 
@@ -161,7 +177,8 @@ def build(
     sk = base.skeleton
     alpha = request.alpha
     dicriticals = sorted(report.Kplus_Q)
-    base_dicriticals = {sk.tags[p] for p in dicritical_set(base)}
+    base_excesses = _excesses(base.nu, sk.proximate_to)
+    base_dicriticals = {tag for tag, r in zip(sk.tags, base_excesses) if r > 0}
     neighbor = {p: contracted_neighbor(sk.dual_rows, report, p) for p in dicriticals}
 
     if seed_point is None:
@@ -179,87 +196,120 @@ def build(
     # multiplicities are linear in excesses: the sum of alpha[p] simple clusters
     start = [alpha.get(p, 0) for p in sk.points]
     stage = _Stage(multiplicities_from_excesses(sk, start), start)
-    stage.keep([q for q in sk.points if stage.nu[q] > 0])
+    stage.keep([q for q, m in enumerate(stage.nu) if m > 0])
     stages = [stage.cluster(sk)] if trace else []
+    # The per-stage state, kept where the stage changes: `excess[i]` is the
+    # excess at dicriticals[i] (0 once it is absent), `total` their sum,
+    # `present` the stage index of each one present -> i, in order, and
+    # `first` the first whose excess is positive.  Prescribed excesses only
+    # fall, so `first` only moves forward.
+    excess = [alpha[p] for p in dicriticals]
+    total, first = sum(excess), 0
+    present = _present(stage, dicriticals)
 
     # The first stage appends a point free over the seed; each growth stage the
     # next satellite of the first dicritical with positive excess, on its chain
     # toward its contracted neighbour.
     dicritical, anchor, label = None, seed_point, "first stage"
     while True:
-        index = stage.tag_index
-        if sk.tags[anchor] not in index:
+        position = stage.position
+        if position[anchor] is None:
             raise InternalCheckError(f"{label}: anchor {sk.tags[anchor]} is not in the stage")
-        targets = (index[sk.tags[anchor]],)
+        targets = (position[anchor],)
         if dicritical is not None:
-            d = index[sk.tags[dicritical]]
-            # the added points proximate to d are its satellites, each on the one before
+            d = position[dicritical]
+            # the added points proximate to d are its satellites, each on the
+            # one before; the base points held are the stage's first ones
             row = stage.proximate_to[d]
-            tail = row[-1] if row and stage.tags[row[-1]] not in sk.tag_index else targets[0]
+            tail = row[-1] if row and row[-1] >= stage.held else targets[0]
             targets = (tail, d)
         stage.append(targets, next(fresh_tags))
         micro += 1
         # only the first stage and an unloading may break a chain the stage before kept
         local = dicritical is not None
+        rho = stage.rho
         # every stage starts consistent, so only a target's excess can turn negative
-        negative = sorted(q for q in targets if stage.rho[q] < 0)
+        negative = [q for q in targets if rho[q] < 0]
         if negative:
+            negative.sort()
             steps, touched = stage.unload(negative)
             micro += steps
             if any(stage.tags[p] in base_dicriticals for p in touched):
                 raise InternalCheckError(
                     f"{label}: unloading touched a dicritical point of the base cluster"
                 )
+            # a step moves the excess at its point and at the point's neighbours
+            rows = stage.dual_rows
+            changed = {x for p in touched for x in rows[p]}.union(touched, targets)
+            total = _update(excess, total, present, changed, rho)
             stage.keep(closed_support(stage.nu, stage.proximate_to))
+            present = _present(stage, dicriticals)
+            rho = stage.rho
             local = False
+        else:
+            total = _update(excess, total, present, targets, rho)
         if micro > cap:
             raise CapExceededError(
                 f"builder exceeded the {cap}-step safety cap", trace=tuple(stages)
             )
         if trace:
             stages.append(stage.cluster(sk))
-        index, rho = stage.tag_index, stage.rho
-        # the excess at each prescribed dicritical present; an absent one has excess 0
-        at = {p: rho[index[sk.tags[p]]] for p in dicriticals if sk.tags[p] in index}
-        if len(at) > 1:
-            present = {index[sk.tags[p]] for p in at}
+        if len(present) > 1:
             if not local or _may_break_a_chain(stage, targets, present):
-                check_interior_excess(label, stage, rho, [sk.tags[p] for p in at])
+                check_interior_excess(label, stage, rho, [stage.tags[q] for q in present])
         if dicritical is None:
-            for p in dicriticals:
-                got = at.get(p, 0)
+            for p, got in zip(dicriticals, excess):
                 if got != alpha[p] - 1:
                     raise InternalCheckError(
                         f"first stage: excess {got} at {sk.tags[p]}, expected {alpha[p] - 1}"
                     )
-        elif sum(at.values()) >= total_before:
+        elif total >= total_before:
             raise InternalCheckError("growth loop: total prescribed excess did not drop")
-        pending = [p for p in dicriticals if at.get(p, 0) > 0]
-        if not pending:
+        while first < len(excess) and excess[first] <= 0:
+            first += 1
+        if first == len(excess):
             break
-        dicritical, anchor, label = pending[0], neighbor[pending[0]], "growth loop"
-        total_before = sum(at.values())
+        dicritical = dicriticals[first]
+        anchor, label = neighbor[dicritical], "growth loop"
+        total_before = total
 
     # finalize: every base point comes back, at multiplicity zero if absent; a
     # stage that holds them all is the result, and a traced one is made already
-    if all(t in stage.tag_index for t in sk.tags):
+    if stage.held == len(sk):
         final = stages[-1] if trace else stage.cluster(sk)
     else:
         final = _reattach(stage, sk)
     stages.append(final)
     certificate = verify(base, report, alpha, final)
     # the points past the base ones were added, in creation order
-    fsk = final.skeleton
+    tags, proximities = final.skeleton.tags, final.skeleton.proximities
     added = tuple(
-        AddedPoint(
-            fsk.tags[p], tuple(fsk.tags[q] for q in sorted(fsk.proximities[p], reverse=True))
-        )
-        for p in fsk.points[len(sk) :]
+        AddedPoint(tags[p], tuple(map(tags.__getitem__, sorted(proximities[p], reverse=True))))
+        for p in range(len(sk), len(tags))
     )
     return CartierResult(final, added, tuple(stages), certificate)
 
 
-def _may_break_a_chain(stage: _Stage, targets: Sequence[int], present: set) -> bool:
+def _present(stage: _Stage, dicriticals: Sequence[int]) -> dict:
+    """The stage index of each of the base points `dicriticals` that the
+    stage holds -> its place in `dicriticals`, in that order."""
+    position = stage.position
+    return {position[p]: i for i, p in enumerate(dicriticals) if position[p] is not None}
+
+
+def _update(excess: list, total: int, present: dict, changed, rho: Sequence[int]) -> int:
+    """Copy into `excess` the stage excesses `rho` at the present prescribed
+    dicriticals among the stage indices `changed`, and return `total` moved
+    by what they changed."""
+    for q in changed:
+        i = present.get(q)
+        if i is not None:
+            total += rho[q] - excess[i]
+            excess[i] = rho[q]
+    return total
+
+
+def _may_break_a_chain(stage: _Stage, targets: Sequence[int], present: Container[int]) -> bool:
     """False when the point just appended to `targets`, with no unloading,
     cannot have left the chain between two of the `present` prescribed
     dicriticals (stage indices) without a positive interior excess, given
@@ -283,25 +333,55 @@ def check_interior_excess(label: str, skeleton, rho, tags) -> None:
     """Raise InternalCheckError unless, between any two of the prescribed
     dicriticals `tags` (those present, in order), some interior point of
     their chain keeps positive excess; this is what makes the growth loop
-    sound.  The chains are searched in the `dual_rows` of `skeleton`, a
+    sound.  The chains are read off the `dual_rows` of `skeleton`, a
     `ClusterSkeleton` or a builder stage.
 
-    The dual graph is a tree, so the chain from a to b is the path through
-    the breadth-first parents from a: one search per dicritical but the last
-    reads the chains to every later one.
+    One walk decides every pair.  The dual graph is a tree, so the chain
+    between two present dicriticals a and b has no interior point of
+    positive excess exactly when a tree edge joins them, or when its
+    interior lies in one component of the points of excess <= 0, which a
+    and b then each lie in or next to.  A present dicritical of excess <= 0
+    is such a point like any other.  The walk labels the components that
+    hold or neighbour a present dicritical, reading the row of each of
+    their points and of each present dicritical once.  A scan of the
+    dicriticals from the last to the first then finds each one's first
+    failing partner after it: the first later dicritical next to it, or
+    sharing a component with it.  The pair named is the one a search pair
+    by pair in `tags` order meets first: the first dicritical that has a
+    failing partner, and its first failing partner.
     """
+    rows = skeleton.dual_rows
     present = [skeleton.tag_index[t] for t in tags]
-    for i, a in enumerate(present[:-1]):
-        _, parent = bfs(skeleton.dual_rows, a)
-        for b in present[i + 1 :]:
-            u = parent[b]
-            while u != a and rho[u] <= 0:
-                u = parent[u]
-            if u == a:
-                raise InternalCheckError(
-                    f"{label}: no positive excess between "
-                    f"{skeleton.tags[a]} and {skeleton.tags[b]}"
-                )
+    order = dict(zip(present, range(len(present))))
+    component: dict = {}  # each point of excess <= 0 reached -> its component's first point
+    nearest: dict = {}  # a component -> the first dicritical in or next to it, of those scanned
+    failing = None
+    for i in range(len(present) - 1, -1, -1):
+        d = present[i]
+        row = rows[d]
+        partners = [order[u] for u in row if order.get(u, i) > i]
+        labels = set()
+        for s in (d, *row):
+            if rho[s] > 0:
+                continue
+            if s not in component:
+                component[s] = s
+                walk = [s]
+                for u in walk:
+                    for x in rows[u]:
+                        if rho[x] <= 0 and x not in component:
+                            component[x] = s
+                            walk.append(x)
+            labels.add(component[s])
+        for c in labels:
+            if c in nearest:
+                partners.append(nearest[c])
+            nearest[c] = i
+        if partners:
+            failing = i, min(partners)
+    if failing is not None:
+        i, j = failing
+        raise InternalCheckError(f"{label}: no positive excess between {tags[i]} and {tags[j]}")
 
 
 def _reattach(stage: _Stage, base: ClusterSkeleton) -> WeightedCluster:
@@ -354,47 +434,44 @@ def verify(
     Keys of `alpha` off the base dicriticals are ignored; an invalid
     candidate skeleton raises ClusterError.
     """
-    candidate.skeleton.require_valid()
+    csk = candidate.skeleton
+    csk.require_valid()
     failures = []
     sk = base.skeleton
     try:
-        mapping = embed_indices(sk, candidate.skeleton)
+        mapping = embed_indices(sk, csk)
     except ClusterError:
         return CartierCertificate(
             False, False, False, False, (), False, ("embedding",)
         )
 
-    rho_candidate = excesses(candidate)
-    consistent = all(r >= 0 for r in rho_candidate)
+    rho_candidate = _excesses(candidate.nu, csk.proximate_to)
+    consistent = min(rho_candidate, default=0) >= 0
     if not consistent:
         failures.append("consistency")
 
-    dicritical = dicritical_set(base)
-    dicriticals = sorted(dicritical)
+    dicriticals = [p for p, r in enumerate(_excesses(base.nu, sk.proximate_to)) if r > 0]
     # by linearity, the sum of alpha_q simple(q) has excess alpha_q at each q, 0 elsewhere
-    prescribed = [alpha.get(p, 0) if p in dicritical else 0 for p in sk.points]
-    expected = values(multiplicities_from_excesses(sk, prescribed))
-    v_candidate = values(candidate)
+    prescribed = [0] * len(sk)
+    for p in dicriticals:
+        prescribed[p] = alpha.get(p, 0)
+    expected = _values(_multiplicities(prescribed, sk.proximate_to), sk.proximities)
+    v_candidate = _values(candidate.nu, csk.proximities)
     on_dicriticals = [v_candidate[mapping[p]] for p in dicriticals]
     value_condition = on_dicriticals == [expected[p] for p in dicriticals]
     if not value_condition:
         failures.append("value-condition")
 
-    t_tags = {sk.tags[p] for p in report.T_Q}
-    over_q: dict = {}
-    csk = candidate.skeleton
-    for p in csk.points:
-        tag = csk.tags[p]
-        if tag in sk.tag_index:
-            continue
-        over_q[tag] = any(
-            csk.tags[t] in t_tags or over_q.get(csk.tags[t], False)
-            for t in csk.proximities[p]
-        )
-    localization = all(
-        tag in t_tags if tag in sk.tag_index else over_q.get(tag, False)
-        for tag in (csk.tags[d] for d, r in enumerate(rho_candidate) if r > 0)
-    )
+    # by candidate index: a base point is over Q when it is a point of T_Q,
+    # and an added point when one of its targets is
+    over_q = [False] * len(csk)
+    for p in report.T_Q:
+        over_q[mapping[p]] = True
+    base_points = set(mapping)
+    for p, targets in enumerate(csk.proximities):
+        if p not in base_points and any(map(over_q.__getitem__, targets)):
+            over_q[p] = True
+    localization = all(over_q[d] for d, r in enumerate(rho_candidate) if r > 0)
     if not localization:
         failures.append("localization")
 

@@ -12,6 +12,7 @@ Everything here is unweighted; virtual multiplicities live in `weighted`.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Optional, Sequence
@@ -533,19 +534,20 @@ def restrict_adjacency(
     meet again.  The kept points are then numbered in order, as `restrict`
     numbers them, which keeps every row ascending.  The rows of `adjacency`
     may be lists or tuples, as `extend_adjacency` leaves them; the rows
-    returned are tuples.
+    returned are tuples; a row this changes is copied to a list first.
     """
     rows = dict(adjacency)
-    kept_set = set(kept)
+    index = dict(zip(kept, range(len(kept))))
     for p in range(len(proximities) - 1, -1, -1):
-        if p in kept_set:
+        if p in index:
             continue
         targets = proximities[p]
         for q in targets:
-            rows[q] = tuple(v for v in rows[q] if v != p)
+            row = rows[q] = [*rows[q]]
+            row.remove(p)
         if len(targets) == 2:
             a, b = targets
-            rows[a] = tuple(sorted((*rows[a], b)))
-            rows[b] = tuple(sorted((*rows[b], a)))
-    index = {old: new for new, old in enumerate(kept)}
-    return {index[p]: tuple(index[v] for v in rows[p]) for p in kept}
+            insort(rows[a], b)
+            insort(rows[b], a)
+    renumber = index.__getitem__
+    return {index[p]: tuple(map(renumber, rows[p])) for p in kept}

@@ -26,6 +26,7 @@ target.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
@@ -424,6 +425,9 @@ class _Stage:
 
     A stage starts from `cluster` and its caller's excess vector `rho`,
     which must be `excesses(cluster)`: every caller already holds it.
+    `position[p]` is the stage index of the point p of `cluster`, None once
+    it is dropped, and `held` the number of them the stage holds: an append
+    comes last and a drop keeps the order, so they are its first points.
     """
 
     def __init__(self, cluster: WeightedCluster, rho: Sequence[int]):
@@ -436,6 +440,8 @@ class _Stage:
         self.dual_rows = dict(sk.dual_rows)
         self.nu = list(cluster.nu)
         self.rho = list(rho)
+        self.position = list(range(len(sk)))
+        self.held = len(sk)
 
     def append(self, targets: Sequence[int], tag: str) -> None:
         """Append a point of multiplicity 1 proximate to `targets`, as
@@ -462,15 +468,20 @@ class _Stage:
         if len(kept) == len(self.tags):
             return
         self.dual_rows = restrict_adjacency(self.dual_rows, self.proximities, kept)
-        index = {old: new for new, old in enumerate(kept)}
-        parents, proximities, prox_to = self.parents, self.proximities, self.proximate_to
-        self.parents = [None if parents[p] is None else index[parents[p]] for p in kept]
-        self.proximities = [frozenset(index[q] for q in proximities[p]) for p in kept]
-        self.proximate_to = [[index[q] for q in prox_to[p] if q in index] for p in kept]
-        self.tags = [self.tags[p] for p in kept]
-        self.tag_index = {tag: p for p, tag in enumerate(self.tags)}
-        self.nu = [self.nu[p] for p in kept]
-        self.rho = [self.rho[p] for p in kept]
+        index = dict(zip(kept, range(len(kept))))
+        renumber = index.__getitem__
+        # every kept point's parent is kept, so `get` gives None for the origin's alone
+        self.parents = list(map(index.get, map(self.parents.__getitem__, kept)))
+        self.proximities = [frozenset(map(renumber, self.proximities[p])) for p in kept]
+        # the points proximate to p come after p, so none of them is renumbered 0
+        prox_to = self.proximate_to
+        self.proximate_to = [list(filter(None, map(index.get, prox_to[p]))) for p in kept]
+        self.tags = list(map(self.tags.__getitem__, kept))
+        self.tag_index = dict(zip(self.tags, range(len(kept))))
+        self.nu = list(map(self.nu.__getitem__, kept))
+        self.rho = list(map(self.rho.__getitem__, kept))
+        self.position = list(map(index.get, self.position))
+        self.held = bisect_left(kept, self.held)
 
     def cluster(self, base: ClusterSkeleton) -> WeightedCluster:
         """The stage as a weighted cluster, known valid when `base` is."""
@@ -552,19 +563,20 @@ def simple_cluster(skeleton: ClusterSkeleton, p: int) -> WeightedCluster:
 
 def embed_indices(sub: ClusterSkeleton, ambient: ClusterSkeleton) -> tuple[int, ...]:
     """Index map sub -> ambient, matching points by tag and checking structure."""
-    mapping = []
-    for p in sub.points:
-        tag = sub.tags[p]
-        if tag not in ambient.tag_index:
-            raise ClusterError(f"incompatible skeletons: no point tagged {tag!r} in the ambient")
-        mapping.append(ambient.tag_index[tag])
-    for p in sub.points:
-        img_prox = frozenset(mapping[q] for q in sub.proximities[p])
-        if img_prox != ambient.proximities[mapping[p]]:
+    try:
+        mapping = tuple(map(ambient.tag_index.__getitem__, sub.tags))
+    except KeyError as missing:
+        (tag,) = missing.args
+        raise ClusterError(
+            f"incompatible skeletons: no point tagged {tag!r} in the ambient"
+        ) from None
+    image = mapping.__getitem__
+    for p, targets in enumerate(sub.proximities):
+        if frozenset(map(image, targets)) != ambient.proximities[mapping[p]]:
             raise ClusterError(
                 f"incompatible skeletons: proximities of {sub.tags[p]!r} disagree"
             )
-    return tuple(mapping)
+    return mapping
 
 
 def linear_combination(

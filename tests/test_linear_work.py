@@ -12,10 +12,10 @@ Core claims:
       other one, the closing re-attachment is metered too: it lays out the
       base's points and then the added ones in one pass
     - each build's traced allocation peak stays under 100 MB
-    - `cartier.verify` makes a fixed number of whole-cluster passes
-      (`values`, `excesses`, `multiplicities_from_excesses`,
-      `dicritical_set`), however many dicriticals the base has: on a comb
-      with 120 teeth, each tooth a dicritical, it makes at most two of each
+    - `cartier.verify` makes a fixed number of whole-cluster passes (the
+      list kernels `_values`, `_excesses` and `_multiplicities`), however
+      many dicriticals the base has: on a comb with 120 teeth, each tooth a
+      dicritical, it makes at most two of each, and calls each
     - on that comb, once `enumerate_singularities` has derived the base's
       dual-graph rows, `verify` applies the blow-up rule
       (`extend_adjacency`) 0 times, and `build` with its verify at most
@@ -32,6 +32,12 @@ Core claims:
     - on the 8-component instance the whole-graph interior-excess search
       runs at most once per unloading plus once for the first stage: a
       stage that only appended a point is checked by the local rule
+    - on the hub, the singularity that `synthesize` makes from one vertex,
+      with 201 components through Q, built untraced at alpha 3: each
+      whole-graph search reads at most 2n dual-graph rows of its n-point
+      stage, and the per-stage state of the prescribed dicriticals touches
+      at most 4 (stages + components · (unloadings + 1)) entries, since it
+      is updated where the stage changes rather than rebuilt at each stage
     - an untraced `unload` reads `proximities` at most 10n times, validation
       included, on the chain weighted (1, ..., 1, 200) (19,290 steps) and on
       the K_w that `enumerate_singularities` unloads on make_dr(100) (10,001
@@ -225,7 +231,8 @@ def test_verify_makes_a_fixed_number_of_passes_whatever_the_dicriticals(monkeypa
     comb, leaves, report = _comb()
 
     calls = {}
-    for name in ("values", "excesses", "multiplicities_from_excesses", "dicritical_set"):
+    kernels = ("_values", "_excesses", "_multiplicities")
+    for name in kernels:
         def counted(*args, _name=name, _real=getattr(cartier, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _real(*args)
@@ -234,7 +241,7 @@ def test_verify_makes_a_fixed_number_of_passes_whatever_the_dicriticals(monkeypa
     # the comb is its own candidate: one simple cluster of each leaf
     certificate = verify(comb, report, dict.fromkeys(leaves, 1), comb)
     assert certificate.readout_matches
-    assert max(calls.values()) <= 2, calls
+    assert set(calls) == set(kernels) and max(calls.values()) <= 2, calls
 
 
 def test_build_and_verify_read_the_base_dual_rows(monkeypatch):
@@ -366,6 +373,62 @@ def test_the_whole_graph_search_runs_once_per_unloading_plus_the_first_stage(mon
     result = build(request, trace=False)
     assert result.certificate.passed and len(result.added) > 700
     assert 0 < searches["calls"] <= unloads["calls"] + 1, (searches, unloads)
+
+
+def _hub(components: int) -> CartierRequest:
+    """The untraced build's request at alpha 3 on every component through
+    Q of the singularity that `synthesize` makes from one vertex of weight
+    components - 1, which has `components` components through Q."""
+    K, w = synthesize(MinimalGraphSpec(("a",), (), (components - 1,)))
+    report = analyze(K, w)
+    assert len(report.Kplus_Q) == components
+    return CartierRequest(K, report, dict.fromkeys(report.Kplus_Q, 3))
+
+
+def test_each_whole_graph_search_on_the_hub_reads_linearly_many_rows(monkeypatch):
+    real = cartier.check_interior_excess
+    searches = []
+
+    def search(label, stage, rho, tags):
+        rows = stage.dual_rows
+        stage.dual_rows = CountedRows(rows)
+        try:
+            return real(label, stage, rho, tags)
+        finally:
+            searches.append((len(rows), len(stage.dual_rows.read)))
+            stage.dual_rows = rows
+
+    monkeypatch.setattr(cartier, "check_interior_excess", search)
+    assert build(_hub(201), trace=False).certificate.passed
+    # one search per dicritical would read about 201 rows per row of the stage
+    assert searches and all(read <= 2 * points for points, read in searches), searches
+
+
+def test_the_hubs_dicritical_bookkeeping_grows_with_stages_and_unloadings(monkeypatch):
+    """The per-stage state of the prescribed dicriticals is updated where
+    the stage changes: each `_update` reads the stage indices it is handed,
+    and each `_present` the prescribed dicriticals.  Recomputing it at every
+    stage would touch components · stages entries, about 40,000 here."""
+    request = _hub(201)
+    entries = {"entries": 0}
+    real_present, real_update = cartier._present, cartier._update
+
+    def present(stage, dicriticals):
+        entries["entries"] += len(dicriticals)
+        return real_present(stage, dicriticals)
+
+    def update(excess, total, present, changed, rho):
+        entries["entries"] += len(changed)
+        return real_update(excess, total, present, changed, rho)
+
+    monkeypatch.setattr(cartier, "_present", present)
+    monkeypatch.setattr(cartier, "_update", update)
+    appends = _counted_calls(monkeypatch, cartier._Stage, "append")
+    unloads = _counted_calls(monkeypatch, cartier._Stage, "unload")
+    assert build(request, trace=False).certificate.passed
+    components = len(request.alpha)
+    bound = 4 * (appends["calls"] + components * (unloads["calls"] + 1))
+    assert 0 < entries["entries"] <= bound, (entries, appends, unloads)
 
 
 def _weighted_chain() -> WeightedCluster:
